@@ -1,16 +1,18 @@
 """Mutual positions of line pairs in hexagonic models, and combing.
 
-A position is matched from the multiset signatures of the rows and
-columns of the pairwise relation matrix between the two lines; the 26
-catalogue entries are generated from shape templates (homogeneous,
-matching, pointed, row- and column-constant) whose signature pairs are
-pairwise distinct, which is asserted when a catalogue is built.  The
-combing table maps every entry to its successor position, with the
-terminal position being the opposite pair.
+A position is matched from the signature of a line pair, packed into
+one exact integer key that single-pair lookups and the vectorized census
+share (see "signature keys"); the 26 catalogue entries are generated
+from shape templates (homogeneous, matching, pointed, row- and
+column-constant) whose keys are pairwise distinct, which is asserted
+when a catalogue is built.  The combing table maps every entry to its
+successor position, with the terminal position being the opposite pair.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,6 +68,63 @@ def parse_display(s: str) -> tuple[int, ...]:
             out.append(rev[s[i]])
             i += 1
     return tuple(out)
+
+
+# -- signature keys -------------------------------------------------------------
+#
+# The column code of a point p with respect to an m-point line is the rank
+# of the sorted relation codes from the line's points to p among all sorted
+# m-tuples of the six codes (NearOpposite included), so it lies in
+# [0, _code_base(m)).  The signature key of (L, M) packs the sorted codes of
+# L's points with respect to M followed by the sorted codes of M's points
+# with respect to L, in base _code_base(m).  The key is exact, and the key of
+# (M, L) is the key of (L, M) with its two halves swapped.
+
+
+def _rank(digits):
+    """Rank of ascending digits among all ascending tuples of their length:
+    the sum of C(digits[i] + i, i + 1) (the combinatorial number system),
+    exact on Python ints and, one digit per lane, on integer arrays."""
+    rank = 0
+    for i, d in enumerate(digits):
+        x, c = d + i, 1
+        for j in range(i + 1):
+            c = c * (x - j) // (j + 1)
+        rank = rank + c
+    return rank
+
+
+#: the column code of one point, from its sorted relation codes as a tuple
+_column_code = functools.cache(_rank)
+
+
+def _pack(digits, base: int, key=0):
+    """The digits, most significant first, packed onto ``key`` in ``base``.
+    On integer arrays (one digit per lane) ``key`` is an accumulator array,
+    updated in place, whose dtype bounds the result."""
+    for d in digits:
+        key *= base
+        key += d
+    return key
+
+
+def _code_base(m: int) -> int:
+    """Number of column codes of a point with respect to an m-point line."""
+    return math.comb(m + len(REL_DISPLAY) - 1, m)
+
+
+def matrix_key(mat: Sequence[Sequence[int]]) -> int:
+    """Signature key of the pair with relation matrix ``mat`` (rows: L's points;
+    the relation is symmetric, so row i also holds the codes from M to L's i-th point)."""
+    rows = sorted(_column_code(tuple(sorted(r))) for r in mat)
+    cols = sorted(_column_code(tuple(sorted(c))) for c in zip(*mat))
+    return _pack(rows + cols, _code_base(len(mat)))
+
+
+def _swap_key(key: int, m: int) -> int:
+    """The key of (M, L), given the key of (L, M)."""
+    half = _code_base(m) ** m
+    return (key % half) * half + key // half
 
 
 # -- catalogue ----------------------------------------------------------------
@@ -191,9 +250,9 @@ class PositionCatalogue:
         if len(self.entries) != 26:
             raise PositionError(f"catalogue has {len(self.entries)} entries, expected 26")
         self.by_tuple = {e.tuple4: e for e in self.entries}
-        self.by_sig: dict[tuple, CatalogueEntry] = {}
+        self.by_sig: dict[int, CatalogueEntry] = {}
         for e in self.entries:
-            sig = matrix_signature(e.template(m))
+            sig = matrix_key(e.template(m))
             if sig in self.by_sig:
                 raise PositionError(
                     f"signature collision between {e.display} and {self.by_sig[sig].display}")
@@ -232,14 +291,6 @@ def _entries_data():
     return _RAW
 
 
-def matrix_signature(mat: Sequence[Sequence[int]]) -> tuple:
-    rows = tuple(sorted(tuple(sorted(r)) for r in mat))
-    ncols = len(mat[0])
-    cols = tuple(sorted(tuple(sorted(mat[i][j] for i in range(len(mat))))
-                        for j in range(ncols)))
-    return rows, cols
-
-
 # -- position context ------------------------------------------------------------
 
 
@@ -256,12 +307,15 @@ class HexagonicModel:
         self.catalogue = PositionCatalogue(self.m)
 
     def pair_matrix(self, li: int, mi: int) -> list[list[int]]:
-        g, R = self.geometry, self.rel
-        return [[R.rel(x, y) for y in g.lines[mi]] for x in g.lines[li]]
+        """Relation codes from L's points (rows) to M's points, read from the
+        relation rows of L's points only."""
+        lines = self.geometry.lines
+        rows = [self.rel.row(x) for x in lines[li]]
+        return [[r[y] for y in lines[mi]] for r in rows]
 
     def position_of(self, li: int, mi: int):
         mat = self.pair_matrix(li, mi)
-        entry = self.catalogue.by_sig.get(matrix_signature(mat))
+        entry = self.catalogue.by_sig.get(matrix_key(mat))
         if entry is None:
             return CatalogueMiss(li, mi, mat)
         return entry.tuple4
@@ -275,12 +329,12 @@ class HexagonicModel:
         if isinstance(pos, CatalogueMiss):
             raise PositionError(f"pair ({li},{mi}) is not a catalogue position")
         entry = self.catalogue.entry(pos)
-        if not entry.has_projection_row:
-            return tuple(g.lines[li])
-        target = tuple(sorted(entry.template(self.m)[0]))
-        mat = self.pair_matrix(li, mi)
         pts = g.lines[li]
-        hits = [pts[i] for i in range(len(pts)) if tuple(sorted(mat[i])) == target]
+        if not entry.has_projection_row:
+            return tuple(pts)
+        target = _column_code(tuple(sorted(entry.template(self.m)[0])))
+        hits = [p for p, row in zip(pts, self.pair_matrix(li, mi))
+                if _column_code(tuple(sorted(row))) == target]
         if len(hits) != 1:
             raise PositionError(f"projection point not unique for pair ({li},{mi})")
         return tuple(p for p in pts if p != hits[0])
@@ -303,41 +357,14 @@ class HexagonicModel:
 # -- census -----------------------------------------------------------------------
 
 
-_ROWBASE = 6 ** 3
-_KEYBASE = _ROWBASE ** 3
-
-
-def _sort3(a, b, c):
-    lo = np.minimum(np.minimum(a, b), c)
-    hi = np.maximum(np.maximum(a, b), c)
-    mid = (a.astype(np.int16) + b + c) - lo - hi
-    return lo.astype(np.int16), mid.astype(np.int16), hi.astype(np.int16)
-
-
-def _codes3(x, axis):
-    """Encode sorted triples along an axis of length 3 into one int."""
-    a, b, c = np.moveaxis(x, axis, 0)
-    lo, mid, hi = _sort3(a, b, c)
-    return lo + 6 * mid + 36 * hi
-
-
-def _sig_key(sub: np.ndarray) -> np.ndarray:
-    """int64 key of the (row multiset, column multiset) signature pair.
-
-    sub has shape (..., 3, 3): last axis are the points of M, the one
-    before the points of L.
-    """
-    rowcode = _codes3(sub, -1)
-    r0, r1, r2 = (x.astype(np.int64) for x in _sort3(*np.moveaxis(rowcode, -1, 0)))
-    rowsig = r0 + _ROWBASE * r1 + _ROWBASE * _ROWBASE * r2
-    colcode = _codes3(sub, -2)
-    c0, c1, c2 = (x.astype(np.int64) for x in _sort3(*np.moveaxis(colcode, -1, 0)))
-    colsig = c0 + _ROWBASE * c1 + _ROWBASE * _ROWBASE * c2
-    return rowsig * _KEYBASE + colsig
-
-
-def _swap_key(key: int) -> int:
-    return (key % _KEYBASE) * _KEYBASE + key // _KEYBASE
+def _sort_lanes(lanes: list) -> list:
+    """Sort equal-shape arrays entrywise, in place on the list (an odd-even
+    transposition network)."""
+    for p in range(len(lanes)):
+        for i in range(p % 2, len(lanes) - 1, 2):
+            a, b = lanes[i], lanes[i + 1]
+            lanes[i], lanes[i + 1] = np.minimum(a, b), np.maximum(a, b)
+    return lanes
 
 
 @dataclass
@@ -353,95 +380,64 @@ class PositionCensus:
 
 
 def position_census(model: HexagonicModel, instance_cap: int = 10000,
-                    block: int = 128) -> PositionCensus:
-    """Exhaustive census of all ordered line pairs.
+                    block: int = 32) -> PositionCensus:
+    """Exhaustive census of all ordered line pairs, vectorized for every line
+    size whose signature keys fit in int64 (3- and 4-point lines).
 
-    Vectorized for 3-point lines; larger line sizes fall back to the
-    scalar path.  The inverse law is checked for every realized
-    signature key: the key of (M, L) is the component swap of the key of
-    (L, M), so checking the key table covers all pairs.
+    The column codes of every point with respect to every line are filled
+    in blocks of lines, then each block's keys against all lines are packed
+    from them.  Instances are the first ``instance_cap`` pairs of each
+    position in row-major order.  The inverse law is checked for every
+    realized key: the key of (M, L) is the half swap of the key of (L, M).
     """
     g = model.geometry
-    nl = len(g.lines)
-    if model.m != 3:
-        return _census_scalar(model, instance_cap)
+    nl, m = len(g.lines), model.m
+    base = _code_base(m)
+    if base ** (2 * m) > 1 << 63:
+        raise PositionError(f"signature keys of {m}-point lines reach {base}**{2 * m}, "
+                            "beyond the int64 bound 2**63")
     R = model.rel.np()
-    lines_arr = np.array(g.lines, dtype=np.int32)
-    key_entry = {}
-    for e in model.catalogue.entries:
-        key_entry[int(_sig_key(np.array(e.template(3), dtype=np.int8)))] = e
-    counts: dict[int, int] = {}
-    inst: dict[int, list] = {k: [] for k in key_entry}
-    miss_examples: list[CatalogueMiss] = []
-    miss_count = 0
+    lines_arr = np.array(g.lines, dtype=np.intp)
+    # codes[p, L]: the column code of point p with respect to line L
+    codes = np.empty((g.n, nl), dtype=np.min_scalar_type(base - 1))
     for i0 in range(0, nl, block):
-        rows = lines_arr[i0:i0 + block]
-        sub = R[rows][:, :, lines_arr].transpose(0, 2, 1, 3)  # (b, nl, 3, 3)
-        keys = _sig_key(sub)
-        vals, cnts = np.unique(keys, return_counts=True)
+        pts = lines_arr[i0:i0 + block]
+        rels = _sort_lanes([R[pts[:, i]].astype(np.int64) for i in range(m)])
+        codes[:, i0:i0 + block] = _rank(rels).T
+    key_entry = model.catalogue.by_sig
+    counts: dict[int, int] = {}
+    inst: dict[int, list] = {}
+    for i0 in range(0, nl, block):
+        pts = lines_arr[i0:i0 + block]
+        wrt_block = np.ascontiguousarray(codes[:, i0:i0 + block].T)
+        # key[b, M]: sorted codes of the points of line i0 + b with respect
+        # to M, then sorted codes of M's points with respect to line i0 + b
+        key = np.zeros((len(pts), nl), dtype=np.int64)
+        _pack(_sort_lanes([codes[pts[:, i]] for i in range(m)])
+              + _sort_lanes([wrt_block[:, lines_arr[:, j]] for j in range(m)]), base, key)
+        vals, cnts = np.unique(key, return_counts=True)
         for v, c in zip(vals.tolist(), cnts.tolist()):
             counts[v] = counts.get(v, 0) + c
-            if v not in key_entry:
-                miss_count += c
-        for v in vals.tolist():
-            want = instance_cap if v in key_entry else 100
             bucket = inst.setdefault(v, [])
-            if len(bucket) >= want:
-                continue
-            bi, mj = np.nonzero(keys == v)
-            for b, m in zip(bi.tolist(), mj.tolist()):
-                if len(bucket) >= want:
-                    break
-                bucket.append((i0 + b, m))
-    for v, pairs in inst.items():
-        if v not in key_entry and pairs:
-            li, mi = pairs[0]
-            miss_examples.append(CatalogueMiss(li, mi, model.pair_matrix(li, mi)))
+            take = (instance_cap if v in key_entry else 1) - len(bucket)
+            if take > 0:
+                bi, mj = np.nonzero(key == v)
+                bucket.extend(zip((bi[:take] + i0).tolist(), mj[:take].tolist()))
+    misses = sorted(pairs[0] for v, pairs in inst.items() if v not in key_entry)
+    miss_examples = [CatalogueMiss(li, mi, model.pair_matrix(li, mi))
+                     for li, mi in misses[:100]]
+    miss_count = sum(c for v, c in counts.items() if v not in key_entry)
     # inverse law, exhaustively at the signature-key level
     for v, c in counts.items():
-        w = _swap_key(v)
+        w = _swap_key(v, m)
         if counts.get(w) != c:
             raise PositionError("census is not symmetric under pair reversal")
-        if v in key_entry:
-            if w not in key_entry or \
-                    key_entry[w].tuple4 != key_entry[v].inverse_tuple():
-                raise PositionError(
-                    f"inverse law fails for {key_entry[v].display}")
-    out_counts = {}
-    out_inst = {}
-    for v, c in counts.items():
-        if v in key_entry:
-            d = key_entry[v].display
-            out_counts[d] = out_counts.get(d, 0) + c
-            out_inst[d] = inst[v]
-    return PositionCensus(out_counts, miss_examples, miss_count, out_inst, nl * nl)
-
-
-def _census_scalar(model: HexagonicModel, instance_cap: int) -> PositionCensus:
-    g = model.geometry
-    nl = len(g.lines)
-    counts: dict[str, int] = {}
-    inst: dict[str, list] = {}
-    miss_examples: list[CatalogueMiss] = []
-    miss_count = 0
-    for li in range(nl):
-        for mi in range(nl):
-            pos = model.position_of(li, mi)
-            if isinstance(pos, CatalogueMiss):
-                miss_count += 1
-                if len(miss_examples) < 100:
-                    miss_examples.append(pos)
-                continue
-            d = to_display(pos)
-            counts[d] = counts.get(d, 0) + 1
-            bucket = inst.setdefault(d, [])
-            if len(bucket) < instance_cap:
-                bucket.append((li, mi))
-    for d, c in counts.items():
-        e = model.catalogue.by_tuple[parse_display(d)]
-        if counts.get(to_display(e.inverse_tuple()), 0) != c:
-            raise PositionError(f"inverse law fails for {d}")
-    return PositionCensus(counts, miss_examples, miss_count, inst, nl * nl)
+        if v in key_entry and (w not in key_entry
+                               or key_entry[w].tuple4 != key_entry[v].inverse_tuple()):
+            raise PositionError(f"inverse law fails for {key_entry[v].display}")
+    realized = [(v, e.display) for v, e in key_entry.items() if v in counts]
+    return PositionCensus({d: counts[v] for v, d in realized}, miss_examples, miss_count,
+                          {d: inst[v] for v, d in realized}, nl * nl)
 
 
 def seeded_instances(census: PositionCensus, display: str, k: int, seed: int) -> list:

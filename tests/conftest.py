@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from liegeom.recipes import grassmannian_census, grassmannian_model, model_geometry
+
+# property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -1,29 +1,99 @@
+import copy
+import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from liegeom.geometry import Geometry
 from liegeom.positions import (
     AlgorithmViolation,
     CatalogueMiss,
     HexagonicModel,
     NoCombingLine,
     PositionCatalogue,
+    PositionCensus,
     PositionError,
     TERMINAL,
-    _census_scalar,
+    _code_base,
+    _pack,
+    _rank,
+    _sort_lanes,
+    _swap_key,
     comb_to_opposite,
     comb_until_opposite_all,
     combing_algorithm_1,
     combing_algorithm_2,
     find_combing_line,
-    matrix_signature,
+    matrix_key,
     parse_display,
     position_census,
     seeded_instances,
     to_display,
 )
-from liegeom.relations import COLLINEAR, EQUAL, OPPOSITE, SPECIAL, SYMPLECTIC
+from liegeom.relations import (
+    COLLINEAR,
+    EQUAL,
+    NEAR_OPPOSITE,
+    OPPOSITE,
+    REL_DISPLAY,
+    SPECIAL,
+    SYMPLECTIC,
+    RelationMatrix,
+)
+
+
+# -- brute-force oracles ------------------------------------------------------
+
+
+def matrix_signature(mat):
+    rows = tuple(sorted(tuple(sorted(r)) for r in mat))
+    ncols = len(mat[0])
+    cols = tuple(sorted(tuple(sorted(mat[i][j] for i in range(len(mat))))
+                        for j in range(ncols)))
+    return rows, cols
+
+
+def census_scalar(model: HexagonicModel, instance_cap: int) -> PositionCensus:
+    g = model.geometry
+    nl = len(g.lines)
+    counts: dict[str, int] = {}
+    inst: dict[str, list] = {}
+    miss_examples: list[CatalogueMiss] = []
+    miss_count = 0
+    for li in range(nl):
+        for mi in range(nl):
+            pos = model.position_of(li, mi)
+            if isinstance(pos, CatalogueMiss):
+                miss_count += 1
+                if len(miss_examples) < 100:
+                    miss_examples.append(pos)
+                continue
+            d = to_display(pos)
+            counts[d] = counts.get(d, 0) + 1
+            bucket = inst.setdefault(d, [])
+            if len(bucket) < instance_cap:
+                bucket.append((li, mi))
+    for d, c in counts.items():
+        e = model.catalogue.by_tuple[parse_display(d)]
+        if counts.get(to_display(e.inverse_tuple()), 0) != c:
+            raise PositionError(f"inverse law fails for {d}")
+    return PositionCensus(counts, miss_examples, miss_count, inst, nl * nl)
+
+
+def doctored(model: HexagonicModel, li: int, mi: int, code: int) -> HexagonicModel:
+    """A copy of the model whose relation data gives every point pair of
+    lines li and mi the relation code ``code``, both ways round."""
+    rel = RelationMatrix(model.geometry)
+    R = rel.np()
+    for x in model.geometry.lines[li]:
+        for y in model.geometry.lines[mi]:
+            R[x, y] = R[y, x] = code
+    out = copy.copy(model)
+    out.rel = rel
+    return out
 
 
 def test_catalogue_structure():
@@ -181,17 +251,32 @@ def test_levels(gr_model, gr_census):
 
 
 def test_catalogue_miss_is_value(gr_model):
-    class Doctored(HexagonicModel):
-        def __init__(self, inner):
-            self.__dict__.update(inner.__dict__)
-
-        def pair_matrix(self, li, mi):
-            return [[EQUAL] * 3 for _ in range(3)]
-
-    doc = Doctored(gr_model)
+    doc = doctored(gr_model, 1, 2, EQUAL)
     pos = doc.position_of(1, 2)
     assert isinstance(pos, CatalogueMiss)
     assert pos.display.startswith("miss:")
+    assert gr_model.position_of(1, 2) != pos
+
+
+def test_census_counts_misses(h2):
+    # a pair whose relation data matches no catalogue position is counted
+    # and reported, never raised; the oracle sees the same doctored data
+    li = 0
+    mi = next(m for m in range(len(h2.lines)) if not h2.line_bits[li] & h2.line_bits[m])
+    doc = doctored(HexagonicModel(h2), li, mi, NEAR_OPPOSITE)
+    assert isinstance(doc.position_of(li, mi), CatalogueMiss)
+    assert isinstance(doc.position_of(mi, li), CatalogueMiss)
+    census = position_census(doc)
+    oracle = census_scalar(doc, instance_cap=10000)
+    assert census.miss_count == oracle.miss_count > 0
+    assert census.counts == oracle.counts
+    assert census.instances == oracle.instances
+    assert sum(census.counts.values()) + census.miss_count == census.total
+    assert census.misses
+    for m in census.misses:
+        assert isinstance(m, CatalogueMiss)
+        assert m.display.startswith("miss:")
+        assert isinstance(doc.position_of(m.line_a, m.line_b), CatalogueMiss)
 
 
 def test_alg1_and_alg2(gr_model, gr_census):
@@ -258,6 +343,10 @@ def test_census_on_rank3_grassmannian(gr_w52):
     realized = {parse_display(d) for d in census.counts}
     for t in realized:
         assert model.catalogue.by_tuple[t].dual_tuple() in realized
+    # instances are ordered pairs: the scalar path places each one at its
+    # position, not at the inverse position
+    for d, pairs in census.instances.items():
+        assert all(to_display(model.position_of(li, mi)) == d for li, mi in pairs[:50])
     # combing works here too
     li, mi = seeded_instances(census, "0113/2", 1, seed=6)[0]
     assert len(comb_to_opposite(model, li, mi).steps) == 3
@@ -274,7 +363,7 @@ def test_positions_on_hexagon(h2):
     census = position_census(model)
     assert set(census.counts) == {"0110", "0112", "1223", "2332"}
     assert census.miss_count == 0
-    scalar = _census_scalar(model, instance_cap=10)
+    scalar = census_scalar(model, instance_cap=10)
     assert scalar.counts == census.counts
     li, mi = seeded_instances(census, "2332", 1, seed=4)[0]
     tr = comb_to_opposite(model, li, mi)
@@ -286,4 +375,97 @@ def test_positions_on_hexagon(h2):
 def test_signature_of_manual_matrix():
     mat = [[COLLINEAR] * 3, [COLLINEAR] * 3, [COLLINEAR] * 3]
     cat = PositionCatalogue(3)
-    assert cat.by_sig[matrix_signature(mat)].display == "1111"
+    assert cat.by_sig[matrix_key(mat)].display == "1111"
+
+
+def test_census_on_four_point_lines(h3):
+    # the split Cayley hexagon H(3) has 4-point lines
+    model = HexagonicModel(h3)
+    census = position_census(model)
+    oracle = census_scalar(model, instance_cap=10000)
+    assert census.counts == oracle.counts == {"0110": 364, "0112": 4368, "1223": 39312,
+                                              "2332": 88452}
+    assert census.miss_count == oracle.miss_count == 0
+    assert census.instances == oracle.instances
+
+
+def test_census_rejects_keys_beyond_int64(h34):
+    # H(3,4) has 5-point lines, whose keys reach 252**10 > 2**63: the census
+    # refuses rather than wrap, while the scalar path stays exact
+    model = HexagonicModel(h34)
+    assert model.m == 5
+    with pytest.raises(PositionError, match="int64 bound"):
+        position_census(model)
+    assert model.position_of(0, 0) == parse_display("0110")
+
+
+def test_column_codes_are_ranks():
+    # the column code is a bijection from sorted m-tuples of the six
+    # relation codes onto range(_code_base(m))
+    for m in (1, 2, 3, 4, 5):
+        tuples = list(itertools.combinations_with_replacement(range(len(REL_DISPLAY)), m))
+        assert sorted(_rank(t) for t in tuples) == list(range(_code_base(m)))
+
+
+def test_lazy_model_reads_few_rows(h2):
+    # a fresh geometry, since relation matrices are cached per geometry
+    fresh = Geometry(h2.n, h2.lines, h2.kind, order=h2.order)
+    lazy = HexagonicModel(fresh, eager_threshold=1)
+    dense = HexagonicModel(h2)
+    assert not lazy.rel.eager
+    lazy.position_of(0, 40)
+    assert len(lazy.rel._rows) <= 2 * lazy.m
+    nl = len(h2.lines)
+    for li in range(nl):
+        for mi in range(nl):
+            assert lazy.position_of(li, mi) == dense.position_of(li, mi)
+            assert lazy.free_points(li, mi) == dense.free_points(li, mi)
+    assert lazy.rel._np is None
+
+
+# -- properties of the signature key -------------------------------------------
+
+
+def _matrices(m: int, count: int):
+    cell = st.integers(0, len(REL_DISPLAY) - 1)
+    return st.lists(st.lists(st.lists(cell, min_size=m, max_size=m), min_size=m, max_size=m),
+                    min_size=count, max_size=count)
+
+
+@st.composite
+def _matrix_pair(draw):
+    """Two m x m relation matrices; the second is often a row and column
+    permutation of the first, so that equal signatures occur."""
+    m = draw(st.sampled_from((3, 4)))
+    a, b = draw(_matrices(m, 2))
+    if draw(st.booleans()):
+        rows, cols = draw(st.permutations(range(m))), draw(st.permutations(range(m)))
+        b = [[a[i][j] for j in cols] for i in rows]
+    return a, b
+
+
+@given(_matrix_pair())
+def test_key_equal_iff_signature_equal(pair):
+    a, b = pair
+    assert (matrix_key(a) == matrix_key(b)) == (matrix_signature(a) == matrix_signature(b))
+
+
+@given(st.sampled_from((3, 4)).flatmap(lambda m: _matrices(m, 1)))
+def test_key_of_transpose_is_half_swap(mats):
+    mat = mats[0]
+    transpose = [list(c) for c in zip(*mat)]
+    assert matrix_key(transpose) == _swap_key(matrix_key(mat), len(mat))
+
+
+@given(st.sampled_from((3, 4)).flatmap(lambda m: _matrices(m, 8)))
+def test_key_scalar_and_array_agree(mats):
+    # the census evaluates _rank and _pack lane by lane on arrays
+    arr = np.array(mats, dtype=np.int8)
+    m = arr.shape[1]
+    rows = [_rank(_sort_lanes([arr[:, i, j].astype(np.int64) for j in range(m)]))
+            for i in range(m)]
+    cols = [_rank(_sort_lanes([arr[:, i, j].astype(np.int64) for i in range(m)]))
+            for j in range(m)]
+    keys = _pack(_sort_lanes(rows) + _sort_lanes(cols), _code_base(m),
+                 np.zeros(len(mats), dtype=np.int64))
+    assert keys.tolist() == [matrix_key(mat) for mat in mats]
