@@ -305,6 +305,7 @@ class HexagonicModel:
         self.m = sizes.pop()
         self.rel = relation_matrix(g, eager_threshold)
         self.catalogue = PositionCatalogue(self.m)
+        self._local_opp: dict[int, dict[int, tuple[int, ...]]] = {}
 
     def pair_matrix(self, li: int, mi: int) -> list[list[int]]:
         """Relation codes from L's points (rows) to M's points, read from the
@@ -339,13 +340,41 @@ class HexagonicModel:
             raise PositionError(f"projection point not unique for pair ({li},{mi})")
         return tuple(p for p in pts if p != hits[0])
 
+    def local_opposites(self, x: int) -> dict[int, tuple[int, ...]]:
+        """Map each line K through x to the ascending lines through x locally
+        opposite K at x, i.e. distinct lines L with (K, L) at position (E,C,C,S).
+
+        In the template of (E,C,C,S) the row of x is {E,C,C} and every other
+        row is {C,S,S}, so two distinct lines K, L through x are at that
+        position iff x is collinear to every point of K - x and of L - x and
+        every point of K - x is special to every point of L - x.  Built once
+        per point from the relation rows of x and of the points on lines
+        through x only.
+        """
+        table = self._local_opp.get(x)
+        if table is None:
+            g, rel = self.geometry, self.rel
+            row_x = rel.row(x)
+            through = g.lines_through[x]
+            rest = {k: [p for p in g.lines[k] if p != x] for k in through}
+            near = [k for k in through if all(row_x[p] == COLLINEAR for p in rest[k])]
+            pts = [p for k in near for p in rest[k]]
+            special = {}
+            for p in pts:
+                row = rel.row(p)
+                special[p] = {q for q in pts if row[q] == SPECIAL}
+            table = self._local_opp[x] = dict.fromkeys(through, ())
+            for k in near:
+                common = set.intersection(*(special[p] for p in rest[k]))
+                table[k] = tuple(l for l in near if l != k and common.issuperset(rest[l]))
+        return table
+
     def locally_opposite_at(self, x: int, ki: int, li: int) -> bool:
+        """Whether lines ki and li, both through x, are locally opposite at x."""
         g = self.geometry
         if not (g.line_bits[ki] >> x & 1) or not (g.line_bits[li] >> x & 1):
             raise PositionError(f"lines {ki},{li} do not both pass through {x}")
-        if ki == li:
-            return False
-        return self.position_of(ki, li) == (E, C, C, S)
+        return li in self.local_opposites(x)[ki]
 
     def level(self, li: int, mi: int) -> int:
         pos = self.position_of(li, mi)
@@ -476,7 +505,6 @@ class CombTrace:
 def find_combing_line(model: HexagonicModel, li: int, mi: int, x: int) -> int:
     """A line K through x, not locally opposite L, every line through x
     locally opposite K landing on the table successor position with M."""
-    g = model.geometry
     pos = model.position_of(li, mi)
     if isinstance(pos, CatalogueMiss):
         raise PositionError("combing requires a catalogue position")
@@ -485,12 +513,8 @@ def find_combing_line(model: HexagonicModel, li: int, mi: int, x: int) -> int:
     if x not in model.free_points(li, mi):
         raise PositionError(f"{x} is not a free point for ({li},{mi})")
     succ = model.catalogue.entry(pos).successor
-    for ki in g.lines_through[x]:
-        if ki != li and model.locally_opposite_at(x, ki, li):
-            continue
-        mates = [l2 for l2 in g.lines_through[x]
-                 if l2 != ki and model.locally_opposite_at(x, ki, l2)]
-        if not mates:
+    for ki, mates in model.local_opposites(x).items():
+        if not mates or li in mates:
             continue
         if all(model.position_of(l2, mi) == succ for l2 in mates):
             return ki
@@ -517,8 +541,7 @@ def comb_to_opposite(model: HexagonicModel, li: int, mi: int, bound: int = 8) ->
         else:
             x = min(model.free_points(cur, mi))
             ki = find_combing_line(model, cur, mi, x)
-        repl = min(l2 for l2 in g.lines_through[x]
-                   if l2 != ki and model.locally_opposite_at(x, ki, l2))
+        repl = min(model.local_opposites(x)[ki])
         steps.append(CombStep(cur, pos, x, ki, repl))
         nxt = model.position_of(repl, mi)
         if nxt != model.catalogue.entry(pos).successor:
@@ -569,7 +592,7 @@ def _auxiliary_lines(model: HexagonicModel, li: int, targets: Sequence[int], x: 
             y = g.lines[t][row.index(SPECIAL)]
             centre = (g.adj[x] & g.adj[y] & ~(1 << x) & ~(1 << y)).bit_length() - 1
             ki = g.line_through(x, centre)
-            if ki is None or not model.locally_opposite_at(x, ki, li):
+            if ki is None or li not in model.local_opposites(x)[ki]:
                 raise PositionError("projection line is not locally opposite the base")
             out.append(ki)
         else:
@@ -580,12 +603,11 @@ def _auxiliary_lines(model: HexagonicModel, li: int, targets: Sequence[int], x: 
 def combing_algorithm_1(model: HexagonicModel, li: int, targets: Sequence[int]) -> CombingRun:
     """Replace L by a line through a common free point locally opposite
     every auxiliary line; levels decrease, opposite targets stay opposite."""
-    g = model.geometry
     x = _common_free_point(model, li, targets)
     aux = _auxiliary_lines(model, li, targets, x)
     before = tuple(model.level(li, t) for t in targets)
-    for cand in g.lines_through[x]:
-        if all(cand != m and model.locally_opposite_at(x, cand, m) for m in set(aux)):
+    for cand, opp in model.local_opposites(x).items():
+        if set(aux).issubset(opp):
             after = tuple(model.level(cand, t) for t in targets)
             return CombingRun(x, tuple(aux), cand, before, after)
     raise AlgorithmViolation("ALG2: no line through the free point is locally "
@@ -595,19 +617,19 @@ def combing_algorithm_1(model: HexagonicModel, li: int, targets: Sequence[int]) 
 def combing_algorithm_2(model: HexagonicModel, li: int, targets: Sequence[int],
                         comb_back_at: int) -> CombingRun:
     """Comb back at one auxiliary line: stay non-(locally-)opposite to it."""
-    g = model.geometry
     x = _common_free_point(model, li, targets)
     aux = _auxiliary_lines(model, li, targets, x)
     m_star = aux[comb_back_at]
-    if not model.locally_opposite_at(x, m_star, li):
+    local = model.local_opposites(x)
+    if li not in local[m_star]:
         raise AlgorithmViolation("ALG3: designated auxiliary line is not locally "
                                  "opposite the base (target not opposite)")
     others = {m for i, m in enumerate(aux) if m != m_star}
     before = tuple(model.level(li, t) for t in targets)
-    for cand in g.lines_through[x]:
-        if cand == m_star or model.locally_opposite_at(x, cand, m_star):
+    for cand, opp in local.items():
+        if cand == m_star or m_star in opp:
             continue
-        if all(cand != m and model.locally_opposite_at(x, cand, m) for m in others):
+        if others.issubset(opp):
             after = tuple(model.level(cand, t) for t in targets)
             return CombingRun(x, tuple(aux), cand, before, after)
     raise AlgorithmViolation("ALG3: no admissible line through the free point")

@@ -128,6 +128,8 @@ def polar_line_opposition(p: Geometry) -> np.ndarray:
     for li, l in enumerate(p.lines):
         line_pts[li, list(l)] = True
         perp_all[li] = np.logical_and.reduce(adj[list(l)])
+    # a sum of non-negative float32 terms is 0 iff every term is 0, so the
+    # zero test below is exact at any size
     cross = line_pts.astype(np.float32) @ perp_all.T.astype(np.float32)
     opp = (cross == 0) & (cross.T == 0)
     np.fill_diagonal(opp, False)
@@ -166,6 +168,9 @@ class RelationMatrix:
         if fam in ("quadrangle", "polar"):
             codes[~adj & ~eye] = SYMPLECTIC
             return codes
+        # float32 sums of 0/1 terms are exact integers below 2**24, which
+        # cn == 1 needs; the zero/positive tests are exact at any size
+        assert n < 1 << 24, "common-neighbour counts would exceed float32's exact range"
         af = adj.astype(np.float32)
         cn = af @ af
         dist2 = (cn > 0) & ~adj & ~eye
@@ -214,19 +219,14 @@ class RelationMatrix:
     # access
 
     def rel(self, x: int, y: int) -> int:
-        if self._np is not None:
-            return int(self._np[x, y])
-        row = self._rows.get(x)
-        if row is None:
-            row = self._rows[x] = self._build_row(x)
-        return row[y]
+        return self.row(x)[y]
 
     def row(self, x: int) -> bytes:
-        if self._np is not None:
-            return self._np[x].tobytes()
+        """Row x, memoized on both paths (at most n**2 bytes)."""
         row = self._rows.get(x)
         if row is None:
-            row = self._rows[x] = self._build_row(x)
+            row = self._rows[x] = (self._np[x].tobytes() if self._np is not None
+                                   else self._build_row(x))
         return row
 
     def np(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from liegeom.gf import GF, FieldError, FieldSpec, field, is_irreducible
 
@@ -100,3 +101,58 @@ def test_element_encoding_base_p():
     assert F.unvec((2, 1)) == 5
     with pytest.raises(FieldError):
         F.inv(0)
+
+
+# -- properties, drawn per field ------------------------------------------------
+
+
+def _draw(data, F, count):
+    return data.draw(st.tuples(*[st.integers(0, F.q - 1)] * count))
+
+
+@pytest.mark.parametrize("q", ORDERS)
+@given(data=st.data())
+def test_ring_laws(q, data):
+    F = field(q)
+    a, b, c = _draw(data, F, 3)
+    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+    assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+    assert F.add(a, b) == F.add(b, a)
+    assert F.mul(a, b) == F.mul(b, a)
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+@pytest.mark.parametrize("q", ORDERS)
+@given(data=st.data())
+def test_identities_and_inverses(q, data):
+    F = field(q)
+    (a,) = _draw(data, F, 1)
+    assert F.add(a, 0) == F.add(0, a) == a
+    assert F.mul(a, 1) == F.mul(1, a) == a
+    assert F.mul(a, 0) == 0
+    assert F.add(a, F.neg(a)) == 0
+    assert F.neg(F.neg(a)) == a
+    if a:
+        assert F.mul(a, F.inv(a)) == 1
+        assert F.inv(F.inv(a)) == a
+
+
+@pytest.mark.parametrize("q", ORDERS)
+@given(data=st.data())
+def test_sub_is_add_of_neg(q, data):
+    F = field(q)
+    a, b = _draw(data, F, 2)
+    assert F.sub(a, b) == F.add(a, F.neg(b))
+    assert F.add(F.sub(a, b), b) == a
+    assert F.sub(a, a) == 0
+
+
+@pytest.mark.parametrize("q", ORDERS)
+@given(data=st.data())
+def test_frobenius_is_additive_and_multiplicative(q, data):
+    F = field(q)
+    a, b = _draw(data, F, 2)
+    e = data.draw(st.integers(0, F.k))
+    fa, fb = F.frobenius(a, e), F.frobenius(b, e)
+    assert F.frobenius(F.add(a, b), e) == F.add(fa, fb)
+    assert F.frobenius(F.mul(a, b), e) == F.mul(fa, fb)

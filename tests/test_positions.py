@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 from collections import Counter
@@ -83,17 +82,28 @@ def census_scalar(model: HexagonicModel, instance_cap: int) -> PositionCensus:
     return PositionCensus(counts, miss_examples, miss_count, inst, nl * nl)
 
 
-def doctored(model: HexagonicModel, li: int, mi: int, code: int) -> HexagonicModel:
-    """A copy of the model whose relation data gives every point pair of
-    lines li and mi the relation code ``code``, both ways round."""
+def local_opposites_oracle(model: HexagonicModel, x: int) -> dict:
+    """Lines through x locally opposite each line through x, by definition:
+    distinct lines at position (E,C,C,S)."""
+    through = model.geometry.lines_through[x]
+    return {k: tuple(l for l in through if l != k and model.position_of(k, l)
+                     == (EQUAL, COLLINEAR, COLLINEAR, SPECIAL)) for k in through}
+
+
+def doctored(model: HexagonicModel, pairs, code: int) -> HexagonicModel:
+    """A fresh model on the same geometry whose relation data gives every
+    point pair in ``pairs`` the relation code ``code``, both ways round."""
     rel = RelationMatrix(model.geometry)
     R = rel.np()
-    for x in model.geometry.lines[li]:
-        for y in model.geometry.lines[mi]:
-            R[x, y] = R[y, x] = code
-    out = copy.copy(model)
+    for x, y in pairs:
+        R[x, y] = R[y, x] = code
+    out = HexagonicModel(model.geometry)
     out.rel = rel
     return out
+
+
+def line_pairs(g: Geometry, li: int, mi: int):
+    return itertools.product(g.lines[li], g.lines[mi])
 
 
 def test_catalogue_structure():
@@ -170,6 +180,45 @@ def test_locally_opposite(gr_model):
                  if not (g.line_bits[mi] >> x & 1))
     with pytest.raises(PositionError):
         gr_model.locally_opposite_at(x, li, other)
+
+
+@pytest.mark.parametrize("name", ["h2", "h3", "gr_w52", "gr_q72"])
+def test_local_opposites_match_definition(name, request):
+    # every point of the small models; 40 seeded points of Gr(Q+(7,2)),
+    # whose 1575 points take too long for the tier-1 suite
+    g = request.getfixturevalue(name)
+    model = HexagonicModel(g)
+    points = range(g.n) if name != "gr_q72" else random.Random(0).sample(range(g.n), 40)
+    for x in points:
+        assert model.local_opposites(x) == local_opposites_oracle(model, x)
+
+
+def test_local_opposites_on_lazy_model(h2):
+    # a fresh geometry, since relation matrices are cached per geometry
+    fresh = Geometry(h2.n, h2.lines, h2.kind, order=h2.order)
+    lazy = HexagonicModel(fresh, eager_threshold=1)
+    assert not lazy.rel.eager
+    x = 5
+    table = lazy.local_opposites(x)
+    assert any(table.values())
+    assert set(lazy.rel._rows) <= {p for k in h2.lines_through[x] for p in h2.lines[k]}
+    assert table == local_opposites_oracle(lazy, x)
+    assert lazy.rel._np is None
+
+
+def test_local_opposites_on_doctored_data(h2):
+    # in these geometries a point of L - x special to one point of K - x is
+    # special to all of them, and x is collinear to every point of a line
+    # through it; relation data breaking either must still match the definition
+    model = HexagonicModel(h2)
+    x = 0
+    k, l = h2.lines_through[x][:2]
+    p, q = (next(p for p in h2.lines[i] if p != x) for i in (k, l))
+    assert l in model.local_opposites(x)[k]
+    for pair in ((p, q), (x, q)):
+        doc = doctored(model, [pair], SYMPLECTIC)
+        assert l not in doc.local_opposites(x)[k]
+        assert doc.local_opposites(x) == local_opposites_oracle(doc, x)
 
 
 def test_census_against_scalar_path(gr_model, gr_census):
@@ -251,7 +300,7 @@ def test_levels(gr_model, gr_census):
 
 
 def test_catalogue_miss_is_value(gr_model):
-    doc = doctored(gr_model, 1, 2, EQUAL)
+    doc = doctored(gr_model, line_pairs(gr_model.geometry, 1, 2), EQUAL)
     pos = doc.position_of(1, 2)
     assert isinstance(pos, CatalogueMiss)
     assert pos.display.startswith("miss:")
@@ -263,7 +312,7 @@ def test_census_counts_misses(h2):
     # and reported, never raised; the oracle sees the same doctored data
     li = 0
     mi = next(m for m in range(len(h2.lines)) if not h2.line_bits[li] & h2.line_bits[m])
-    doc = doctored(HexagonicModel(h2), li, mi, NEAR_OPPOSITE)
+    doc = doctored(HexagonicModel(h2), line_pairs(h2, li, mi), NEAR_OPPOSITE)
     assert isinstance(doc.position_of(li, mi), CatalogueMiss)
     assert isinstance(doc.position_of(mi, li), CatalogueMiss)
     census = position_census(doc)
