@@ -126,6 +126,14 @@ def run_recipe(name: str, seed: int = 0, budget: Optional[int] = None, **params)
     return rep
 
 
+def _partial(rep: RunReport, exc: S.BudgetExceeded) -> RunReport:
+    """Mark a report cut short by a search budget; a failed check stays FAIL."""
+    if rep.status == "PASS":
+        rep.status = "PARTIAL"
+    rep.info("budget", str(exc))
+    return rep
+
+
 # -- hexagon blocking sets -----------------------------------------------------
 
 
@@ -136,9 +144,7 @@ def _recipe_bshex(seed: int, budget: Optional[int], q: int = 2) -> RunReport:
     try:
         blocking = S.enumerate_blocking_sets(g, s + 1, minimal_only=True, budget=budget)
     except S.BudgetExceeded as exc:
-        rep.status = "PARTIAL"
-        rep.info("budget", str(exc))
-        return rep
+        return _partial(rep, exc)
     tags = {}
     for b in blocking:
         tags.setdefault(S.classify_blocking_set(g, b), []).append(b)
@@ -167,7 +173,10 @@ def _recipe_bshex(seed: int, budget: Optional[int], q: int = 2) -> RunReport:
         ok = all(o.common_opposite_bits(p) != 0
                  for p in itertools.combinations(range(g.n), 2))
         rep.check("s-sets-admit-opposite", ok)
-    hyp = S.all_hyperbolic_lines(g)
+    try:
+        hyp = S.all_hyperbolic_lines(g, budget=budget)
+    except S.BudgetExceeded as exc:
+        return _partial(rep, exc)
     rep.check("hyperbolic-size", all(len(h) == q + 1 for h in hyp), {"count": len(hyp)})
     rep.check("hyperbolic-count-matches", counts.get("HyperbolicLine", 0) == len(hyp))
     return rep
@@ -191,12 +200,12 @@ def _rut_lemma_witness(g: Geometry, o, traces, t) -> Optional[str]:
         pair = next((a, b) for a, b in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
                     if classify_pair(g, a, b) == SPECIAL)
         c = S.special_center(g, *pair)
-        d2 = S._distance2_bits(g)
+        qs, cap = S._special_trace_cap(g, c, *pair)
         tb = bitset(t)
-        for y in bit_indices(o.opp[c]):
-            if all(d2[y] >> p & 1 for p in pair):
-                if tb & ~(g.adj[c] & d2[y]):
-                    return f"not inside centre-perp cap special-trace of {y}"
+        if qs and tb & ~cap:
+            d2 = S._distance2_bits(g)
+            y = next(y for y in bit_indices(qs) if tb & ~(g.adj[c] & d2[y]))
+            return f"not inside centre-perp cap special-trace of {y}"
         return None
     # pairwise opposite: containment in every trace meeting it twice
     tb = bitset(t)
@@ -214,9 +223,7 @@ def _recipe_geomlines_hex(seed: int, budget: Optional[int], q: int = 2) -> RunRe
     try:
         ruts = S.enumerate_round_up_triples(g, budget=budget)
     except S.BudgetExceeded as exc:
-        rep.status = "PARTIAL"
-        rep.info("budget", str(exc))
-        return rep
+        return _partial(rep, exc)
     rep.info("rut-count", len(ruts))
     traces = S.all_distance3_traces(g)
     bad = None
@@ -228,7 +235,10 @@ def _recipe_geomlines_hex(seed: int, budget: Optional[int], q: int = 2) -> RunRe
     rep.check("rut-lemmas", bad is None, bad)
     gls = set(S.enumerate_geometric_lines(g, budget=budget))
     lines = set(map(tuple, g.lines))
-    hyp = set(S.all_hyperbolic_lines(g))
+    try:
+        hyp = set(S.all_hyperbolic_lines(g, budget=budget))
+    except S.BudgetExceeded as exc:
+        return _partial(rep, exc)
     expect = lines | hyp | (set(traces) if q % 2 == 0 else set())
     rep.info("geometric-lines", len(gls))
     rep.check("equals-recognizers", gls == expect,
@@ -251,9 +261,7 @@ def _recipe_typeb(seed: int, budget: Optional[int]) -> RunReport:
     try:
         gls = S.enumerate_geometric_lines(g, budget=budget)
     except S.BudgetExceeded as exc:
-        rep.status = "PARTIAL"
-        rep.info("budget", str(exc))
-        return rep
+        return _partial(rep, exc)
     tags = {}
     for gl in gls:
         tags.setdefault(S.classify_blocking_set(g, gl), []).append(gl)
@@ -349,7 +357,9 @@ def _recipe_table1(seed: int, budget: Optional[int], instances: int = 100,
         for li, mi in seeded_instances(census, disp, instances, seed):
             try:
                 if li != mi:
-                    for x in model.free_points(li, mi):
+                    # free points come in (sorted) line order; comb_to_opposite
+                    # searches the first, the least, itself
+                    for x in model.free_points(li, mi)[1:]:
                         find_combing_line(model, li, mi, x)
                 tr = comb_to_opposite(model, li, mi)
             except Exception as exc:  # noqa: BLE001 - collected as witnesses
@@ -470,7 +480,10 @@ def _recipe_obsgq(seed: int, budget: Optional[int]) -> RunReport:
     sub = g.meta["subgq"]
     rep = RunReport("obs-gq", {}, seed,
                     {"hermitian": g.fingerprint(), "subgq": sub.fingerprint()})
-    ovoids = S.enumerate_ovoids(sub)
+    try:
+        ovoids = S.enumerate_ovoids(sub, budget=budget)
+    except S.BudgetExceeded as exc:
+        return _partial(rep, exc)
     rep.check("subgq-ovoid-count", len(ovoids) == 6, len(ovoids))
     parent = sub.meta["parent_points"]
     from itertools import combinations

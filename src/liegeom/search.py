@@ -1,11 +1,18 @@
 """Exhaustive search for blocking sets, round-up triples, geometric lines,
 hyperbolic lines, distance-3 traces and ovoids.
 
-Everything here runs on opposition bitsets.  The blocking-set enumerator
-uses witness-driven branching: every set it must find fails to cover some
-least uncovered point, so candidates can be restricted to the non-opposites
-of that witness.  Sibling exclusion sets make the enumeration exact with
-each solution produced exactly once.
+Everything here runs on opposition bitsets, and each kernel computes its
+candidate set as a bitset expression instead of testing points one by
+one.  Opposition and the distance-2 relation are symmetric, so a row
+read as "the points opposite p" is also "the points p is opposite".
+
+The blocking-set enumerator uses witness-driven branching: every set it
+must find fails to cover the least uncovered point, so candidates can be
+restricted to the non-opposites of that witness.  Sibling exclusion sets
+make the enumeration exact with each solution produced exactly once.  At
+the last level the completing points are one intersection of
+non-opposite rows, so a node one point short of k stands for all its
+completions.
 """
 
 from __future__ import annotations
@@ -50,8 +57,8 @@ def enumerate_blocking_sets(g: Geometry, k: int, minimal_only: bool = False,
     and no (k-1)-subset may block).
     """
     o = opposition_sets(g)
-    opp = o.opp
-    notopp_pts = [tuple(bit_indices(b)) for b in o.notopp]
+    opp, notopp = o.opp, o.notopp
+    notopp_pts = [tuple(bit_indices(b)) for b in notopp]
     results: list[tuple[int, ...]] = []
     nodes = 0
 
@@ -85,6 +92,21 @@ def enumerate_blocking_sets(g: Geometry, k: int, minimal_only: bool = False,
         if len(chosen) == k:
             return
         w = (inter & -inter).bit_length() - 1
+        if len(chosen) == k - 1:
+            # p completes the set iff no point of inter is opposite p; the
+            # chosen points are opposite all of inter, so none of them is left
+            last = notopp[w] & ~excluded
+            # walk inter bit by bit: the set usually empties after a few rows
+            rest = inter
+            while rest and last:
+                low = rest & -rest
+                last &= notopp[low.bit_length() - 1]
+                rest ^= low
+            for p in bit_indices(last):
+                got = tuple(sorted(chosen + [p]))
+                if not minimal_only or minimal(got):
+                    results.append(got)
+            return
         chosen_bits = bitset(chosen)
         cands = [p for p in notopp_pts[w]
                  if not (excluded >> p & 1) and not (chosen_bits >> p & 1)]
@@ -168,15 +190,19 @@ def exactly_one_opposite(g: Geometry, pts: Sequence[int]) -> int:
 
 
 def is_geometric_line(g: Geometry, pts: Sequence[int]) -> bool:
-    """Every point is opposite none or all-but-one members of pts."""
+    """Every point is opposite none or all-but-one members of pts.
+
+    Equivalently, a point opposite some member is non-opposite exactly
+    one member: it lies in some non-opposite row of pts (miss1) and in no
+    two of them (miss2), counted as exactly_one_opposite counts.
+    """
     o = opposition_sets(g)
-    pts = list(pts)
-    m = len(pts)
-    counts = [0] * g.n
+    some = miss1 = miss2 = 0
     for p in pts:
-        for w in bit_indices(o.opp[p]):
-            counts[w] += 1
-    return all(c in (0, m - 1) for c in counts)
+        some |= o.opp[p]
+        miss2 |= miss1 & o.notopp[p]
+        miss1 |= o.notopp[p]
+    return not (some & (miss2 | ~miss1))
 
 
 def geometric_line_closure(g: Geometry, triple: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -185,24 +211,26 @@ def geometric_line_closure(g: Geometry, triple: Sequence[int]) -> Optional[tuple
     A point v can join S (which has no point opposite exactly one member)
     iff v's opposite set is covered by the union of the members' opposite
     sets; closure iterates this to a fixed point and then validates the
-    full geometric-line condition.
+    full geometric-line condition.  By symmetry of opposition the points
+    that can join are those opposite no point outside the union.
     """
     if not is_round_up_triple(g, *triple):
         raise GeometryError("closure requires a round-up triple")
-    o = opposition_sets(g)
+    opp = opposition_sets(g).opp
+    full = g.full_mask
     cur = bitset(triple)
     union = 0
     for p in triple:
-        union |= o.opp[p]
+        union |= opp[p]
     while True:
-        grow = cur
-        for v in range(g.n):
-            if not (cur >> v & 1) and not (o.opp[v] & ~union):
-                grow |= 1 << v
+        outside = 0
+        for u in bit_indices(full & ~union):
+            outside |= opp[u]
+        grow = full & ~outside
         if grow == cur:
             break
         for v in bit_indices(grow & ~cur):
-            union |= o.opp[v]
+            union |= opp[v]
         cur = grow
     pts = tuple(bit_indices(cur))
     return pts if is_geometric_line(g, pts) else None
@@ -251,43 +279,67 @@ class HyperbolicLine:
     regular: bool
 
 
+def _special_trace_cap(g: Geometry, c: int, a: int, b: int) -> tuple[int, int]:
+    """For a special pair a, b with centre c: the points q opposite c and
+    special to both, and the perp of c (without c) cut by the special
+    traces d2[q] of all those q.  d2 is symmetric, so the points q are
+    opp[c] & d2[a] & d2[b]."""
+    d2 = _distance2_bits(g)
+    qs = opposition_sets(g).opp[c] & d2[a] & d2[b]
+    h = g.adj[c] & ~(1 << c)
+    for q in bit_indices(qs):
+        h &= d2[q]
+    return qs, h
+
+
+def _hyperbolic_bits(g: Geometry, a: int, b: int) -> tuple[int, int]:
+    """Centre and point bitset of the hyperbolic line through a special pair."""
+    c = special_center(g, a, b)
+    qs, h = _special_trace_cap(g, c, a, b)
+    if not qs:
+        raise GeometryError("no point opposite the centre is special to both")
+    if not (h >> a & 1) or not (h >> b & 1):
+        raise GeometryError("hyperbolic line does not contain its defining pair")
+    return c, h
+
+
 def hyperbolic_line(g: Geometry, a: int, b: int) -> HyperbolicLine:
     """Hyperbolic line through a special pair of a generalised hexagon.
 
     H = intersection of q-special-traces on the perp of the centre, over
-    all points q opposite the centre and special to both a and b.
+    all points q opposite the centre and special to both a and b.  It is
+    regular when every point opposite the centre special to at least two
+    points of H has the same trace; those points are the ones lying in
+    two or more of the rows d2[p], p in H.
     """
     if geometry_family(g) != "hexagon":
         raise GeometryError("hyperbolic lines are defined here for hexagons")
-    c = special_center(g, a, b)
+    c, h = _hyperbolic_bits(g, a, b)
     d2 = _distance2_bits(g)
-    o = opposition_sets(g)
-    h = g.adj[c] & ~(1 << c)
-    found = False
-    for q in bit_indices(o.opp[c]):
-        if (d2[q] >> a & 1) and (d2[q] >> b & 1):
-            h &= d2[q]
-            found = True
-    if not found:
-        raise GeometryError("no point opposite the centre is special to both")
     pts = tuple(bit_indices(h))
-    if not (h >> a & 1) or not (h >> b & 1):
-        raise GeometryError("hyperbolic line does not contain its defining pair")
-    regular = all(
-        (d2[q] & g.adj[c]) == h
-        for q in bit_indices(o.opp[c])
-        if (d2[q] & h).bit_count() >= 2)
+    ge1 = ge2 = 0
+    for p in pts:
+        ge2 |= ge1 & d2[p]
+        ge1 |= d2[p]
+    regular = all((d2[q] & g.adj[c]) == h
+                  for q in bit_indices(opposition_sets(g).opp[c] & ge2))
     return HyperbolicLine(c, pts, regular)
 
 
-def all_hyperbolic_lines(g: Geometry) -> list[tuple[int, ...]]:
+def all_hyperbolic_lines(g: Geometry, budget: Optional[int] = None) -> list[tuple[int, ...]]:
+    """Point sets of the hyperbolic lines through every special pair."""
+    if geometry_family(g) != "hexagon":
+        raise GeometryError("hyperbolic lines are defined here for hexagons")
     d2 = _distance2_bits(g)
     out = set()
+    nodes = 0
     for a in range(g.n):
-        for b in bit_indices(d2[a]):
-            if b > a:
-                out.add(hyperbolic_line(g, a, b).points)
-    return sorted(out)
+        for b in bit_indices(d2[a] >> (a + 1)):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded(f"hyperbolic-line scan exceeded {budget} pairs")
+            out.add(_hyperbolic_bits(g, a, a + 1 + b)[1])
+    return sorted(tuple(bit_indices(h)) for h in out)
 
 
 def close_to_line_bits(g: Geometry, li: int) -> int:
@@ -361,8 +413,18 @@ def distance3_trace(g: Geometry, li: int, mi: int) -> Distance3Trace:
 
 
 def all_distance3_traces(g: Geometry) -> list[tuple[int, ...]]:
-    return sorted({distance3_trace(g, li, mi).points
-                   for li, mi in opposite_line_pairs(g)})
+    """Distinct traces of all opposite line pairs, in one pass over pairs."""
+    if geometry_family(g) != "hexagon":
+        raise GeometryError("distance-3 traces are defined here for hexagons")
+    close = [close_to_line_bits(g, li) for li in range(len(g.lines))]
+    out = set()
+    for li, mi in opposite_line_pairs(g):
+        bits = close[li] & close[mi]
+        if bits.bit_count() != len(g.lines[li]):
+            raise GeometryError(f"trace has {bits.bit_count()} points, "
+                                f"expected {len(g.lines[li])}")
+        out.add(bits)
+    return sorted(tuple(bit_indices(b)) for b in out)
 
 
 def trace_regular(g: Geometry, tr: Distance3Trace) -> bool:
@@ -400,12 +462,17 @@ def is_ovoid(g: Geometry, pts: Sequence[int]) -> bool:
     return all((lb & bits).bit_count() == 1 for lb in g.line_bits)
 
 
-def enumerate_ovoids(g: Geometry) -> list[tuple[int, ...]]:
+def enumerate_ovoids(g: Geometry, budget: Optional[int] = None) -> list[tuple[int, ...]]:
     """All ovoids, by covering the least unmet line at each step."""
     out = []
     nl = len(g.lines)
+    nodes = 0
 
     def dfs(chosen_bits: int, chosen: list[int], hit: list[bool]):
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceeded(f"ovoid search exceeded {budget} nodes")
         li = next((i for i in range(nl) if not hit[i]), None)
         if li is None:
             if is_ovoid(g, chosen):

@@ -1,11 +1,132 @@
 import itertools
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from liegeom import search as S
-from liegeom.geometry import GeometryError, bitset
-from liegeom.relations import opposition_sets
+from liegeom.geometry import GeometryError, bit_indices, bitset
+from liegeom.recipes import run_recipe
+from liegeom.relations import geometry_family, opposition_sets
+
+
+# -- scan oracles: the point-by-point versions of the bitset kernels ------------
+
+
+def enumerate_blocking_sets_scan(g, k, minimal_only=False):
+    o = opposition_sets(g)
+    opp = o.opp
+    notopp_pts = [tuple(bit_indices(b)) for b in o.notopp]
+    results = []
+
+    def minimal(pts):
+        for drop in range(len(pts)):
+            inter = g.full_mask
+            for i, p in enumerate(pts):
+                if i != drop:
+                    inter &= opp[p]
+            if inter == 0:
+                return False
+        return True
+
+    def dfs(chosen, inter, excluded):
+        if inter == 0:
+            if len(chosen) == k:
+                got = tuple(sorted(chosen))
+                if not minimal_only or minimal(got):
+                    results.append(got)
+            elif not minimal_only:
+                chosen_bits = bitset(chosen)
+                rest = [p for p in range(g.n)
+                        if not (chosen_bits >> p & 1) and not (excluded >> p & 1)]
+                for extra in combinations(rest, k - len(chosen)):
+                    results.append(tuple(sorted(chosen + list(extra))))
+            return
+        if len(chosen) == k:
+            return
+        w = (inter & -inter).bit_length() - 1
+        chosen_bits = bitset(chosen)
+        cands = [p for p in notopp_pts[w]
+                 if not (excluded >> p & 1) and not (chosen_bits >> p & 1)]
+        taken = 0
+        for p in cands:
+            dfs(chosen + [p], inter & opp[p], excluded | taken)
+            taken |= 1 << p
+    dfs([], g.full_mask, 0)
+    return sorted(set(results))
+
+
+def is_geometric_line_counts(g, pts):
+    o = opposition_sets(g)
+    pts = list(pts)
+    m = len(pts)
+    counts = [0] * g.n
+    for p in pts:
+        for w in bit_indices(o.opp[p]):
+            counts[w] += 1
+    return all(c in (0, m - 1) for c in counts)
+
+
+def geometric_line_closure_scan(g, triple):
+    if not S.is_round_up_triple(g, *triple):
+        raise GeometryError("closure requires a round-up triple")
+    o = opposition_sets(g)
+    cur = bitset(triple)
+    union = 0
+    for p in triple:
+        union |= o.opp[p]
+    while True:
+        grow = cur
+        for v in range(g.n):
+            if not (cur >> v & 1) and not (o.opp[v] & ~union):
+                grow |= 1 << v
+        if grow == cur:
+            break
+        for v in bit_indices(grow & ~cur):
+            union |= o.opp[v]
+        cur = grow
+    pts = tuple(bit_indices(cur))
+    return pts if is_geometric_line_counts(g, pts) else None
+
+
+def hyperbolic_line_scan(g, a, b):
+    if geometry_family(g) != "hexagon":
+        raise GeometryError("hyperbolic lines are defined here for hexagons")
+    c = S.special_center(g, a, b)
+    d2 = S._distance2_bits(g)
+    o = opposition_sets(g)
+    h = g.adj[c] & ~(1 << c)
+    found = False
+    for q in bit_indices(o.opp[c]):
+        if (d2[q] >> a & 1) and (d2[q] >> b & 1):
+            h &= d2[q]
+            found = True
+    if not found:
+        raise GeometryError("no point opposite the centre is special to both")
+    pts = tuple(bit_indices(h))
+    if not (h >> a & 1) or not (h >> b & 1):
+        raise GeometryError("hyperbolic line does not contain its defining pair")
+    regular = all(
+        (d2[q] & g.adj[c]) == h
+        for q in bit_indices(o.opp[c])
+        if (d2[q] & h).bit_count() >= 2)
+    return S.HyperbolicLine(c, pts, regular)
+
+
+def all_hyperbolic_lines_scan(g):
+    d2 = S._distance2_bits(g)
+    out = set()
+    for a in range(g.n):
+        for b in bit_indices(d2[a]):
+            if b > a:
+                out.add(hyperbolic_line_scan(g, a, b).points)
+    return sorted(out)
+
+
+def all_distance3_traces_pairwise(g):
+    return sorted({S.distance3_trace(g, li, mi).points
+                   for li, mi in S.opposite_line_pairs(g)})
 
 
 def test_common_opposite(h2):
@@ -250,3 +371,159 @@ def test_typead_pg32_blocking_points_are_lines():
     blocking = [s for s in itertools.combinations(range(g.n), 3)
                 if all(h & bitset(s) for h in hyps)]
     assert sorted(blocking) == sorted(map(tuple, g.lines))
+
+
+# -- bitset kernels against the scan oracles ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def h2_dual(h2):
+    # the dual hexagon of H(2): its hyperbolic lines are the special pairs
+    # themselves and are not regular, unlike those of H(q)
+    from liegeom.geometry import Geometry, Kind
+    return Geometry(len(h2.lines), [h2.lines_through[p] for p in range(h2.n)],
+                    Kind("polygon", 6), name="H(2) dual")
+
+
+def _special_pairs(g):
+    d2 = S._distance2_bits(g)
+    return [(a, b) for a in range(g.n) for b in bit_indices(d2[a]) if b > a]
+
+
+def test_hyperbolic_lines_equal_scan(h2, h3, h2_dual):
+    for g in (h2, h3, h2_dual):
+        assert S.all_hyperbolic_lines(g) == all_hyperbolic_lines_scan(g)
+    h3_pairs = random.Random(4).sample(_special_pairs(h3), 300)
+    for g, pairs in ((h2, _special_pairs(h2)), (h3, h3_pairs),
+                     (h2_dual, _special_pairs(h2_dual))):
+        lines = [S.hyperbolic_line(g, a, b) for a, b in pairs]
+        assert lines == [hyperbolic_line_scan(g, a, b) for a, b in pairs]
+        assert {h.regular for h in lines} == {g is not h2_dual}
+
+
+def test_hyperbolic_lines_only_in_hexagons(w32, gr_w52):
+    for g in (w32, gr_w52):
+        for fn in (S.all_hyperbolic_lines, all_hyperbolic_lines_scan):
+            with pytest.raises(GeometryError):
+                fn(g)
+
+
+def test_distance3_traces_equal_pairwise(h2, h3, h2_dual, w32):
+    for g in (h2, h3, h2_dual):
+        assert S.all_distance3_traces(g) == all_distance3_traces_pairwise(g)
+    for fn in (S.all_distance3_traces, all_distance3_traces_pairwise):
+        with pytest.raises(GeometryError):
+            fn(w32)
+
+
+def _perturbed(g, sets, rng):
+    # each set with one member swapped for a random point
+    out = []
+    for s in sets:
+        s = list(s)
+        s[rng.randrange(len(s))] = rng.randrange(g.n)
+        out.append(s)
+    return out
+
+
+def test_is_geometric_line_equals_counts(h2, h3, h2_dual, w32, gr_w52):
+    rng = random.Random(6)
+    for g in (h2, h3, h2_dual, w32, gr_w52):
+        cands = [list(l) for l in g.lines]
+        if geometry_family(g) == "hexagon":
+            cands += [list(h) for h in S.all_hyperbolic_lines(g)]
+            cands += [list(t) for t in S.all_distance3_traces(g)]
+        else:
+            cands += [list(gl) for gl in S.enumerate_geometric_lines(g, base_point=0)]
+        cands = rng.sample(cands, min(len(cands), 600))
+        cands += _perturbed(g, cands, rng) + [[], [0], [0, 0], cands[0] + cands[0][:1]]
+        got = [S.is_geometric_line(g, s) for s in cands]
+        assert got == [is_geometric_line_counts(g, s) for s in cands]
+        assert True in got and False in got
+
+
+def test_geometric_line_closure_equals_scan(h2, h3, h2_dual, w32, gr_w52):
+    for g, bases in ((h2, None), (h3, (0, 100, 200)), (h2_dual, None), (w32, None),
+                     (gr_w52, (0, 157))):
+        ruts = sorted({t for p in (bases or (None,))
+                       for t in S.enumerate_round_up_triples(g, base_point=p)})
+        assert ruts
+        got = [S.geometric_line_closure(g, t) for t in ruts]
+        assert got == [geometric_line_closure_scan(g, t) for t in ruts]
+
+
+def test_blocking_sets_equal_scan(h2, h3, h2_dual, w32, gr_w52):
+    cases = [(h2, 3, True), (h2, 3, False), (h3, 3, True), (h2_dual, 3, True),
+             (h2_dual, 2, False), (w32, 3, False), (w32, 4, True), (w32, 4, False),
+             (gr_w52, 3, True)]
+    for g, k, minimal_only in cases:
+        assert (S.enumerate_blocking_sets(g, k, minimal_only=minimal_only)
+                == enumerate_blocking_sets_scan(g, k, minimal_only=minimal_only))
+    assert len(S.enumerate_blocking_sets(gr_w52, 3, minimal_only=True)) == 2205
+
+
+def test_rut_witness_special_pair_equals_scan(h2):
+    # the special-pair branch of the round-up-triple lemma check against
+    # its per-point loop, on triples through a special pair
+    from liegeom.recipes import _rut_lemma_witness
+    from liegeom.relations import COLLINEAR, classify_pair
+    o = opposition_sets(h2)
+    d2 = S._distance2_bits(h2)
+    outcomes = set()
+    for a, b in random.Random(8).sample(_special_pairs(h2), 60):
+        c = S.special_center(h2, a, b)
+        for z in range(h2.n):
+            if z in (a, b) or COLLINEAR in (classify_pair(h2, a, z), classify_pair(h2, b, z)):
+                continue
+            tb = bitset((a, b, z))
+            want = None
+            for y in bit_indices(o.opp[c]):
+                if all(d2[y] >> p & 1 for p in (a, b)) and tb & ~(h2.adj[c] & d2[y]):
+                    want = f"not inside centre-perp cap special-trace of {y}"
+                    break
+            assert _rut_lemma_witness(h2, o, [], (a, b, z)) == want
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+# -- budgets ------------------------------------------------------------------------
+
+
+def test_hyperbolic_lines_budget(h2):
+    with pytest.raises(S.BudgetExceeded):
+        S.all_hyperbolic_lines(h2, budget=10)
+    # one node per special pair: 63 points with 24 special points each
+    assert len(S.all_hyperbolic_lines(h2, budget=63 * 24 // 2)) == 252
+
+
+def test_ovoids_budget(w32):
+    with pytest.raises(S.BudgetExceeded):
+        S.enumerate_ovoids(w32, budget=3)
+
+
+def test_recipes_report_partial_on_budget():
+    # 720 nodes cover the H(2) blocking search but not its 756 special pairs
+    for name, params, budget, cut in (("bshex", {"q": 2}, 720, "hyperbolic-line scan"),
+                                      ("geomlines-hex", {"q": 2}, 10, "triple scan"),
+                                      ("obs-gq", {}, 5, "ovoid search")):
+        rep = run_recipe(name, budget=budget, **params)
+        assert rep.status == "PARTIAL"
+        assert rep.assertions[-1]["name"] == "budget"
+        assert rep.assertions[-1]["witness"].startswith(cut)
+
+
+# -- properties -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("alias", ["hexagon-2", "gr-w52"])
+@given(data=st.data())
+def test_is_geometric_line_property(alias, data):
+    from liegeom.recipes import model_geometry
+    g = model_geometry(alias)
+    pts = data.draw(st.lists(st.integers(0, g.n - 1), max_size=6, unique=True))
+    assert S.is_geometric_line(g, pts) == is_geometric_line_counts(g, pts)
+
+
+@given(st.lists(st.integers(0, 600)))
+def test_bit_indices_inverts_bitset(pts):
+    assert bit_indices(bitset(pts)) == sorted(set(pts))
