@@ -185,7 +185,7 @@ def _recipe_bshex(seed: int, budget: Optional[int], q: int = 2) -> RunReport:
 # -- geometric lines and round-up triples in hexagons ----------------------------
 
 
-def _rut_lemma_witness(g: Geometry, o, traces, t) -> Optional[str]:
+def _rut_lemma_witness(g: Geometry, traces, t) -> Optional[str]:
     """Check the applicable round-up-triple containment; None when fine."""
     rels = {classify_pair(g, a, b) for a, b in
             ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))}
@@ -219,7 +219,6 @@ def _rut_lemma_witness(g: Geometry, o, traces, t) -> Optional[str]:
 def _recipe_geomlines_hex(seed: int, budget: Optional[int], q: int = 2) -> RunReport:
     g = model_geometry(f"hexagon-{q}")
     rep = RunReport("geomlines-hex", {"q": q}, seed, {"hexagon": g.fingerprint()})
-    o = opposition_sets(g)
     try:
         ruts = S.enumerate_round_up_triples(g, budget=budget)
     except S.BudgetExceeded as exc:
@@ -228,7 +227,7 @@ def _recipe_geomlines_hex(seed: int, budget: Optional[int], q: int = 2) -> RunRe
     traces = S.all_distance3_traces(g)
     bad = None
     for t in ruts:
-        w = _rut_lemma_witness(g, o, traces, t)
+        w = _rut_lemma_witness(g, traces, t)
         if w is not None:
             bad = {"triple": t, "witness": w}
             break

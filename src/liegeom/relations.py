@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Geometry, GeometryError, bit_indices, distance_bitsets
+from .geometry import Geometry, GeometryError, bit_indices, bitset
 
 EQUAL, COLLINEAR, SYMPLECTIC, SPECIAL, OPPOSITE, NEAR_OPPOSITE = range(6)
 
@@ -116,6 +116,37 @@ def opposite_lines_polar(p: Geometry, li: int, mi: int) -> bool:
     return not (p.line_bits[mi] & _perp_all_line(p, li))
 
 
+def _line_perp_tables(p: Geometry) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Per polar space, bitsets over its lines: (through, inperp, perp_all).
+
+    through[a]: the lines through point a; inperp[a]: the lines contained
+    in a^perp; perp_all[l]: the points collinear-or-equal to every point
+    of line l, so a is in perp_all[l] iff l is in inperp[a].
+    """
+    cache = _cache(p)
+    if "line_perp" not in cache:
+        perp_all = tuple(_perp_all_line(p, li) for li in range(len(p.lines)))
+        inperp = [0] * p.n
+        for li, bits in enumerate(perp_all):
+            for a in bit_indices(bits):
+                inperp[a] |= 1 << li
+        through = tuple(bitset(p.lines_through[a]) for a in range(p.n))
+        cache["line_perp"] = (through, tuple(inperp), perp_all)
+    return cache["line_perp"]
+
+
+def _polar_line_nonopposite(p: Geometry, li: int) -> int:
+    """Bitset of the lines not opposite line li: the two halves of
+    `opposite_lines_polar`, over all lines at once."""
+    through, inperp, perp_all = _line_perp_tables(p)
+    bits = 0
+    for a in bit_indices(perp_all[li]):
+        bits |= through[a]
+    for a in p.lines[li]:
+        bits |= inperp[a]
+    return bits
+
+
 def polar_line_opposition(p: Geometry) -> np.ndarray:
     """Boolean matrix of pairwise line opposition in a polar space."""
     cache = _cache(p)
@@ -138,6 +169,20 @@ def polar_line_opposition(p: Geometry) -> np.ndarray:
 
 
 # -- full matrices ----------------------------------------------------------
+
+
+def _mask(bits: int, n: int) -> np.ndarray:
+    """Boolean array of length n with True at the set bits of `bits`."""
+    packed = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").view(bool)
+
+
+def _row_bytes(n: int, classes) -> bytes:
+    """An n-byte row holding `code` at the bits of each (code, bits); 0 elsewhere."""
+    row = np.zeros(n, dtype=np.int8)
+    for code, bits in classes:
+        row[_mask(bits, n)] = code
+    return row.tobytes()
 
 
 class RelationMatrix:
@@ -192,29 +237,38 @@ class RelationMatrix:
     # lazy path
 
     def _build_row(self, x: int) -> bytes:
+        """Row x from bitsets: each code class is one bitset, written once.
+
+        Common neighbours are counted by z in adj[x] - x: a point outside
+        adj[x] in exactly one adj[z] is special, in two or more symplectic.
+        """
         g, fam = self.geometry, self.family
-        row = bytearray(self.n)
-        layers = distance_bitsets(g, x)
-        for d, layer in enumerate(layers):
-            for y in bit_indices(layer):
-                if d == 0:
-                    row[y] = EQUAL
-                elif d == 1:
-                    row[y] = COLLINEAR
-                elif fam in ("quadrangle", "polar"):
-                    row[y] = SYMPLECTIC
-                elif d == 2:
-                    cn = ((g.adj[x] & g.adj[y]) & ~(1 << x) & ~(1 << y)).bit_count()
-                    row[y] = SPECIAL if cn == 1 else SYMPLECTIC
-                elif d == 3:
-                    if fam == "hexagon":
-                        row[y] = OPPOSITE
-                    else:
-                        base = grassmannian_base(g)
-                        row[y] = OPPOSITE if opposite_lines_polar(base, x, y) else NEAR_OPPOSITE
-                else:
-                    raise RelationError(f"distance {d} pair unsupported for {fam}")
-        return bytes(row)
+        adj = g.adj
+        near = adj[x] & ~(1 << x)
+        rest = g.full_mask & ~adj[x]
+        if fam in ("quadrangle", "polar"):
+            return _row_bytes(self.n, ((COLLINEAR, near), (SYMPLECTIC, rest)))
+        ge1 = ge2 = 0
+        for z in bit_indices(near):
+            ge2 |= ge1 & adj[z]
+            ge1 |= adj[z]
+        dist2 = rest & ge1
+        far = rest & ~ge1
+        # every far point must have a neighbour at distance 2 (diameter <= 3)
+        reach3 = 0
+        for y in np.flatnonzero(_mask(dist2, self.n)).tolist():
+            reach3 |= adj[y]
+        unreached = far & ~reach3
+        if unreached:
+            raise RelationError(f"point {(unreached & -unreached).bit_length() - 1} "
+                                f"is at distance > 3 from point {x} in the {fam}")
+        classes = [(COLLINEAR, near), (SPECIAL, dist2 & ~ge2), (SYMPLECTIC, dist2 & ge2)]
+        if fam == "hexagon":
+            classes.append((OPPOSITE, far))
+        else:
+            notopp = _polar_line_nonopposite(grassmannian_base(g), x)
+            classes += [(OPPOSITE, far & ~notopp), (NEAR_OPPOSITE, far & notopp)]
+        return _row_bytes(self.n, classes)
 
     # access
 

@@ -13,7 +13,6 @@ import pytest
 from liegeom import search as S
 from liegeom.geometry import is_generalized_polygon, validate
 from liegeom.recipes import grassmannian_census, grassmannian_model, model_geometry, run_recipe
-from liegeom.relations import opposition_sets
 
 
 def _report(n, label, detail=""):
@@ -103,10 +102,9 @@ def test_criterion_04_round_up_triples():
     ruts = S.enumerate_round_up_triples(g)
     assert len(ruts) == 651
     from liegeom.recipes import _rut_lemma_witness
-    o = opposition_sets(g)
     traces = S.all_distance3_traces(g)
     for t in ruts:
-        assert _rut_lemma_witness(g, o, traces, t) is None
+        assert _rut_lemma_witness(g, traces, t) is None
     elapsed = time.time() - t0
     assert elapsed < 5, f"round-up triple audit took {elapsed:.1f}s"
     _report(4, "all 651 round-up triples of H(2) satisfy the containment lemmas",

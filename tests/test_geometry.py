@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from liegeom.constructors import pg, polar_space, PolarFormSpec
 from liegeom.geometry import (
@@ -21,6 +22,7 @@ from liegeom.geometry import (
     singular_subspace_dim,
     validate,
 )
+from liegeom.recipes import model_geometry
 from liegeom.relations import SYMPLECTIC, relation_matrix
 
 
@@ -170,6 +172,20 @@ def test_json_round_trip(h2):
     assert g2 == h2
     assert g2.to_json() == text
     assert g2.kind.as_str() == "polygon:6"
+
+
+@pytest.mark.parametrize("alias", ["hexagon-2", "gr-w52"])
+@given(data=st.data())
+def test_json_round_trip_line_subsets(alias, data):
+    # any partial linear space on the model's points survives the trip,
+    # including points on no line
+    g = model_geometry(alias)
+    keep = data.draw(st.sets(st.integers(0, len(g.lines) - 1)))
+    sub = Geometry(g.n, [g.lines[i] for i in keep], name=f"{g.name} subset")
+    back = Geometry.from_json(sub.to_json())
+    assert back == sub
+    assert back.adj == sub.adj
+    assert back.fingerprint() == sub.fingerprint()
 
 
 def test_json_import_rejects_duplicates():

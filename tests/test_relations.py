@@ -1,9 +1,11 @@
+import copy
 import itertools
 import random
 
 import pytest
 
-from liegeom.geometry import bit_indices, bitset
+from liegeom.constructors import PolarFormSpec, polar_space
+from liegeom.geometry import Geometry, Kind, bit_indices, bitset, distance_bitsets, line_grassmannian
 from liegeom.relations import (
     COLLINEAR,
     EQUAL,
@@ -14,6 +16,7 @@ from liegeom.relations import (
     RelationMatrix,
     RelationError,
     classify_pair,
+    grassmannian_base,
     opposite_lines_polar,
     opposite_points_polygon,
     opposition_sets,
@@ -64,13 +67,118 @@ def test_scalar_matches_dense(gr_q72, gr_model):
         assert classify_pair(gr_q72, x, y) == gr_model.rel.rel(x, y)
 
 
-def test_lazy_rows_match_dense(w52):
-    eager = RelationMatrix(w52, eager_threshold=10000)
-    lazy = RelationMatrix(w52, eager_threshold=1)
-    assert not lazy.eager
-    for x in (0, 17, 62):
-        assert lazy.row(x) == eager.np()[x].tobytes()
-    assert (lazy.np() == eager.np()).all()
+def build_row_scan(self, x: int) -> bytes:
+    """Reference lazy row of RelationMatrix `self`: one point at a time
+    over the distance layers of x (the row before the bitset kernel)."""
+    g, fam = self.geometry, self.family
+    row = bytearray(self.n)
+    layers = distance_bitsets(g, x)
+    for d, layer in enumerate(layers):
+        for y in bit_indices(layer):
+            if d == 0:
+                row[y] = EQUAL
+            elif d == 1:
+                row[y] = COLLINEAR
+            elif fam in ("quadrangle", "polar"):
+                row[y] = SYMPLECTIC
+            elif d == 2:
+                cn = ((g.adj[x] & g.adj[y]) & ~(1 << x) & ~(1 << y)).bit_count()
+                row[y] = SPECIAL if cn == 1 else SYMPLECTIC
+            elif d == 3:
+                if fam == "hexagon":
+                    row[y] = OPPOSITE
+                else:
+                    base = grassmannian_base(g)
+                    row[y] = OPPOSITE if opposite_lines_polar(base, x, y) else NEAR_OPPOSITE
+            else:
+                raise RelationError(f"distance {d} pair unsupported for {fam}")
+    return bytes(row)
+
+
+def test_lazy_rows_match_dense(h2, h3, w32, w52, gr_w52, gr_q72):
+    # kernel = scan oracle = dense row: every row of the small models,
+    # 100 seeded rows of Gr(Q+(7,2))
+    for g, rows in ((h2, None), (h3, None), (w32, None), (w52, None), (gr_w52, None),
+                    (gr_q72, 100)):
+        eager = relation_matrix(g)
+        lazy = RelationMatrix(g, eager_threshold=1)
+        assert eager.eager and not lazy.eager
+        xs = range(g.n) if rows is None else random.Random(5).sample(range(g.n), rows)
+        for x in xs:
+            assert lazy.row(x) == build_row_scan(lazy, x) == eager.row(x), (g.name, x)
+    assert (RelationMatrix(w52, eager_threshold=1).np() == relation_matrix(w52).np()).all()
+
+
+def _two_copies(g, **kw):
+    """Disjoint union of two copies of g."""
+    lines = list(g.lines) + [tuple(p + g.n for p in l) for l in g.lines]
+    return Geometry(2 * g.n, lines, **kw)
+
+
+def test_lazy_rows_on_disconnected_geometries(w32, w52, h2):
+    # polar: points off x's component are symplectic on both paths (the
+    # scan gave them EQUAL)
+    g = _two_copies(w32, kind=Kind("polar", 2))
+    lazy, eager = RelationMatrix(g, eager_threshold=1), RelationMatrix(g)
+    for x in range(g.n):
+        assert lazy.row(x) == eager.row(x)
+    assert set(lazy.row(0)[w32.n:]) == {SYMPLECTIC}
+    # hexagon and Grassmannian: distance > 3 raises on the lazy path
+    g = _two_copies(h2, kind=Kind("polygon", 6))
+    with pytest.raises(RelationError, match="distance > 3"):
+        RelationMatrix(g, eager_threshold=1).row(0)
+    gr = line_grassmannian(_two_copies(w52, kind=Kind("polar", 3)))
+    with pytest.raises(RelationError, match="distance > 3"):
+        RelationMatrix(gr, eager_threshold=1).row(5)
+
+
+def _doctored_grassmannian(gr):
+    """A copy of Grassmannian gr whose base gains collinearities: a point a
+    off line y becomes collinear with all of y, so lines through a that
+    were opposite y are not opposite any more, while gr's own collinearity
+    (and so the distance 3) is kept."""
+    base = copy.copy(grassmannian_base(gr))
+    y = 0
+    a = next(a for a in range(base.n)
+             if not base.line_bits[y] >> a & 1 and (base.adj[a] & base.line_bits[y]).bit_count() == 1)
+    adj = list(base.adj)
+    for b in base.lines[y]:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    base.adj, base._np_adj, base.meta = tuple(adj), None, {}
+    return Geometry(gr.n, gr.lines, gr.kind, name=gr.name, meta={"base": base})
+
+
+def test_lazy_rows_near_opposite_on_doctored_base(gr_w52):
+    # no built-in model has near-opposite pairs; a doctored base makes some,
+    # from either half of the polar opposition test (row x through a sees
+    # a in perp_all[y]; row y sees a point of y^perp-all on x)
+    g = _doctored_grassmannian(gr_w52)
+    lazy, eager = RelationMatrix(g, eager_threshold=1), RelationMatrix(g)
+    for x in range(g.n):
+        assert lazy.row(x) == build_row_scan(lazy, x) == eager.row(x)
+    m = lazy.np()
+    near = [(int(x), int(y)) for x, y in zip(*(m == NEAR_OPPOSITE).nonzero())]
+    assert near and (m == m.T).all()
+    assert all(0 in pair for pair in near)
+    x, y = near[0]
+    assert classify_pair(g, x, y) == NEAR_OPPOSITE
+    assert relation_matrix(gr_w52).rel(x, y) == OPPOSITE
+
+
+def test_lazy_rows_exhaustive_gr_q63():
+    # all 3640 rows of Gr(Q(6,3)), too many for the scan oracle
+    g = line_grassmannian(polar_space(PolarFormSpec("parabolic", 6, 3)))
+    lazy = RelationMatrix(g)
+    assert g.n == 3640 and not lazy.eager
+    m = lazy.np()
+    assert ((m == OPPOSITE).sum(axis=1) == 2187).all()
+    assert not (m == NEAR_OPPOSITE).any()
+    assert (m == m.T).all()
+    rng = random.Random(3)
+    for _ in range(2000):
+        x, y = rng.randrange(g.n), rng.randrange(g.n)
+        assert classify_pair(g, x, y) == m[x, y]
 
 
 def test_polar_pairs_are_symplectic(w52):

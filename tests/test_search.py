@@ -481,7 +481,7 @@ def test_rut_witness_special_pair_equals_scan(h2):
                 if all(d2[y] >> p & 1 for p in (a, b)) and tb & ~(h2.adj[c] & d2[y]):
                     want = f"not inside centre-perp cap special-trace of {y}"
                     break
-            assert _rut_lemma_witness(h2, o, [], (a, b, z)) == want
+            assert _rut_lemma_witness(h2, [], (a, b, z)) == want
             outcomes.add(want is None)
     assert outcomes == {True, False}
 
