@@ -297,13 +297,13 @@ def _entries_data():
 class HexagonicModel:
     """Bundle of a hexagonic geometry, its relation matrix and catalogue."""
 
-    def __init__(self, g: Geometry, eager_threshold: int = 2000):
+    def __init__(self, g: Geometry):
         self.geometry = g
         sizes = {len(l) for l in g.lines}
         if len(sizes) != 1:
             raise PositionError("positions need uniform line size")
         self.m = sizes.pop()
-        self.rel = relation_matrix(g, eager_threshold)
+        self.rel = relation_matrix(g)
         self.catalogue = PositionCatalogue(self.m)
         self._local_opp: dict[int, dict[int, tuple[int, ...]]] = {}
 

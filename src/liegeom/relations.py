@@ -60,39 +60,7 @@ def geometry_family(g: Geometry) -> str:
     raise RelationError(f"pair classification is not defined for kind {k.as_str()}")
 
 
-# -- single pair -----------------------------------------------------------
-
-
-def classify_pair(g: Geometry, x: int, y: int) -> int:
-    """Relation code of one pair, computed directly from bitsets."""
-    fam = geometry_family(g)
-    if x == y:
-        return EQUAL
-    if g.collinear(x, y):
-        return COLLINEAR
-    if fam in ("quadrangle", "polar"):
-        return SYMPLECTIC
-    cn = ((g.adj[x] & g.adj[y]) & ~(1 << x) & ~(1 << y)).bit_count()
-    if cn:
-        return SPECIAL if cn == 1 else SYMPLECTIC
-    if fam == "hexagon":
-        return OPPOSITE
-    base = grassmannian_base(g)
-    return OPPOSITE if opposite_lines_polar(base, x, y) else NEAR_OPPOSITE
-
-
-def opposite_points_polygon(g: Geometry, x: int, y: int) -> bool:
-    """Hexagon: point-graph distance 3.  Quadrangle: distinct non-collinear."""
-    fam = geometry_family(g)
-    if x == y:
-        return False
-    if fam == "quadrangle" or (g.kind.family == "polar"):
-        return not g.collinear(x, y)
-    if fam == "hexagon":
-        if g.collinear(x, y):
-            return False
-        return not (g.adj[x] & g.adj[y])
-    raise RelationError(f"point opposition undefined for {g.kind.as_str()}")
+# -- polar line opposition ------------------------------------------------
 
 
 def _perp_all_line(p: Geometry, li: int) -> int:
@@ -101,19 +69,6 @@ def _perp_all_line(p: Geometry, li: int) -> int:
     for x in p.lines[li]:
         bits &= p.adj[x]
     return bits
-
-
-def opposite_lines_polar(p: Geometry, li: int, mi: int) -> bool:
-    """Building opposition for lines of a polar space.
-
-    True iff no point of either line is collinear-or-equal to every
-    point of the other.
-    """
-    if li == mi:
-        return False
-    if p.line_bits[li] & _perp_all_line(p, mi):
-        return False
-    return not (p.line_bits[mi] & _perp_all_line(p, li))
 
 
 def _line_perp_tables(p: Geometry) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -135,37 +90,17 @@ def _line_perp_tables(p: Geometry) -> tuple[tuple[int, ...], tuple[int, ...], tu
     return cache["line_perp"]
 
 
-def _polar_line_nonopposite(p: Geometry, li: int) -> int:
-    """Bitset of the lines not opposite line li: the two halves of
-    `opposite_lines_polar`, over all lines at once."""
+def polar_line_opposition(p: Geometry, li: int) -> int:
+    """Bitset of the lines of polar space p opposite line li: building
+    opposition, i.e. no point of either line is collinear-or-equal to
+    every point of the other."""
     through, inperp, perp_all = _line_perp_tables(p)
-    bits = 0
+    notopp = 0
     for a in bit_indices(perp_all[li]):
-        bits |= through[a]
+        notopp |= through[a]
     for a in p.lines[li]:
-        bits |= inperp[a]
-    return bits
-
-
-def polar_line_opposition(p: Geometry) -> np.ndarray:
-    """Boolean matrix of pairwise line opposition in a polar space."""
-    cache = _cache(p)
-    if "line_opp" in cache:
-        return cache["line_opp"]
-    nl = len(p.lines)
-    adj = p.np_adjacency(strict=False)
-    line_pts = np.zeros((nl, p.n), dtype=bool)
-    perp_all = np.zeros((nl, p.n), dtype=bool)
-    for li, l in enumerate(p.lines):
-        line_pts[li, list(l)] = True
-        perp_all[li] = np.logical_and.reduce(adj[list(l)])
-    # a sum of non-negative float32 terms is 0 iff every term is 0, so the
-    # zero test below is exact at any size
-    cross = line_pts.astype(np.float32) @ perp_all.T.astype(np.float32)
-    opp = (cross == 0) & (cross.T == 0)
-    np.fill_diagonal(opp, False)
-    cache["line_opp"] = opp
-    return opp
+        notopp |= inperp[a]
+    return ((1 << len(p.lines)) - 1) & ~notopp
 
 
 # -- full matrices ----------------------------------------------------------
@@ -177,67 +112,29 @@ def _mask(bits: int, n: int) -> np.ndarray:
     return np.unpackbits(packed, count=n, bitorder="little").view(bool)
 
 
-def _row_bytes(n: int, classes) -> bytes:
-    """An n-byte row holding `code` at the bits of each (code, bits); 0 elsewhere."""
+def _row_bytes(n: int, classes: dict[int, int]) -> bytes:
+    """An n-byte row holding each code at the bits of its class; 0 elsewhere."""
     row = np.zeros(n, dtype=np.int8)
-    for code, bits in classes:
+    for code, bits in classes.items():
         row[_mask(bits, n)] = code
     return row.tobytes()
 
 
 class RelationMatrix:
-    """n x n table of relation codes.
+    """n x n table of relation codes, built row by row on demand."""
 
-    Eager (dense numpy) construction up to `eager_threshold` points,
-    lazy per-row memoized construction above it.
-    """
-
-    def __init__(self, g: Geometry, eager_threshold: int = 2000):
+    # eager_threshold is ignored; it is still accepted because the
+    # benchmark's reference builder (perfbench's prepare_grq63) passes it
+    def __init__(self, g: Geometry, eager_threshold: Optional[int] = None):
         self.geometry = g
         self.family = geometry_family(g)
         self.n = g.n
         self._rows: dict[int, bytes] = {}
         self._np: Optional[np.ndarray] = None
-        self.eager = g.n <= eager_threshold
-        if self.eager:
-            self._np = self._build_dense()
 
-    # dense path
-
-    def _build_dense(self) -> np.ndarray:
-        g, fam, n = self.geometry, self.family, self.n
-        adj = g.np_adjacency(strict=True)
-        eye = np.eye(n, dtype=bool)
-        codes = np.zeros((n, n), dtype=np.int8)
-        codes[adj] = COLLINEAR
-        if fam in ("quadrangle", "polar"):
-            codes[~adj & ~eye] = SYMPLECTIC
-            return codes
-        # float32 sums of 0/1 terms are exact integers below 2**24, which
-        # cn == 1 needs; the zero/positive tests are exact at any size
-        assert n < 1 << 24, "common-neighbour counts would exceed float32's exact range"
-        af = adj.astype(np.float32)
-        cn = af @ af
-        dist2 = (cn > 0) & ~adj & ~eye
-        codes[dist2 & (cn == 1)] = SPECIAL
-        codes[dist2 & (cn > 1)] = SYMPLECTIC
-        far = ~adj & ~eye & ~dist2
-        if fam == "hexagon":
-            codes[far] = OPPOSITE
-        else:
-            base = grassmannian_base(g)
-            reach3 = (cn @ af) > 0
-            if (far & ~reach3).any():
-                raise RelationError("Grassmannian point graph has diameter > 3")
-            opp = polar_line_opposition(base)
-            codes[far & opp] = OPPOSITE
-            codes[far & ~opp] = NEAR_OPPOSITE
-        return codes
-
-    # lazy path
-
-    def _build_row(self, x: int) -> bytes:
-        """Row x from bitsets: each code class is one bitset, written once.
+    def classes(self, x: int) -> dict[int, int]:
+        """Bitset of the points holding each relation code to x (EQUAL, x
+        itself, left out).  The one place relation codes are decided.
 
         Common neighbours are counted by z in adj[x] - x: a point outside
         adj[x] in exactly one adj[z] is special, in two or more symplectic.
@@ -247,7 +144,7 @@ class RelationMatrix:
         near = adj[x] & ~(1 << x)
         rest = g.full_mask & ~adj[x]
         if fam in ("quadrangle", "polar"):
-            return _row_bytes(self.n, ((COLLINEAR, near), (SYMPLECTIC, rest)))
+            return {COLLINEAR: near, SYMPLECTIC: rest}
         ge1 = ge2 = 0
         for z in bit_indices(near):
             ge2 |= ge1 & adj[z]
@@ -262,13 +159,13 @@ class RelationMatrix:
         if unreached:
             raise RelationError(f"point {(unreached & -unreached).bit_length() - 1} "
                                 f"is at distance > 3 from point {x} in the {fam}")
-        classes = [(COLLINEAR, near), (SPECIAL, dist2 & ~ge2), (SYMPLECTIC, dist2 & ge2)]
+        out = {COLLINEAR: near, SPECIAL: dist2 & ~ge2, SYMPLECTIC: dist2 & ge2}
         if fam == "hexagon":
-            classes.append((OPPOSITE, far))
+            out[OPPOSITE] = far
         else:
-            notopp = _polar_line_nonopposite(grassmannian_base(g), x)
-            classes += [(OPPOSITE, far & ~notopp), (NEAR_OPPOSITE, far & notopp)]
-        return _row_bytes(self.n, classes)
+            opp = polar_line_opposition(grassmannian_base(g), x)
+            out[OPPOSITE], out[NEAR_OPPOSITE] = far & opp, far & ~opp
+        return out
 
     # access
 
@@ -276,17 +173,19 @@ class RelationMatrix:
         return self.row(x)[y]
 
     def row(self, x: int) -> bytes:
-        """Row x, memoized on both paths (at most n**2 bytes)."""
+        """Row x, memoized (at most n**2 bytes)."""
         row = self._rows.get(x)
         if row is None:
             row = self._rows[x] = (self._np[x].tobytes() if self._np is not None
-                                   else self._build_row(x))
+                                   else _row_bytes(self.n, self.classes(x)))
         return row
 
     def np(self) -> np.ndarray:
         if self._np is None:
             self._np = np.frombuffer(b"".join(self.row(x) for x in range(self.n)),
                                      dtype=np.int8).reshape(self.n, self.n).copy()
+            # later rows are read from the matrix, so edits to it show in row()
+            self._rows.clear()
         return self._np
 
     def census(self) -> dict[str, int]:
@@ -298,11 +197,16 @@ class RelationMatrix:
         return counts
 
 
-def relation_matrix(g: Geometry, eager_threshold: int = 2000) -> RelationMatrix:
+def relation_matrix(g: Geometry) -> RelationMatrix:
     cache = _cache(g)
     if "relmatrix" not in cache:
-        cache["relmatrix"] = RelationMatrix(g, eager_threshold)
+        cache["relmatrix"] = RelationMatrix(g)
     return cache["relmatrix"]
+
+
+def classify_pair(g: Geometry, x: int, y: int) -> int:
+    """Relation code of one pair, read from the memoized row of x."""
+    return relation_matrix(g).rel(x, y)
 
 
 # -- opposition sets ---------------------------------------------------------
@@ -330,24 +234,13 @@ def opposition_sets(g: Geometry) -> OppositionSets:
     cache = _cache(g)
     if "oppsets" in cache:
         return cache["oppsets"]
-    fam = geometry_family(g)
-    n = g.n
     full = g.full_mask
-    if fam in ("quadrangle", "polar"):
-        opp = tuple(full & ~g.adj[x] for x in range(n))
-    elif fam == "hexagon":
-        opp = []
-        for x in range(n):
-            near = g.adj[x]
-            grow = near
-            for y in bit_indices(g.adj[x]):
-                grow |= g.adj[y]
-            opp.append(full & ~grow)
-        opp = tuple(opp)
+    if geometry_family(g) in ("quadrangle", "polar"):
+        # opposite is non-collinear here; the relation codes call it symplectic
+        opp = tuple(full & ~a for a in g.adj)
     else:
-        m = relation_matrix(g).np()
-        opp = tuple(int.from_bytes(np.packbits(m[x] == OPPOSITE, bitorder="little").tobytes(),
-                                   "little") for x in range(n))
+        m = relation_matrix(g)
+        opp = tuple(m.classes(x)[OPPOSITE] for x in range(g.n))
     sets = OppositionSets(g, opp, tuple(full & ~b for b in opp))
     cache["oppsets"] = sets
     return sets

@@ -42,6 +42,7 @@ from liegeom.relations import (
     SYMPLECTIC,
     RelationMatrix,
 )
+from test_relations import dense_oracle
 
 
 # -- brute-force oracles ------------------------------------------------------
@@ -98,6 +99,15 @@ def doctored(model: HexagonicModel, pairs, code: int) -> HexagonicModel:
     for x, y in pairs:
         R[x, y] = R[y, x] = code
     out = HexagonicModel(model.geometry)
+    out.rel = rel
+    return out
+
+
+def oracle_model(g: Geometry) -> HexagonicModel:
+    """A model on g whose relation data is the dense oracle's matrix."""
+    rel = RelationMatrix(g)
+    rel._np = dense_oracle(g)
+    out = HexagonicModel(g)
     out.rel = rel
     return out
 
@@ -196,13 +206,12 @@ def test_local_opposites_match_definition(name, request):
 def test_local_opposites_on_lazy_model(h2):
     # a fresh geometry, since relation matrices are cached per geometry
     fresh = Geometry(h2.n, h2.lines, h2.kind, order=h2.order)
-    lazy = HexagonicModel(fresh, eager_threshold=1)
-    assert not lazy.rel.eager
+    lazy = HexagonicModel(fresh)
     x = 5
     table = lazy.local_opposites(x)
     assert any(table.values())
     assert set(lazy.rel._rows) <= {p for k in h2.lines_through[x] for p in h2.lines[k]}
-    assert table == local_opposites_oracle(lazy, x)
+    assert table == local_opposites_oracle(oracle_model(h2), x)
     assert lazy.rel._np is None
 
 
@@ -459,9 +468,8 @@ def test_column_codes_are_ranks():
 def test_lazy_model_reads_few_rows(h2):
     # a fresh geometry, since relation matrices are cached per geometry
     fresh = Geometry(h2.n, h2.lines, h2.kind, order=h2.order)
-    lazy = HexagonicModel(fresh, eager_threshold=1)
-    dense = HexagonicModel(h2)
-    assert not lazy.rel.eager
+    lazy = HexagonicModel(fresh)
+    dense = oracle_model(h2)
     lazy.position_of(0, 40)
     assert len(lazy.rel._rows) <= 2 * lazy.m
     nl = len(h2.lines)

@@ -2,6 +2,7 @@ import copy
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from liegeom.constructors import PolarFormSpec, polar_space
@@ -16,9 +17,8 @@ from liegeom.relations import (
     RelationMatrix,
     RelationError,
     classify_pair,
+    geometry_family,
     grassmannian_base,
-    opposite_lines_polar,
-    opposite_points_polygon,
     opposition_sets,
     relation_matrix,
 )
@@ -45,7 +45,6 @@ def test_symmetry_exhaustive_h2(h2):
 def test_opposite_points(h2, w32):
     o = opposition_sets(h2)
     assert all(b.bit_count() == 32 for b in o.opp)
-    assert not opposite_points_polygon(h2, 3, 3)
     ow = opposition_sets(w32)
     assert all(b.bit_count() == 8 for b in ow.opp)
 
@@ -60,11 +59,87 @@ def test_no_near_opposite_on_models(gr_q72, gr_model):
     assert (gr_model.rel.np() == NEAR_OPPOSITE).sum() == 0
 
 
-def test_scalar_matches_dense(gr_q72, gr_model):
+def test_scalar_matches_dense(gr_q72):
     rng = random.Random(7)
+    dense = dense_oracle(gr_q72)
     for _ in range(1500):
         x, y = rng.randrange(gr_q72.n), rng.randrange(gr_q72.n)
-        assert classify_pair(gr_q72, x, y) == gr_model.rel.rel(x, y)
+        assert classify_pair(gr_q72, x, y) == dense[x, y]
+
+
+# -- oracles -----------------------------------------------------------------
+
+
+def _perp_all_line(p: Geometry, li: int) -> int:
+    """Bitset of points collinear-or-equal to every point of line li."""
+    bits = p.full_mask
+    for x in p.lines[li]:
+        bits &= p.adj[x]
+    return bits
+
+
+def opposite_lines_polar(p: Geometry, li: int, mi: int) -> bool:
+    """Building opposition for lines of a polar space.
+
+    True iff no point of either line is collinear-or-equal to every
+    point of the other.
+    """
+    if li == mi:
+        return False
+    if p.line_bits[li] & _perp_all_line(p, mi):
+        return False
+    return not (p.line_bits[mi] & _perp_all_line(p, li))
+
+
+def dense_line_opposition(p: Geometry) -> np.ndarray:
+    """Boolean matrix of pairwise line opposition in a polar space."""
+    nl = len(p.lines)
+    adj = p.np_adjacency(strict=False)
+    line_pts = np.zeros((nl, p.n), dtype=bool)
+    perp_all = np.zeros((nl, p.n), dtype=bool)
+    for li, l in enumerate(p.lines):
+        line_pts[li, list(l)] = True
+        perp_all[li] = np.logical_and.reduce(adj[list(l)])
+    # a sum of non-negative float32 terms is 0 iff every term is 0, so the
+    # zero test below is exact at any size
+    cross = line_pts.astype(np.float32) @ perp_all.T.astype(np.float32)
+    opp = (cross == 0) & (cross.T == 0)
+    np.fill_diagonal(opp, False)
+    return opp
+
+
+def dense_oracle(g: Geometry) -> np.ndarray:
+    """Reference relation matrix of g from numpy matrix products, independent
+    of the bitset kernel.  Connected input only: it has no diameter check
+    for hexagons."""
+    fam, n = geometry_family(g), g.n
+    adj = g.np_adjacency(strict=True)
+    eye = np.eye(n, dtype=bool)
+    codes = np.zeros((n, n), dtype=np.int8)
+    codes[adj] = COLLINEAR
+    if fam in ("quadrangle", "polar"):
+        codes[~adj & ~eye] = SYMPLECTIC
+        return codes
+    # float32 sums of 0/1 terms are exact integers below 2**24, which
+    # cn == 1 needs; the zero/positive tests are exact at any size
+    assert n < 1 << 24, "common-neighbour counts would exceed float32's exact range"
+    af = adj.astype(np.float32)
+    cn = af @ af
+    dist2 = (cn > 0) & ~adj & ~eye
+    codes[dist2 & (cn == 1)] = SPECIAL
+    codes[dist2 & (cn > 1)] = SYMPLECTIC
+    far = ~adj & ~eye & ~dist2
+    if fam == "hexagon":
+        codes[far] = OPPOSITE
+    else:
+        base = grassmannian_base(g)
+        reach3 = (cn @ af) > 0
+        if (far & ~reach3).any():
+            raise RelationError("Grassmannian point graph has diameter > 3")
+        opp = dense_line_opposition(base)
+        codes[far & opp] = OPPOSITE
+        codes[far & ~opp] = NEAR_OPPOSITE
+    return codes
 
 
 def build_row_scan(self, x: int) -> bytes:
@@ -96,17 +171,15 @@ def build_row_scan(self, x: int) -> bytes:
 
 
 def test_lazy_rows_match_dense(h2, h3, w32, w52, gr_w52, gr_q72):
-    # kernel = scan oracle = dense row: every row of the small models,
+    # kernel = scan oracle = dense oracle: every row of the small models,
     # 100 seeded rows of Gr(Q+(7,2))
     for g, rows in ((h2, None), (h3, None), (w32, None), (w52, None), (gr_w52, None),
                     (gr_q72, 100)):
-        eager = relation_matrix(g)
-        lazy = RelationMatrix(g, eager_threshold=1)
-        assert eager.eager and not lazy.eager
+        m, dense = RelationMatrix(g), dense_oracle(g)
         xs = range(g.n) if rows is None else random.Random(5).sample(range(g.n), rows)
         for x in xs:
-            assert lazy.row(x) == build_row_scan(lazy, x) == eager.row(x), (g.name, x)
-    assert (RelationMatrix(w52, eager_threshold=1).np() == relation_matrix(w52).np()).all()
+            assert m.row(x) == build_row_scan(m, x) == dense[x].tobytes(), (g.name, x)
+    assert (RelationMatrix(w52).np() == dense_oracle(w52)).all()
 
 
 def _two_copies(g, **kw):
@@ -116,20 +189,23 @@ def _two_copies(g, **kw):
 
 
 def test_lazy_rows_on_disconnected_geometries(w32, w52, h2):
-    # polar: points off x's component are symplectic on both paths (the
-    # scan gave them EQUAL)
+    # polar: points off x's component are symplectic, as in the dense
+    # oracle (the scan gave them EQUAL)
     g = _two_copies(w32, kind=Kind("polar", 2))
-    lazy, eager = RelationMatrix(g, eager_threshold=1), RelationMatrix(g)
+    m, dense = RelationMatrix(g), dense_oracle(g)
     for x in range(g.n):
-        assert lazy.row(x) == eager.row(x)
-    assert set(lazy.row(0)[w32.n:]) == {SYMPLECTIC}
-    # hexagon and Grassmannian: distance > 3 raises on the lazy path
+        assert m.row(x) == dense[x].tobytes()
+    assert set(m.row(0)[w32.n:]) == {SYMPLECTIC}
+    # hexagon and Grassmannian: distance > 3 raises, from every reader of
+    # the relation (the hexagon branch of opposition sets once gave 95 bits)
     g = _two_copies(h2, kind=Kind("polygon", 6))
-    with pytest.raises(RelationError, match="distance > 3"):
-        RelationMatrix(g, eager_threshold=1).row(0)
+    for read in (lambda: RelationMatrix(g).row(0), lambda: RelationMatrix(g).np(),
+                 lambda: opposition_sets(g), lambda: classify_pair(g, 0, 1)):
+        with pytest.raises(RelationError, match="distance > 3"):
+            read()
     gr = line_grassmannian(_two_copies(w52, kind=Kind("polar", 3)))
     with pytest.raises(RelationError, match="distance > 3"):
-        RelationMatrix(gr, eager_threshold=1).row(5)
+        RelationMatrix(gr).row(5)
 
 
 def _doctored_grassmannian(gr):
@@ -154,12 +230,12 @@ def test_lazy_rows_near_opposite_on_doctored_base(gr_w52):
     # from either half of the polar opposition test (row x through a sees
     # a in perp_all[y]; row y sees a point of y^perp-all on x)
     g = _doctored_grassmannian(gr_w52)
-    lazy, eager = RelationMatrix(g, eager_threshold=1), RelationMatrix(g)
+    m, dense = RelationMatrix(g), dense_oracle(g)
     for x in range(g.n):
-        assert lazy.row(x) == build_row_scan(lazy, x) == eager.row(x)
-    m = lazy.np()
-    near = [(int(x), int(y)) for x, y in zip(*(m == NEAR_OPPOSITE).nonzero())]
-    assert near and (m == m.T).all()
+        assert m.row(x) == build_row_scan(m, x) == dense[x].tobytes()
+    full = m.np()
+    near = [(int(x), int(y)) for x, y in zip(*(full == NEAR_OPPOSITE).nonzero())]
+    assert near and (full == full.T).all()
     assert all(0 in pair for pair in near)
     x, y = near[0]
     assert classify_pair(g, x, y) == NEAR_OPPOSITE
@@ -167,18 +243,18 @@ def test_lazy_rows_near_opposite_on_doctored_base(gr_w52):
 
 
 def test_lazy_rows_exhaustive_gr_q63():
-    # all 3640 rows of Gr(Q(6,3)), too many for the scan oracle
+    # all 3640 rows of Gr(Q(6,3)) against the dense oracle; the scan oracle
+    # on 20 seeded rows
     g = line_grassmannian(polar_space(PolarFormSpec("parabolic", 6, 3)))
-    lazy = RelationMatrix(g)
-    assert g.n == 3640 and not lazy.eager
-    m = lazy.np()
+    rel = RelationMatrix(g)
+    assert g.n == 3640
+    m = rel.np()
     assert ((m == OPPOSITE).sum(axis=1) == 2187).all()
     assert not (m == NEAR_OPPOSITE).any()
     assert (m == m.T).all()
-    rng = random.Random(3)
-    for _ in range(2000):
-        x, y = rng.randrange(g.n), rng.randrange(g.n)
-        assert classify_pair(g, x, y) == m[x, y]
+    assert (m == dense_oracle(g)).all()
+    for x in random.Random(3).sample(range(g.n), 20):
+        assert rel.row(x) == build_row_scan(rel, x)
 
 
 def test_polar_pairs_are_symplectic(w52):
