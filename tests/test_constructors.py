@@ -1,9 +1,14 @@
+import hashlib
+import json
+
 import pytest
 
 from liegeom.constructors import (
     ConstructionError,
     FeatureUnavailable,
     PolarFormSpec,
+    _check_polar_axioms,
+    geometry_by_name,
     hermitian_quadrangle,
     hermitian_subquadrangle,
     pg,
@@ -11,7 +16,32 @@ from liegeom.constructors import (
     split_cayley_hexagon,
     twisted_triality_hexagon,
 )
-from liegeom.geometry import is_generalized_polygon, validate
+from liegeom.geometry import Geometry, Kind, is_generalized_polygon, validate
+
+#: fingerprint (points, lines, hash) and sha256 prefix of the coordinates
+#: of each constructor geometry, recorded before the line builder worked
+#: from numpy form tables; the subquadrangle pins its parent points
+GOLDEN = {
+    "PG(2,2)": (7, 7, "17a08595f6e43aea", "a18322d62a1879b7"),
+    "PG(3,3)": (40, 130, "edc5a04b85919016", "26e4ea24ff557da1"),
+    "W(3,2)": (15, 15, "9cf5e458659dd3b7", "b642d9cc015fe54b"),
+    "W(5,2)": (63, 315, "e4d96d9d8546fb7c", "19fc9d08c4baad13"),
+    "Q(4,3)": (40, 40, "3739dd27251443c8", "5ffd16b8f2b64f1b"),
+    "Q(6,3)": (364, 3640, "0818bd5b21e4b188", "413668eac70105fd"),
+    "Q+(7,2)": (135, 1575, "b1ad177c53a4e21c", "da7ecfc690e810f9"),
+    "Q-(5,2)": (27, 45, "acec1bab3cff421b", "a31be4049dd23b04"),
+    "H(3,4)": (45, 27, "2d5ff95725274cc6", "73944852ef7dead0"),
+    "sub:H(3,4)": (15, 15, "b05900e1f8d69863", "31ad20eecccd26af"),
+    "H(2)": (63, 63, "15ea6bbcba067925", "1de4cbdef074f96c"),
+    "H(3)": (364, 364, "0aa52ee8d40ab756", "858eb9c843caf4c6"),
+    "H(4)": (1365, 1365, "5a3072bb4ac90822", "3acbe19fa728fd09"),
+}
+
+
+def golden_digest(g: Geometry, coords) -> tuple:
+    fp = g.fingerprint()
+    text = json.dumps(coords, separators=(",", ":"))
+    return (fp["points"], fp["lines"], fp["hash"], hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
 def gaussian(n, k, q):
@@ -103,6 +133,16 @@ def test_split_cayley_q4():
     g = split_cayley_hexagon(4)
     assert (g.n, len(g.lines)) == (1365, 1365)
     assert validate(g).order == (4, 4)
+    assert golden_digest(g, g.meta["coords"]) == GOLDEN["H(4)"]
+
+
+@pytest.mark.parametrize("name", [k for k in GOLDEN if k not in ("sub:H(3,4)", "H(4)")])
+def test_golden_constructor_fingerprints(name):
+    g = geometry_by_name(name)
+    assert golden_digest(g, g.meta["coords"]) == GOLDEN[name]
+    if name == "H(3,4)":
+        sub = hermitian_subquadrangle(g)
+        assert golden_digest(sub, sub.meta["parent_points"]) == GOLDEN["sub:H(3,4)"]
 
 
 def test_split_cayley_point_set_is_parabolic_quadric(h2):
@@ -135,6 +175,23 @@ def test_polar_axiom_gate():
         polar_space(PolarFormSpec("hermitian", 3, 2))  # non-square order
     with pytest.raises(ConstructionError):
         PolarFormSpec("unitary", 3, 4)
+
+
+def test_polar_axiom_gate_rejects_non_polar_geometries(h2):
+    # a hexagon has points collinear with no point of a line
+    relabelled = Geometry(h2.n, h2.lines, Kind("polar", 2))
+    with pytest.raises(ConstructionError,
+                       match=r"one-or-all violated at point 1, line 0 \(\|perp cap line\| = 0\)"):
+        _check_polar_axioms(relabelled)
+    # in a projective plane every perp is the whole point set
+    with pytest.raises(ConstructionError, match="perp of point 0 is not proper"):
+        _check_polar_axioms(pg(2, 2))
+    # a line met by a point in 2 of its 3 points
+    bad = Geometry(4, [(0, 1, 2), (2, 3), (1, 3)], Kind("polar", 2))
+    with pytest.raises(ConstructionError, match=r"at point 3, line 0 \(\|perp cap line\| = 2\)"):
+        _check_polar_axioms(bad)
+    for g in (polar_space(PolarFormSpec("sp", 3, 2)), polar_space(PolarFormSpec("elliptic", 5, 2))):
+        _check_polar_axioms(g)
 
 
 def test_twisted_triality_is_gated():
