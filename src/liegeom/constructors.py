@@ -13,8 +13,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .gf import GF, field
-from .geometry import Geometry, GeometryError, Kind, is_generalized_polygon, validate
+from .geometry import Geometry, GeometryError, Kind, bitset, is_generalized_polygon, validate
 
 
 class ConstructionError(GeometryError):
@@ -55,18 +57,64 @@ def span_points(F: GF, x: Sequence[int], y: Sequence[int]) -> list[tuple[int, ..
     return sorted(set(out))
 
 
+# Forms are evaluated on coordinate columns: a vector is a list of arrays,
+# one per coordinate, so one expression covers a single point, a point
+# list, or (rows x columns) all pairs at once by broadcasting.
+
+
+def _dot(A, terms) -> np.ndarray:
+    """Sum of the products a*b over the (a, b) terms, in GF arithmetic A."""
+    add, mul, _ = A
+    s = 0
+    for a, b in terms:
+        s = add[s, mul[a, b]]
+    return s
+
+
+def _points_where(F: GF, dim: int, point_ok: Callable) -> list[tuple[int, ...]]:
+    """The points of PG(dim, q), lex order, whose coordinates pass point_ok."""
+    pts = projective_points(F, dim)
+    cols = list(np.array(pts, dtype=np.uint8).T)
+    return [pts[i] for i in np.flatnonzero(point_ok(cols))]
+
+
+def _pair_table(pts: list[tuple[int, ...]], pair_ok: Callable) -> np.ndarray:
+    """n x n boolean table of pair_ok(pts[i], pts[j]), built in row blocks
+    so the temporaries stay near 2^18 entries whatever n is."""
+    n = len(pts)
+    C = np.array(pts, dtype=np.uint8)
+    ys = [C[None, :, k] for k in range(C.shape[1])]
+    out = np.empty((n, n), dtype=bool)
+    step = max(1, (1 << 18) // n)
+    for lo in range(0, n, step):
+        out[lo:lo + step] = pair_ok([C[lo:lo + step, k, None] for k in range(C.shape[1])], ys)
+    return out
+
+
 def _lines_from_pairs(F: GF, pts: list[tuple[int, ...]],
-                      pair_ok: Callable, member: Callable) -> list[tuple[int, ...]]:
-    """Collect full lines {span(x,y)} for admissible pairs lying in the point set."""
+                      admissible: np.ndarray) -> list[tuple[int, ...]]:
+    """The lines span(x, y), for admissible pairs, that lie in the point set.
+
+    Each line is spanned once: covered[i] holds the points already on a
+    found line through point i, and the pairs they make with i are skipped.
+    """
     index = {v: i for i, v in enumerate(pts)}
-    lines = set()
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if not pair_ok(pts[i], pts[j]):
+    packed = np.packbits(admissible, axis=1, bitorder="little")
+    covered = [1 << i for i in range(len(pts))]
+    lines = []
+    for i, row in enumerate(packed):
+        # admissible partners j > i that no found line through i covers
+        todo = int.from_bytes(row.tobytes(), "little") >> i + 1 << i + 1 & ~covered[i]
+        while todo:
+            j = (todo & -todo).bit_length() - 1
+            ids = [index.get(v) for v in span_points(F, pts[i], pts[j])]
+            bits = bitset(p for p in ids if p is not None)
+            todo &= ~bits
+            if None in ids:
                 continue
-            sp = span_points(F, pts[i], pts[j])
-            if all(member(v) for v in sp):
-                lines.add(tuple(sorted(index[v] for v in sp)))
+            for p in ids:
+                covered[p] |= bits
+            lines.append(tuple(sorted(ids)))
     return sorted(lines)
 
 
@@ -79,31 +127,13 @@ def pg(n: int, q: int) -> Geometry:
         raise ConstructionError("pg requires n >= 2")
     F = field(q)
     pts = projective_points(F, n)
-    lines = _lines_from_pairs(F, pts, lambda x, y: True, lambda v: True)
+    lines = _lines_from_pairs(F, pts, np.ones((len(pts), len(pts)), dtype=bool))
     g = Geometry(len(pts), lines, Kind("other"), name=f"PG({n},{q})",
                  meta={"coords": tuple(pts), "field": F})
     rep = validate(g)
     if not rep.partial_linear or not rep.connected:
         raise ConstructionError(f"PG({n},{q}) failed validation: {rep.violations[:3]}")
     return g
-
-
-def hyperplanes_pg(g: Geometry) -> list[int]:
-    """Hyperplane point-bitsets of a PG geometry (dual points)."""
-    F: GF = g.meta["field"]
-    coords = g.meta["coords"]
-    dim = len(coords[0]) - 1
-    out = []
-    for h in projective_points(F, dim):
-        bits = 0
-        for i, v in enumerate(coords):
-            s = 0
-            for a, b in zip(h, v):
-                s = F.add(s, F.mul(a, b))
-            if s == 0:
-                bits |= 1 << i
-        out.append(bits)
-    return out
 
 
 # -- polar spaces -------------------------------------------------------------
@@ -123,34 +153,55 @@ class PolarFormSpec:
             raise ConstructionError(f"unknown polar family {self.family!r}")
 
 
-def _alternating_form(F: GF, x, y) -> int:
-    s = 0
-    for i in range(0, len(x) - 1, 2):
-        s = F.add(s, F.sub(F.mul(x[i], y[i + 1]), F.mul(x[i + 1], y[i])))
-    return s
+def _polar_form(F: GF, spec: PolarFormSpec) -> tuple[Callable, Callable]:
+    """(point_ok, pair_ok) of a polar family, on coordinate columns.
 
-
-def _quadratic_value(F: GF, spec: PolarFormSpec, x) -> int:
-    s = 0
+    Two isotropic points span a totally isotropic line iff the form
+    vanishes on the pair: the alternating or Hermitian form itself, and
+    for a quadric Q its polar form, which is Q(x + y) as Q(x) = Q(y) = 0.
+    """
+    A = F.arrays()
+    add, mul, neg = A
     d = spec.dim
-    if spec.family == "hyperbolic":
-        hyp_pairs = (d + 1) // 2
-        rest = ()
-    elif spec.family == "parabolic":
-        hyp_pairs = d // 2
-        rest = ("square",)
-    else:  # elliptic
-        hyp_pairs = (d - 1) // 2
-        rest = ("anisotropic",)
-    for i in range(hyp_pairs):
-        s = F.add(s, F.mul(x[2 * i], x[2 * i + 1]))
-    if rest == ("square",):
-        s = F.add(s, F.mul(x[d], x[d]))
-    elif rest == ("anisotropic",):
-        u, v = x[d - 1], x[d]
-        dd = _anisotropic_coefficient(F)
-        s = F.add(s, F.add(F.mul(u, u), F.add(F.mul(u, v), F.mul(dd, F.mul(v, v)))))
-    return s
+    if spec.family == "sp":
+        if d % 2 == 0:
+            raise ConstructionError("symplectic forms need odd projective dimension")
+
+        def form(x, y):
+            return _dot(A, [t for i in range(0, d, 2)
+                            for t in ((x[i], y[i + 1]), (neg[x[i + 1]], y[i]))])
+    elif spec.family == "hermitian":
+        if F.k % 2:
+            raise ConstructionError("hermitian forms need a square field order")
+        # anti-diagonal form sum_i x_i * conj(y_{d-i}), conj = Frobenius^(k/2)
+        conj = np.array([F.frobenius(a, F.k // 2) for a in F.elements], dtype=np.uint8)
+
+        def form(x, y):
+            return _dot(A, [(x[i], conj[y[d - i]]) for i in range(d + 1)])
+    else:
+        if spec.family == "hyperbolic":
+            hyp_pairs = (d + 1) // 2
+        elif spec.family == "parabolic":
+            hyp_pairs = d // 2
+        else:
+            hyp_pairs = (d - 1) // 2
+            dd = _anisotropic_coefficient(F)
+
+        def quadric(x):
+            terms = [(x[2 * i], x[2 * i + 1]) for i in range(hyp_pairs)]
+            if spec.family == "parabolic":
+                terms.append((x[d], x[d]))
+            elif spec.family == "elliptic":
+                u, v = x[d - 1], x[d]
+                terms += [(u, u), (u, v), (dd, mul[v, v])]
+            return _dot(A, terms)
+
+        return (lambda x: quadric(x) == 0,
+                lambda x, y: quadric([add[a, b] for a, b in zip(x, y)]) == 0)
+
+    def pair_ok(x, y):
+        return form(x, y) == 0
+    return (lambda x: pair_ok(x, x)), pair_ok
 
 
 def _anisotropic_coefficient(F: GF) -> int:
@@ -161,54 +212,15 @@ def _anisotropic_coefficient(F: GF) -> int:
     raise ConstructionError(f"no irreducible x^2+x+d over GF({F.q})")
 
 
-def _hermitian_value(F: GF, x, y, e: int) -> int:
-    """Anti-diagonal Hermitian form sum_i x_i * conj(y_{d-i}); conj = Frobenius^e."""
-    d = len(x) - 1
-    s = 0
-    for i in range(d + 1):
-        s = F.add(s, F.mul(x[i], F.frobenius(y[d - i], e)))
-    return s
-
-
 def polar_space(spec: PolarFormSpec) -> Geometry:
     """Isotropic points and totally isotropic lines of the given form."""
     fam, d, q = spec.family, spec.dim, spec.q
     F = field(q)
-    pts_all = projective_points(F, d)
-
-    if fam == "sp":
-        if d % 2 == 0:
-            raise ConstructionError("symplectic forms need odd projective dimension")
-        pts = pts_all
-        member = {v: True for v in pts}
-
-        def pair_ok(x, y):
-            return _alternating_form(F, x, y) == 0
-    elif fam == "hermitian":
-        p, k = F.p, F.k
-        if k % 2:
-            raise ConstructionError("hermitian forms need a square field order")
-        e = k // 2
-
-        def h(x, y):
-            return _hermitian_value(F, x, y, e)
-        pts = [v for v in pts_all if h(v, v) == 0]
-        member = {v: True for v in pts}
-
-        def pair_ok(x, y):
-            return h(x, y) == 0
-    else:
-        def Q(v):
-            return _quadratic_value(F, spec, v)
-        pts = [v for v in pts_all if Q(v) == 0]
-        member = {v: True for v in pts}
-
-        def pair_ok(x, y):
-            return True  # span membership check below decides
-
+    point_ok, pair_ok = _polar_form(F, spec)
+    pts = _points_where(F, d, point_ok)
     if not pts:
         raise ConstructionError(f"form {spec} has no isotropic points")
-    lines = _lines_from_pairs(F, pts, pair_ok, lambda v: v in member)
+    lines = _lines_from_pairs(F, pts, _pair_table(pts, pair_ok))
     g0 = Geometry(len(pts), lines, Kind("other"), meta={"coords": tuple(pts), "field": F, "spec": spec})
     rank = _polar_rank(g0)
     name = {
@@ -262,14 +274,25 @@ def _polar_rank(g: Geometry) -> int:
 
 
 def _check_polar_axioms(g: Geometry) -> None:
-    """One-or-all test plus properness of every perp."""
-    for li, lbits in enumerate(g.line_bits):
-        size = len(g.lines[li])
-        for x in range(g.n):
-            c = (g.adj[x] & lbits).bit_count()
-            if c not in (1, size):
-                raise ConstructionError(
-                    f"one-or-all violated at point {x}, line {li} (|perp cap line| = {c})")
+    """One-or-all test plus properness of every perp.
+
+    Per line, over the perps of its points: every point must see at least
+    one point of the line, and the points that see two or more (ge2) must
+    see them all (common).
+    """
+    for li, l in enumerate(g.lines):
+        ge1 = ge2 = 0
+        common = g.full_mask
+        for p in l:
+            ge2 |= ge1 & g.adj[p]
+            ge1 |= g.adj[p]
+            common &= g.adj[p]
+        bad = g.full_mask & ~ge1 | ge2 & ~common
+        if bad:
+            x = (bad & -bad).bit_length() - 1
+            c = (g.adj[x] & g.line_bits[li]).bit_count()
+            raise ConstructionError(
+                f"one-or-all violated at point {x}, line {li} (|perp cap line| = {c})")
     for x in range(g.n):
         if g.adj[x] == g.full_mask:
             raise ConstructionError(f"perp of point {x} is not proper")
@@ -320,45 +343,24 @@ def hermitian_subquadrangle(h: Geometry) -> Geometry:
 # -- split Cayley hexagon -----------------------------------------------------
 
 
-def _cross(F: GF, v, w):
-    return (
-        F.sub(F.mul(v[1], w[2]), F.mul(v[2], w[1])),
-        F.sub(F.mul(v[2], w[0]), F.mul(v[0], w[2])),
-        F.sub(F.mul(v[0], w[1]), F.mul(v[1], w[0])),
-    )
-
-
-def _dot(F: GF, v, w):
-    s = 0
-    for a, b in zip(v, w):
-        s = F.add(s, F.mul(a, b))
-    return s
-
-
-def _zorn_product_is_zero(F: GF, x, y) -> bool:
-    """Product of two trace-zero split octonions in Zorn form.
+def _zorn_product_is_zero(A, x, y) -> np.ndarray:
+    """Whether the product x*y of two trace-zero split octonions in Zorn
+    form vanishes, in GF arithmetic A.
 
     x = (a, v, w) stands for the vector matrix [[a, v], [w, -a]].
     """
+    add, mul, neg = A
     a, v, w = x[0], x[1:4], x[4:7]
     c, v2, w2 = y[0], y[1:4], y[4:7]
-    nc = F.neg(c)
-    na = F.neg(a)
-    if F.add(F.mul(a, c), _dot(F, v, w2)) != 0:
-        return False
-    if F.add(F.mul(na, nc), _dot(F, w, v2)) != 0:
-        return False
-    cr = _cross(F, w, w2)
+    na, nc = neg[a], neg[c]
+    zero = _dot(A, [(a, c), *zip(v, w2)]) == 0
+    zero &= _dot(A, [(na, nc), *zip(w, v2)]) == 0
     for i in range(3):
-        t = F.add(F.mul(a, v2[i]), F.sub(F.mul(nc, v[i]), cr[i]))
-        if t != 0:
-            return False
-    cr = _cross(F, v, v2)
-    for i in range(3):
-        t = F.add(F.mul(c, w[i]), F.add(F.mul(na, w2[i]), cr[i]))
-        if t != 0:
-            return False
-    return True
+        j, k = (i + 1) % 3, (i + 2) % 3
+        # a v2 - c v - (w x w2) and c w - a w2 + (v x v2), coordinate i
+        zero &= _dot(A, [(a, v2[i]), (nc, v[i]), (neg[w[j]], w2[k]), (w[k], w2[j])]) == 0
+        zero &= _dot(A, [(c, w[i]), (na, w2[i]), (v[j], v2[k]), (neg[v[k]], v2[j])]) == 0
+    return zero
 
 
 def split_cayley_hexagon(q: int) -> Geometry:
@@ -366,22 +368,20 @@ def split_cayley_hexagon(q: int) -> Geometry:
 
     Points: singular trace-zero split octonions up to scalars, i.e. the
     parabolic quadric a^2 + v.w = 0 in PG(6, q).  Lines: 2-spaces on
-    which the octonion multiplication vanishes identically.  The output
+    which the octonion multiplication vanishes identically, i.e. the
+    spans of pairs whose product is zero in both orders.  The output
     must pass the generalised-hexagon test; the algebraic recipe is only
     trusted through that gate.
     """
     F = field(q)
-    pts = [vec for vec in projective_points(F, 6)
-           if F.add(F.mul(vec[0], vec[0]), _dot(F, vec[1:4], vec[4:7])) == 0]
+    A = F.arrays()
+    pts = _points_where(F, 6, lambda x: _dot(A, [(x[0], x[0]), *zip(x[1:4], x[4:7])]) == 0)
     expected_points = (1 + q) * (1 + q * q + q**4)
     if len(pts) != expected_points:
         raise ConstructionError(
             f"quadric point count {len(pts)} != {expected_points}")
-
-    def pair_ok(x, y):
-        return _zorn_product_is_zero(F, x, y) and _zorn_product_is_zero(F, y, x)
-
-    lines = _lines_from_pairs(F, pts, pair_ok, lambda v: True)
+    zero = _pair_table(pts, lambda x, y: _zorn_product_is_zero(A, x, y))
+    lines = _lines_from_pairs(F, pts, zero & zero.T)
     g = Geometry(len(pts), lines, Kind("polygon", 6), name=f"H({q})", order=(q, q),
                  meta={"coords": tuple(pts), "field": F})
     rep = validate(g)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass, field as dfield
 from typing import Iterable, Optional, Sequence
 
@@ -298,39 +297,40 @@ def distance_bitsets(g: Geometry, x: int) -> list[int]:
 def incidence_girth_diameter(g: Geometry) -> tuple[int, int]:
     """Girth and diameter of the bipartite point-line incidence graph.
 
-    BFS from every node; girth from the shortest cycle closed by a
-    non-tree edge over all roots (exact for unweighted graphs).
+    Breadth-first search from every node at once, bit-sliced: nodes are
+    the points, then the lines, and bit r of seen[v] says that the search
+    from root r has reached node v.  One step ORs the frontier words of
+    each node's neighbours; a node that a root reaches from two nodes of
+    the previous layer (ge2) closes a cycle of twice the depth, so the
+    first such depth gives the girth (exact for unweighted graphs), and
+    the last depth that reaches a new node gives the diameter.
     """
     n = g.n
-    nodes = n + len(g.lines)
-    nbrs: list[list[int]] = [[] for _ in range(nodes)]
-    for li, l in enumerate(g.lines):
-        for p in l:
-            nbrs[p].append(n + li)
-            nbrs[n + li].append(p)
-    diameter = 0
-    girth = None
-    for root in range(nodes):
-        dist = [-1] * nodes
-        parent = [-1] * nodes
-        dist[root] = 0
-        dq = deque([root])
-        while dq:
-            u = dq.popleft()
-            for v in nbrs[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    dq.append(v)
-                elif v != parent[u] and u < v:
-                    c = dist[u] + dist[v] + 1
-                    if girth is None or c < girth:
-                        girth = c
-        far = max(dist)
-        if far < 0 or -1 in dist:
-            raise GeometryError("incidence graph is disconnected")
-        diameter = max(diameter, far)
-    return (girth or 0, diameter)
+    nbrs = [tuple(n + li for li in through) for through in g.lines_through] + list(g.lines)
+    seen = [1 << v for v in range(len(nbrs))]
+    frontier = seen[:]
+    girth = depth = 0
+    while True:
+        layer = []
+        cycle = False
+        for v, nb in enumerate(nbrs):
+            ge1 = ge2 = 0
+            for u in nb:
+                ge2 |= ge1 & frontier[u]
+                ge1 |= frontier[u]
+            new = ge1 & ~seen[v]
+            seen[v] |= new
+            cycle = cycle or bool(ge2 & new)
+            layer.append(new)
+        if not any(layer):
+            break
+        depth += 1
+        frontier = layer
+        if cycle and not girth:
+            girth = 2 * depth
+    if any(s != (1 << len(nbrs)) - 1 for s in seen):
+        raise GeometryError("incidence graph is disconnected")
+    return (girth, depth)
 
 
 def is_generalized_polygon(g: Geometry, gonality: int) -> bool:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 
 class FieldError(ValueError):
     pass
@@ -208,6 +210,10 @@ class GF:
     def frobenius(self, a: int, e: int = 1) -> int:
         """a ** (p**e); for k = 2e this is the conjugation used by Hermitian forms."""
         return self.pow(a, self.p ** (e % self.k if self.k else 1))
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The add, mul and neg tables as uint8 arrays, for whole-array arithmetic."""
+        return tuple(np.array(t, dtype=np.uint8) for t in (self._add, self._mul, self._neg))
 
     @property
     def elements(self) -> range:

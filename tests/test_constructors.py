@@ -1,21 +1,31 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liegeom.constructors import (
     ConstructionError,
     FeatureUnavailable,
     PolarFormSpec,
+    _anisotropic_coefficient,
     _check_polar_axioms,
+    _lines_from_pairs,
+    _pair_table,
+    _points_where,
+    _polar_form,
     geometry_by_name,
     hermitian_quadrangle,
     hermitian_subquadrangle,
     pg,
     polar_space,
+    projective_points,
+    span_points,
     split_cayley_hexagon,
     twisted_triality_hexagon,
 )
+from liegeom.gf import field
 from liegeom.geometry import Geometry, Kind, is_generalized_polygon, validate
 
 #: fingerprint (points, lines, hash) and sha256 prefix of the coordinates
@@ -42,6 +52,162 @@ def golden_digest(g: Geometry, coords) -> tuple:
     fp = g.fingerprint()
     text = json.dumps(coords, separators=(",", ":"))
     return (fp["points"], fp["lines"], fp["hash"], hashlib.sha256(text.encode()).hexdigest()[:16])
+
+
+# -- the pair-scan line builder and its per-pair forms, the oracle of the
+# -- form tables and the covered-bitset builder -------------------------------
+
+
+def lines_from_pairs_scan(F, pts, pair_ok, member):
+    """Collect full lines {span(x,y)} for admissible pairs lying in the point set."""
+    index = {v: i for i, v in enumerate(pts)}
+    lines = set()
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if not pair_ok(pts[i], pts[j]):
+                continue
+            sp = span_points(F, pts[i], pts[j])
+            if all(member(v) for v in sp):
+                lines.add(tuple(sorted(index[v] for v in sp)))
+    return sorted(lines)
+
+
+def alternating_form(F, x, y):
+    s = 0
+    for i in range(0, len(x) - 1, 2):
+        s = F.add(s, F.sub(F.mul(x[i], y[i + 1]), F.mul(x[i + 1], y[i])))
+    return s
+
+
+def quadratic_value(F, spec, x):
+    s = 0
+    d = spec.dim
+    hyp_pairs = {"hyperbolic": (d + 1) // 2, "parabolic": d // 2, "elliptic": (d - 1) // 2}
+    for i in range(hyp_pairs[spec.family]):
+        s = F.add(s, F.mul(x[2 * i], x[2 * i + 1]))
+    if spec.family == "parabolic":
+        s = F.add(s, F.mul(x[d], x[d]))
+    elif spec.family == "elliptic":
+        u, v = x[d - 1], x[d]
+        dd = _anisotropic_coefficient(F)
+        s = F.add(s, F.add(F.mul(u, u), F.add(F.mul(u, v), F.mul(dd, F.mul(v, v)))))
+    return s
+
+
+def hermitian_value(F, x, y):
+    """Anti-diagonal Hermitian form sum_i x_i * conj(y_{d-i}); conj = Frobenius^(k/2)."""
+    d = len(x) - 1
+    s = 0
+    for i in range(d + 1):
+        s = F.add(s, F.mul(x[i], F.frobenius(y[d - i], F.k // 2)))
+    return s
+
+
+def polar_scan(spec):
+    """(field, isotropic points, pair predicate) of a polar family, point by point."""
+    F = field(spec.q)
+    pts = projective_points(F, spec.dim)
+    if spec.family == "sp":
+        return F, pts, lambda x, y: alternating_form(F, x, y) == 0
+    if spec.family == "hermitian":
+        pts = [v for v in pts if hermitian_value(F, v, v) == 0]
+        return F, pts, lambda x, y: hermitian_value(F, x, y) == 0
+    pts = [v for v in pts if quadratic_value(F, spec, v) == 0]
+    return F, pts, lambda x, y: True  # span membership decides
+
+
+def _cross(F, v, w):
+    return (
+        F.sub(F.mul(v[1], w[2]), F.mul(v[2], w[1])),
+        F.sub(F.mul(v[2], w[0]), F.mul(v[0], w[2])),
+        F.sub(F.mul(v[0], w[1]), F.mul(v[1], w[0])),
+    )
+
+
+def _dot(F, v, w):
+    s = 0
+    for a, b in zip(v, w):
+        s = F.add(s, F.mul(a, b))
+    return s
+
+
+def zorn_product_is_zero(F, x, y):
+    """Product of two trace-zero split octonions in Zorn form.
+
+    x = (a, v, w) stands for the vector matrix [[a, v], [w, -a]].
+    """
+    a, v, w = x[0], x[1:4], x[4:7]
+    c, v2, w2 = y[0], y[1:4], y[4:7]
+    nc = F.neg(c)
+    na = F.neg(a)
+    if F.add(F.mul(a, c), _dot(F, v, w2)) != 0:
+        return False
+    if F.add(F.mul(na, nc), _dot(F, w, v2)) != 0:
+        return False
+    cr = _cross(F, w, w2)
+    for i in range(3):
+        t = F.add(F.mul(a, v2[i]), F.sub(F.mul(nc, v[i]), cr[i]))
+        if t != 0:
+            return False
+    cr = _cross(F, v, v2)
+    for i in range(3):
+        t = F.add(F.mul(c, w[i]), F.add(F.mul(na, w2[i]), cr[i]))
+        if t != 0:
+            return False
+    return True
+
+
+#: (family, dim, q) with at most 165 points; "pg" is the projective space
+SMALL_SPECS = [
+    ("pg", 2, 2), ("pg", 2, 3), ("pg", 2, 4), ("pg", 3, 2), ("pg", 3, 3), ("pg", 3, 4),
+    ("pg", 4, 2), ("pg", 4, 3), ("pg", 5, 2),
+    ("sp", 1, 3), ("sp", 3, 2), ("sp", 3, 3), ("sp", 3, 4), ("sp", 5, 2),
+    ("parabolic", 2, 4), ("parabolic", 4, 2), ("parabolic", 4, 3), ("parabolic", 4, 4),
+    ("parabolic", 6, 2),
+    ("hyperbolic", 1, 3), ("hyperbolic", 3, 2), ("hyperbolic", 3, 3), ("hyperbolic", 3, 4),
+    ("hyperbolic", 5, 2), ("hyperbolic", 5, 3), ("hyperbolic", 7, 2),
+    ("elliptic", 3, 2), ("elliptic", 3, 3), ("elliptic", 3, 4), ("elliptic", 5, 2),
+    ("elliptic", 5, 3),
+    ("hermitian", 2, 4), ("hermitian", 3, 4), ("hermitian", 4, 4),
+]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(SMALL_SPECS), st.data())
+def test_line_builder_matches_pair_scan(spec, data):
+    family, dim, q = spec
+    if family == "pg":
+        F = field(q)
+        pts = projective_points(F, dim)
+        pair_ok = lambda x, y: True  # noqa: E731
+        table = np.ones((len(pts), len(pts)), dtype=bool)
+    else:
+        spec = PolarFormSpec(family, dim, q)
+        F, pts, pair_ok = polar_scan(spec)
+        point_ok, pair_ok_cols = _polar_form(F, spec)
+        assert _points_where(F, dim, point_ok) == pts
+        table = _pair_table(pts, pair_ok_cols)
+    # a point subset drops the lines through its missing points: the
+    # builder's member check
+    drop = data.draw(st.sets(st.integers(0, len(pts) - 1), max_size=len(pts) // 8))
+    keep = [i for i in range(len(pts)) if i not in drop]
+    sub = [pts[i] for i in keep]
+    members = set(sub)
+    want = lines_from_pairs_scan(F, sub, pair_ok, lambda v: v in members)
+    assert _lines_from_pairs(F, sub, table[np.ix_(keep, keep)]) == want
+    if not drop and family in ("pg", "sp"):
+        assert want  # the full point set has lines
+
+
+def test_hexagon_lines_match_pair_scan(h2, h3):
+    for g in (h2, h3):
+        F = g.meta["field"]
+        pts = [v for v in projective_points(F, 6) if F.add(F.mul(v[0], v[0]), _dot(F, v[1:4], v[4:7])) == 0]
+        assert tuple(pts) == g.meta["coords"]
+        want = lines_from_pairs_scan(
+            F, pts, lambda x, y: zorn_product_is_zero(F, x, y) and zorn_product_is_zero(F, y, x),
+            lambda v: True)
+        assert list(g.lines) == want
 
 
 def gaussian(n, k, q):

@@ -1,4 +1,5 @@
 import json
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -47,6 +48,72 @@ def test_girth_diameter():
     assert incidence_girth_diameter(fano()) == (6, 3)
     w32 = polar_space(PolarFormSpec("sp", 3, 2))
     assert incidence_girth_diameter(w32) == (8, 4)
+
+
+def incidence_girth_diameter_bfs(g):
+    """Oracle: a deque BFS from every node of the incidence graph; girth
+    from the shortest cycle closed by a non-tree edge over all roots."""
+    n = g.n
+    nodes = n + len(g.lines)
+    nbrs = [[] for _ in range(nodes)]
+    for li, l in enumerate(g.lines):
+        for p in l:
+            nbrs[p].append(n + li)
+            nbrs[n + li].append(p)
+    diameter = 0
+    girth = None
+    for root in range(nodes):
+        dist = [-1] * nodes
+        parent = [-1] * nodes
+        dist[root] = 0
+        dq = deque([root])
+        while dq:
+            u = dq.popleft()
+            for v in nbrs[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    parent[v] = u
+                    dq.append(v)
+                elif v != parent[u] and u < v:
+                    c = dist[u] + dist[v] + 1
+                    if girth is None or c < girth:
+                        girth = c
+        if -1 in dist:
+            raise GeometryError("incidence graph is disconnected")
+        diameter = max(diameter, max(dist))
+    return (girth or 0, diameter)
+
+
+def assert_girth_diameter_matches_bfs(g):
+    try:
+        want = incidence_girth_diameter_bfs(g)
+    except GeometryError:
+        with pytest.raises(GeometryError, match="disconnected"):
+            incidence_girth_diameter(g)
+        return None
+    assert incidence_girth_diameter(g) == want
+    return want
+
+
+def test_girth_diameter_matches_bfs_oracle(h2, h3, w32):
+    assert assert_girth_diameter_matches_bfs(h2) == (12, 6)
+    assert assert_girth_diameter_matches_bfs(h3) == (12, 6)
+    assert assert_girth_diameter_matches_bfs(w32) == (8, 4)
+    assert assert_girth_diameter_matches_bfs(fano()) == (6, 3)
+    w32_as_hexagon = Geometry(w32.n, w32.lines, Kind("polygon", 6))
+    assert assert_girth_diameter_matches_bfs(w32_as_hexagon) == (8, 4)
+    assert not is_generalized_polygon(w32_as_hexagon, 6)
+    two_h2 = Geometry(2 * h2.n, list(h2.lines) + [tuple(p + h2.n for p in l) for l in h2.lines],
+                      Kind("polygon", 6))
+    assert assert_girth_diameter_matches_bfs(two_h2) is None
+    assert not is_generalized_polygon(two_h2, 6)
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=12))))
+def test_girth_diameter_matches_bfs_on_random_incidences(drawn):
+    n, lines = drawn
+    assert_girth_diameter_matches_bfs(Geometry(n, lines))
 
 
 def test_girth_diameter_h2(h2):

@@ -363,9 +363,27 @@ def test_prop_330_instance_h3(h3):
             assert opp[i] & opp[j]
 
 
+def hyperplanes_pg(g):
+    """Hyperplane point-bitsets of a PG geometry (dual points)."""
+    from liegeom.constructors import projective_points
+    F = g.meta["field"]
+    coords = g.meta["coords"]
+    out = []
+    for h in projective_points(F, len(coords[0]) - 1):
+        bits = 0
+        for i, v in enumerate(coords):
+            s = 0
+            for a, b in zip(h, v):
+                s = F.add(s, F.mul(a, b))
+            if s == 0:
+                bits |= 1 << i
+        out.append(bits)
+    return out
+
+
 def test_typead_pg32_blocking_points_are_lines():
     # sets of 3 points met by every hyperplane are exactly the lines
-    from liegeom.constructors import pg, hyperplanes_pg
+    from liegeom.constructors import pg
     g = pg(3, 2)
     hyps = hyperplanes_pg(g)
     blocking = [s for s in itertools.combinations(range(g.n), 3)
