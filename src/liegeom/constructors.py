@@ -80,12 +80,12 @@ def _points_where(F: GF, dim: int, point_ok: Callable) -> list[tuple[int, ...]]:
 
 def _pair_table(pts: list[tuple[int, ...]], pair_ok: Callable) -> np.ndarray:
     """n x n boolean table of pair_ok(pts[i], pts[j]), built in row blocks
-    so the temporaries stay near 2^18 entries whatever n is."""
+    so the temporaries stay near 2^16 entries whatever n is."""
     n = len(pts)
     C = np.array(pts, dtype=np.uint8)
     ys = [C[None, :, k] for k in range(C.shape[1])]
     out = np.empty((n, n), dtype=bool)
-    step = max(1, (1 << 18) // n)
+    step = max(1, (1 << 16) // n)
     for lo in range(0, n, step):
         out[lo:lo + step] = pair_ok([C[lo:lo + step, k, None] for k in range(C.shape[1])], ys)
     return out
@@ -179,13 +179,11 @@ def _polar_form(F: GF, spec: PolarFormSpec) -> tuple[Callable, Callable]:
         def form(x, y):
             return _dot(A, [(x[i], conj[y[d - i]]) for i in range(d + 1)])
     else:
-        if spec.family == "hyperbolic":
-            hyp_pairs = (d + 1) // 2
-        elif spec.family == "parabolic":
-            hyp_pairs = d // 2
-        else:
-            hyp_pairs = (d - 1) // 2
-            dd = _anisotropic_coefficient(F)
+        # x0 x1 + x2 x3 + ... over the hyperbolic pairs, plus x_d^2
+        # (parabolic) or u^2 + uv + dd v^2 on the last two (elliptic)
+        hyp_pairs = {"hyperbolic": (d + 1) // 2, "parabolic": d // 2,
+                     "elliptic": (d - 1) // 2}[spec.family]
+        dd = _anisotropic_coefficient(F) if spec.family == "elliptic" else 0
 
         def quadric(x):
             terms = [(x[2 * i], x[2 * i + 1]) for i in range(hyp_pairs)]

@@ -172,8 +172,9 @@ SMALL_SPECS = [
 ]
 
 
-@settings(max_examples=60)
-@given(st.sampled_from(SMALL_SPECS), st.data())
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: "%s-%d-%d" % s)
+@settings(max_examples=3)
+@given(data=st.data())
 def test_line_builder_matches_pair_scan(spec, data):
     family, dim, q = spec
     if family == "pg":
@@ -195,8 +196,6 @@ def test_line_builder_matches_pair_scan(spec, data):
     members = set(sub)
     want = lines_from_pairs_scan(F, sub, pair_ok, lambda v: v in members)
     assert _lines_from_pairs(F, sub, table[np.ix_(keep, keep)]) == want
-    if not drop and family in ("pg", "sp"):
-        assert want  # the full point set has lines
 
 
 def test_hexagon_lines_match_pair_scan(h2, h3):
