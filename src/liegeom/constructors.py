@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,33 +78,34 @@ def _points_where(F: GF, dim: int, point_ok: Callable) -> list[tuple[int, ...]]:
     return [pts[i] for i in np.flatnonzero(point_ok(cols))]
 
 
-def _pair_table(pts: list[tuple[int, ...]], pair_ok: Callable) -> np.ndarray:
-    """n x n boolean table of pair_ok(pts[i], pts[j]), built in row blocks
-    so the temporaries stay near 2^16 entries whatever n is."""
+def _pair_rows(pts: list[tuple[int, ...]], pair_ok: Callable) -> Iterator[int]:
+    """Row i: the bitset of the j with pair_ok(pts[i], pts[j]).  Computed a
+    block of rows at a time, so the arrays stay near 2^16 entries whatever
+    n is, and the rows take n^2 bits in all, as the collinearity does."""
     n = len(pts)
     C = np.array(pts, dtype=np.uint8)
     ys = [C[None, :, k] for k in range(C.shape[1])]
-    out = np.empty((n, n), dtype=bool)
     step = max(1, (1 << 16) // n)
     for lo in range(0, n, step):
-        out[lo:lo + step] = pair_ok([C[lo:lo + step, k, None] for k in range(C.shape[1])], ys)
-    return out
+        block = pair_ok([C[lo:lo + step, k, None] for k in range(C.shape[1])], ys)
+        for row in np.packbits(block, axis=1, bitorder="little"):
+            yield int.from_bytes(row.tobytes(), "little")
 
 
-def _lines_from_pairs(F: GF, pts: list[tuple[int, ...]],
-                      admissible: np.ndarray) -> list[tuple[int, ...]]:
+def _lines_from_pairs(F: GF, pts: list[tuple[int, ...]], admissible: Iterable[int]) -> list[tuple[int, ...]]:
     """The lines span(x, y), for admissible pairs, that lie in the point set.
 
-    Each line is spanned once: covered[i] holds the points already on a
-    found line through point i, and the pairs they make with i are skipped.
+    admissible yields, for each point i in turn, the bitset of the points
+    that make an admissible pair with it.  Each line is spanned once:
+    covered[i] holds the points already on a found line through point i,
+    and the pairs they make with i are skipped.
     """
     index = {v: i for i, v in enumerate(pts)}
-    packed = np.packbits(admissible, axis=1, bitorder="little")
     covered = [1 << i for i in range(len(pts))]
     lines = []
-    for i, row in enumerate(packed):
+    for i, row in enumerate(admissible):
         # admissible partners j > i that no found line through i covers
-        todo = int.from_bytes(row.tobytes(), "little") >> i + 1 << i + 1 & ~covered[i]
+        todo = row >> i + 1 << i + 1 & ~covered[i]
         while todo:
             j = (todo & -todo).bit_length() - 1
             ids = [index.get(v) for v in span_points(F, pts[i], pts[j])]
@@ -127,7 +128,7 @@ def pg(n: int, q: int) -> Geometry:
         raise ConstructionError("pg requires n >= 2")
     F = field(q)
     pts = projective_points(F, n)
-    lines = _lines_from_pairs(F, pts, np.ones((len(pts), len(pts)), dtype=bool))
+    lines = _lines_from_pairs(F, pts, [(1 << len(pts)) - 1] * len(pts))
     g = Geometry(len(pts), lines, Kind("other"), name=f"PG({n},{q})",
                  meta={"coords": tuple(pts), "field": F})
     rep = validate(g)
@@ -218,20 +219,11 @@ def polar_space(spec: PolarFormSpec) -> Geometry:
     pts = _points_where(F, d, point_ok)
     if not pts:
         raise ConstructionError(f"form {spec} has no isotropic points")
-    lines = _lines_from_pairs(F, pts, _pair_table(pts, pair_ok))
-    g0 = Geometry(len(pts), lines, Kind("other"), meta={"coords": tuple(pts), "field": F, "spec": spec})
-    rank = _polar_rank(g0)
-    name = {
-        "sp": f"W({d},{q})",
-        "parabolic": f"Q({d},{q})",
-        "hyperbolic": f"Q+({d},{q})",
-        "elliptic": f"Q-({d},{q})",
-        "hermitian": f"H({d},{q})",
-    }[fam]
-    rep = validate(g0)
-    order = rep.order
-    g = Geometry(len(pts), lines, Kind("polar", rank), name=name, order=order,
-                 meta={"coords": tuple(pts), "field": F, "spec": spec})
+    lines = _lines_from_pairs(F, pts, _pair_rows(pts, pair_ok))
+    g0 = Geometry(len(pts), lines)
+    name = {"sp": "W", "parabolic": "Q", "hyperbolic": "Q+", "elliptic": "Q-", "hermitian": "H"}[fam]
+    g = Geometry(len(pts), lines, Kind("polar", _polar_rank(g0)), name=f"{name}({d},{q})",
+                 order=validate(g0).order, meta={"coords": tuple(pts), "field": F, "spec": spec})
     _check_polar_axioms(g)
     return g
 
@@ -378,8 +370,15 @@ def split_cayley_hexagon(q: int) -> Geometry:
     if len(pts) != expected_points:
         raise ConstructionError(
             f"quadric point count {len(pts)} != {expected_points}")
-    zero = _pair_table(pts, lambda x, y: _zorn_product_is_zero(A, x, y))
-    lines = _lines_from_pairs(F, pts, zero & zero.T)
+
+    def both_orders(x, y):
+        # y*x is tested only on the few pairs with x*y = 0
+        zero = _zorn_product_is_zero(A, x, y)
+        r, c = np.nonzero(zero)
+        zero[r, c] = _zorn_product_is_zero(A, [t[0, c] for t in y], [t[r, 0] for t in x])
+        return zero
+
+    lines = _lines_from_pairs(F, pts, _pair_rows(pts, both_orders))
     g = Geometry(len(pts), lines, Kind("polygon", 6), name=f"H({q})", order=(q, q),
                  meta={"coords": tuple(pts), "field": F})
     rep = validate(g)

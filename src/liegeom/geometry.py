@@ -294,43 +294,52 @@ def distance_bitsets(g: Geometry, x: int) -> list[int]:
         seen |= frontier
 
 
+#: roots per pass of incidence_girth_diameter, so its bitsets take at most
+#: 3 * nodes * 4096 bits however large the geometry is
+ROOTS_PER_PASS = 4096
+
+
 def incidence_girth_diameter(g: Geometry) -> tuple[int, int]:
     """Girth and diameter of the bipartite point-line incidence graph.
 
-    Breadth-first search from every node at once, bit-sliced: nodes are
-    the points, then the lines, and bit r of seen[v] says that the search
-    from root r has reached node v.  One step ORs the frontier words of
-    each node's neighbours; a node that a root reaches from two nodes of
-    the previous layer (ge2) closes a cycle of twice the depth, so the
-    first such depth gives the girth (exact for unweighted graphs), and
-    the last depth that reaches a new node gives the diameter.
+    Breadth-first search from every node, bit-sliced over the roots of a
+    pass: nodes are the points, then the lines, and bit r of seen[v] says
+    that the search from root lo + r has reached node v.  One step ORs the
+    frontier words of each node's neighbours; a node that a root reaches
+    from two nodes of the previous layer (ge2) closes a cycle of twice the
+    depth, so the least such depth gives the girth (exact for unweighted
+    graphs), and the last depth that reaches a new node the diameter.
     """
     n = g.n
     nbrs = [tuple(n + li for li in through) for through in g.lines_through] + list(g.lines)
-    seen = [1 << v for v in range(len(nbrs))]
-    frontier = seen[:]
-    girth = depth = 0
-    while True:
-        layer = []
-        cycle = False
-        for v, nb in enumerate(nbrs):
-            ge1 = ge2 = 0
-            for u in nb:
-                ge2 |= ge1 & frontier[u]
-                ge1 |= frontier[u]
-            new = ge1 & ~seen[v]
-            seen[v] |= new
-            cycle = cycle or bool(ge2 & new)
-            layer.append(new)
-        if not any(layer):
-            break
-        depth += 1
-        frontier = layer
-        if cycle and not girth:
-            girth = 2 * depth
-    if any(s != (1 << len(nbrs)) - 1 for s in seen):
-        raise GeometryError("incidence graph is disconnected")
-    return (girth, depth)
+    girth = diameter = 0
+    for lo in range(0, len(nbrs), ROOTS_PER_PASS):
+        roots = min(ROOTS_PER_PASS, len(nbrs) - lo)
+        seen = [1 << v - lo if lo <= v < lo + roots else 0 for v in range(len(nbrs))]
+        frontier = seen[:]
+        depth = 0
+        while True:
+            layer = []
+            cycle = False
+            for v, nb in enumerate(nbrs):
+                ge1 = ge2 = 0
+                for u in nb:
+                    ge2 |= ge1 & frontier[u]
+                    ge1 |= frontier[u]
+                new = ge1 & ~seen[v]
+                seen[v] |= new
+                cycle = cycle or bool(ge2 & new)
+                layer.append(new)
+            if not any(layer):
+                break
+            depth += 1
+            frontier = layer
+            if cycle and not 0 < girth <= 2 * depth:
+                girth = 2 * depth
+        if any(s != (1 << roots) - 1 for s in seen):
+            raise GeometryError("incidence graph is disconnected")
+        diameter = max(diameter, depth)
+    return (girth, diameter)
 
 
 def is_generalized_polygon(g: Geometry, gonality: int) -> bool:

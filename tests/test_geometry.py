@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 from hypothesis import given, strategies as st
 
+from liegeom import geometry
 from liegeom.constructors import pg, polar_space, PolarFormSpec
 from liegeom.geometry import (
     Geometry,
@@ -109,11 +110,31 @@ def test_girth_diameter_matches_bfs_oracle(h2, h3, w32):
     assert not is_generalized_polygon(two_h2, 6)
 
 
+def test_girth_diameter_in_several_passes(h2, w32, monkeypatch):
+    # roots split over passes of 5: the girth is the least over the passes
+    monkeypatch.setattr(geometry, "ROOTS_PER_PASS", 5)
+    assert assert_girth_diameter_matches_bfs(h2) == (12, 6)
+    assert assert_girth_diameter_matches_bfs(w32) == (8, 4)
+    assert assert_girth_diameter_matches_bfs(fano()) == (6, 3)
+    two_h2 = Geometry(2 * h2.n, list(h2.lines) + [tuple(p + h2.n for p in l) for l in h2.lines])
+    assert assert_girth_diameter_matches_bfs(two_h2) is None
+    # a triangle at the end of a path: the first pass, on the path, sees
+    # only longer cycles
+    lollipop = Geometry(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (6, 8)])
+    assert assert_girth_diameter_matches_bfs(lollipop) == (6, 15)
+
+
+@pytest.mark.parametrize("roots_per_pass", [3, 4096])
 @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=12))))
-def test_girth_diameter_matches_bfs_on_random_incidences(drawn):
+def test_girth_diameter_matches_bfs_on_random_incidences(roots_per_pass, drawn):
     n, lines = drawn
-    assert_girth_diameter_matches_bfs(Geometry(n, lines))
+    old = geometry.ROOTS_PER_PASS
+    geometry.ROOTS_PER_PASS = roots_per_pass
+    try:
+        assert_girth_diameter_matches_bfs(Geometry(n, lines))
+    finally:
+        geometry.ROOTS_PER_PASS = old
 
 
 def test_girth_diameter_h2(h2):
