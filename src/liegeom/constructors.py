@@ -92,7 +92,8 @@ def _pair_rows(pts: list[tuple[int, ...]], pair_ok: Callable) -> Iterator[int]:
             yield int.from_bytes(row.tobytes(), "little")
 
 
-def _lines_from_pairs(F: GF, pts: list[tuple[int, ...]], admissible: Iterable[int]) -> list[tuple[int, ...]]:
+def _lines_from_pairs(F: GF, pts: list[tuple[int, ...]],
+                      admissible: Iterable[int]) -> list[tuple[int, ...]]:
     """The lines span(x, y), for admissible pairs, that lie in the point set.
 
     admissible yields, for each point i in turn, the bitset of the points
@@ -221,7 +222,8 @@ def polar_space(spec: PolarFormSpec) -> Geometry:
         raise ConstructionError(f"form {spec} has no isotropic points")
     lines = _lines_from_pairs(F, pts, _pair_rows(pts, pair_ok))
     g0 = Geometry(len(pts), lines)
-    name = {"sp": "W", "parabolic": "Q", "hyperbolic": "Q+", "elliptic": "Q-", "hermitian": "H"}[fam]
+    name = {"sp": "W", "parabolic": "Q", "hyperbolic": "Q+", "elliptic": "Q-",
+            "hermitian": "H"}[fam]
     g = Geometry(len(pts), lines, Kind("polar", _polar_rank(g0)), name=f"{name}({d},{q})",
                  order=validate(g0).order, meta={"coords": tuple(pts), "field": F, "spec": spec})
     _check_polar_axioms(g)

@@ -201,7 +201,8 @@ def test_line_builder_matches_pair_scan(spec, data):
 def test_hexagon_lines_match_pair_scan(h2, h3):
     for g in (h2, h3):
         F = g.meta["field"]
-        pts = [v for v in projective_points(F, 6) if F.add(F.mul(v[0], v[0]), _dot(F, v[1:4], v[4:7])) == 0]
+        pts = [v for v in projective_points(F, 6)
+               if F.add(F.mul(v[0], v[0]), _dot(F, v[1:4], v[4:7])) == 0]
         assert tuple(pts) == g.meta["coords"]
         want = lines_from_pairs_scan(
             F, pts, lambda x, y: zorn_product_is_zero(F, x, y) and zorn_product_is_zero(F, y, x),
