@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -361,9 +362,9 @@ def split_cayley_hexagon(q: int) -> Geometry:
     Points: singular trace-zero split octonions up to scalars, i.e. the
     parabolic quadric a^2 + v.w = 0 in PG(6, q).  Lines: 2-spaces on
     which the octonion multiplication vanishes identically, i.e. the
-    spans of pairs whose product is zero in both orders.  The output
-    must pass the generalised-hexagon test; the algebraic recipe is only
-    trusted through that gate.
+    spans of pairs whose product is zero.  The output must pass the
+    generalised-hexagon test; the algebraic recipe is only trusted
+    through that gate.
     """
     F = field(q)
     A = F.arrays()
@@ -372,15 +373,9 @@ def split_cayley_hexagon(q: int) -> Geometry:
     if len(pts) != expected_points:
         raise ConstructionError(
             f"quadric point count {len(pts)} != {expected_points}")
-
-    def both_orders(x, y):
-        # y*x is tested only on the few pairs with x*y = 0
-        zero = _zorn_product_is_zero(A, x, y)
-        r, c = np.nonzero(zero)
-        zero[r, c] = _zorn_product_is_zero(A, [t[0, c] for t in y], [t[r, 0] for t in x])
-        return zero
-
-    lines = _lines_from_pairs(F, pts, _pair_rows(pts, both_orders))
+    # conj(x) = -x for trace-zero x and conj reverses products, so
+    # conj(xy) = yx: xy = 0 already makes the product zero in both orders
+    lines = _lines_from_pairs(F, pts, _pair_rows(pts, partial(_zorn_product_is_zero, A)))
     g = Geometry(len(pts), lines, Kind("polygon", 6), name=f"H({q})", order=(q, q),
                  meta={"coords": tuple(pts), "field": F})
     rep = validate(g)
