@@ -28,8 +28,8 @@ from liegeom.gf import field
 from liegeom.geometry import Geometry, Kind, is_generalized_polygon, validate
 
 #: fingerprint (points, lines, hash) and sha256 prefix of the coordinates
-#: of each constructor geometry, recorded before the line builder worked
-#: from numpy form tables; the subquadrangle pins its parent points
+#: of each constructor geometry, as the pair-scan construction
+#: (lines_from_pairs_scan) gave them; the subquadrangle pins its parent points
 GOLDEN = {
     "PG(2,2)": (7, 7, "17a08595f6e43aea", "a18322d62a1879b7"),
     "PG(3,3)": (40, 130, "edc5a04b85919016", "26e4ea24ff557da1"),
