@@ -186,7 +186,7 @@ def test_line_builder_matches_pair_scan(spec, data):
         point_ok, pair_ok_cols = _polar_form(F, spec)
         assert _points_where(F, dim, point_ok) == pts
     # a point subset drops the lines through its missing points: the
-    # builder's member check
+    # member check of _lines_from_pairs
     drop = data.draw(st.sets(st.integers(0, len(pts) - 1), max_size=len(pts) // 8))
     sub = [v for i, v in enumerate(pts) if i not in drop]
     members = set(sub)
