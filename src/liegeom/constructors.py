@@ -17,7 +17,16 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .gf import GF, field
-from .geometry import Geometry, GeometryError, Kind, bitset, is_generalized_polygon, validate
+from .geometry import (
+    Geometry,
+    GeometryError,
+    Kind,
+    bit_indices,
+    bitset,
+    is_generalized_polygon,
+    subspace_closure,
+    validate,
+)
 
 
 class ConstructionError(GeometryError):
@@ -233,36 +242,15 @@ def polar_space(spec: PolarFormSpec) -> Geometry:
 
 def _polar_rank(g: Geometry) -> int:
     """1 + dimension of a maximal singular subspace, by greedy extension."""
-    span = {0}
-    bits = 1
-    gens = 1
+    bits, gens = 1, 1                   # the span of point 0
     while True:
         common = g.full_mask
-        for x in span:
+        for x in bit_indices(bits):
             common &= g.adj[x]
         common &= ~bits
         if not common:
             return gens
-        p = (common & -common).bit_length() - 1
-        new = set(span) | {p}
-        # close under lines
-        changed = True
-        while changed:
-            changed = False
-            for x in list(new):
-                for y in list(new):
-                    if y <= x:
-                        continue
-                    li = g.line_through(x, y)
-                    if li is not None:
-                        for z in g.lines[li]:
-                            if z not in new:
-                                new.add(z)
-                                changed = True
-        span = new
-        bits = 0
-        for x in span:
-            bits |= 1 << x
+        bits = subspace_closure(g, bits | common & -common)
         gens += 1
 
 

@@ -86,7 +86,15 @@ class Geometry:
         self.lines_through = tuple(tuple(v) for v in lines_through)
         self.full_mask = (1 << n) - 1
         self._line_index = {l: i for i, l in enumerate(self.lines)}
-        self._np_adj: Optional[np.ndarray] = None
+        self._derived: dict = {}
+
+    def cached(self, key, build):
+        """build(), called once per geometry and key.  Everything derived
+        from a geometry (adjacency matrix, relation matrix, opposition
+        sets, line tables, residuals, position models) is kept here."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     # -- basic queries --------------------------------------------------
 
@@ -109,16 +117,17 @@ class Geometry:
 
     def np_adjacency(self, strict: bool = True) -> np.ndarray:
         """Boolean adjacency matrix; cached with diagonal False, view-adjusted."""
-        if self._np_adj is None:
+        def build():
             a = np.zeros((self.n, self.n), dtype=bool)
             for i, bits in enumerate(self.adj):
                 for j in _bit_indices(bits):
                     a[i, j] = True
             np.fill_diagonal(a, False)
-            self._np_adj = a
+            return a
+        a = self.cached("np-adjacency", build)
         if strict:
-            return self._np_adj
-        out = self._np_adj.copy()
+            return a
+        out = a.copy()
         np.fill_diagonal(out, True)
         return out
 
@@ -246,52 +255,7 @@ def _connected(g: Geometry) -> bool:
     return seen == g.full_mask
 
 
-def recompute_collinearity(g: Geometry) -> tuple[int, ...]:
-    """Independent rebuild of the collinearity bitsets from the line list."""
-    adj = [1 << i for i in range(g.n)]
-    for l in g.lines:
-        bits = bitset(l)
-        for p in l:
-            adj[p] |= bits
-    return tuple(adj)
-
-
 # -- graph metrics ---------------------------------------------------------
-
-
-def point_distance(g: Geometry, x: int, y: int) -> int:
-    """Distance in the collinearity graph; raises on unreachable pairs."""
-    if x == y:
-        return 0
-    seen = 1 << x
-    frontier = seen
-    d = 0
-    while frontier:
-        d += 1
-        grow = 0
-        for i in _bit_indices(frontier):
-            grow |= g.adj[i]
-        frontier = grow & ~seen
-        seen |= grow
-        if seen >> y & 1:
-            return d
-    raise GeometryError(f"points {x} and {y} are in different components")
-
-
-def distance_bitsets(g: Geometry, x: int) -> list[int]:
-    """Bitsets of points at distance 0, 1, 2, ... from x."""
-    layers = [1 << x]
-    seen = 1 << x
-    frontier = seen
-    while True:
-        grow = 0
-        for i in _bit_indices(frontier):
-            grow |= g.adj[i]
-        frontier = grow & ~seen
-        if not frontier:
-            return layers
-        layers.append(frontier)
-        seen |= frontier
 
 
 #: roots per pass of incidence_girth_diameter, so its bitsets take at most
@@ -368,84 +332,65 @@ def is_gamma_space(g: Geometry) -> bool:
     return True
 
 
+def subspace_closure(g: Geometry, bits: int) -> int:
+    """The least superset of bits containing every line that meets it in
+    two or more points.
+
+    Each point is visited once after it joins: a line meeting the result
+    twice is added when the later of its two points is visited.
+    """
+    todo = bits
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        for li in g.lines_through[low.bit_length() - 1]:
+            lb = g.line_bits[li]
+            new = lb & ~bits
+            if new and lb & bits & ~low:
+                bits |= new
+                todo |= new
+    return bits
+
+
+def _is_singular(g: Geometry, bits: int) -> bool:
+    """Whether the points of bits are pairwise collinear."""
+    return all(not bits & ~g.adj[x] for x in _bit_indices(bits))
+
+
+def _lines_inside(g: Geometry, bits: int) -> list[int]:
+    """Ascending IDs of the lines all of whose points lie in bits."""
+    out = []
+    for x in _bit_indices(bits):
+        for li in g.lines_through[x]:
+            if g.lines[li][0] == x and not g.line_bits[li] & ~bits:
+                out.append(li)
+    return sorted(out)
+
+
 def singular_planes(g: Geometry) -> list[tuple[int, ...]]:
     """All singular subspaces of projective dimension 2.
 
-    Requires a gamma space.  A plane is generated as the union of the
-    lines joining an off-line point p to the points of a line L it is
-    fully collinear with; the result is checked to be a singular subspace.
+    Requires a gamma space, where the span of a line L and a point p
+    collinear with all of L is singular: the plane on L and p.  Each plane
+    is spanned once: covered[l] holds the points of the planes found so far
+    that contain line l, and the points p they hold are skipped for l.
     """
     if not is_gamma_space(g):
         raise GeometryError("singular_planes requires a gamma space")
-    planes = set()
+    covered = [0] * len(g.lines)
+    planes = []
     for li, l in enumerate(g.lines):
-        common = g.full_mask
+        todo = g.full_mask
         for p in l:
-            common &= g.adj[p]
-        common &= ~g.line_bits[li]
-        for p in _bit_indices(common):
-            pts = set(l)
-            ok = True
-            for x in l:
-                lj = g.line_through(p, x)
-                if lj is None:
-                    ok = False
-                    break
-                pts.update(g.lines[lj])
-            if not ok:
-                continue
-            key = tuple(sorted(pts))
-            if key in planes:
-                continue
-            if _is_singular_subspace(g, pts):
-                planes.add(key)
+            todo &= g.adj[p]
+        todo &= ~g.line_bits[li] & ~covered[li]
+        while todo:
+            plane = subspace_closure(g, g.line_bits[li] | todo & -todo)
+            todo &= ~plane
+            planes.append(tuple(_bit_indices(plane)))
+            for lj in _lines_inside(g, plane):
+                covered[lj] |= plane
     return sorted(planes)
-
-
-def _is_singular_subspace(g: Geometry, pts: set[int]) -> bool:
-    bits = bitset(pts)
-    for x in pts:
-        if bits & ~g.adj[x]:
-            return False
-    for x in pts:
-        for y in pts:
-            if y <= x:
-                continue
-            li = g.line_through(x, y)
-            if li is None or g.line_bits[li] & ~bits:
-                return False
-    return True
-
-
-def singular_subspace_dim(g: Geometry, pts: Sequence[int]) -> int:
-    """Projective dimension via greedy generator extraction."""
-    pts = list(pts)
-    if not pts:
-        return -1
-    span = {pts[0]}
-    gens = 1
-    changed = True
-    remaining = set(pts) - span
-    while remaining:
-        p = min(remaining)
-        span.add(p)
-        gens += 1
-        # close under lines
-        changed = True
-        while changed:
-            changed = False
-            for x in list(span):
-                for y in list(span):
-                    if y <= x:
-                        continue
-                    li = g.line_through(x, y)
-                    if li is not None:
-                        for z in g.lines[li]:
-                            if z not in span:
-                                span.add(z)
-                                changed = True
-        remaining = set(pts) - span
-    return gens - 1
 
 
 def line_grassmannian(g: Geometry, name: str = "") -> Geometry:
@@ -454,14 +399,11 @@ def line_grassmannian(g: Geometry, name: str = "") -> Geometry:
     in_plane_count = [0] * len(g.lines)
     pencils = set()
     for pl in planes:
-        pl_set = set(pl)
-        plane_lines = sorted({g.line_through(x, y) for i, x in enumerate(pl)
-                              for y in pl[i + 1:]})
+        plane_lines = _lines_inside(g, bitset(pl))
         for li in plane_lines:
             in_plane_count[li] += 1
         for p in pl:
-            pencil = tuple(sorted(li for li in plane_lines if p in g.lines[li]))
-            pencils.add(pencil)
+            pencils.add(tuple(li for li in plane_lines if g.line_bits[li] >> p & 1))
     missing = [li for li, c in enumerate(in_plane_count) if c == 0]
     if missing:
         raise GeometryError(f"{len(missing)} lines lie in no plane (first: {missing[0]})")
@@ -483,7 +425,7 @@ def point_residual(g: Geometry, p: int) -> Geometry:
         la = through[a_pos]
         for b_pos in range(a_pos + 1, len(through)):
             lb = through[b_pos]
-            plane = _plane_spanned(g, la, lb, p)
+            plane = _plane_spanned(g, la, lb)
             if plane is None:
                 continue
             pencil = tuple(sorted(index[li] for li in g.lines_through[p]
@@ -497,71 +439,17 @@ def point_residual(g: Geometry, p: int) -> Geometry:
                     meta={"base": g, "base_point": p, "lines_of_base": through})
 
 
-def _plane_spanned(g: Geometry, la: int, lb: int, p: int) -> Optional[int]:
-    """Bitset of the plane spanned by two lines meeting at p, or None."""
-    a_pts = [x for x in g.lines[la] if x != p]
-    b_pts = [x for x in g.lines[lb] if x != p]
-    for x in a_pts:
-        for y in b_pts:
-            if not g.collinear(x, y):
-                return None
-    pts = set(g.lines[la])
-    x0 = a_pts[0]
-    for y in b_pts:
-        li = g.line_through(x0, y)
-        if li is None:
-            return None
-        pts.update(g.lines[li])
-    # close once more through remaining pairs
-    for x in list(pts):
-        for y in b_pts:
-            if x == y:
-                continue
-            li = g.line_through(x, y)
-            if li is None:
-                return None
-            pts.update(g.lines[li])
-    if not _is_singular_subspace(g, pts):
+def residual(g: Geometry, p: int) -> Geometry:
+    """The point residual of g at p, built once per geometry."""
+    return g.cached(("residual", p), lambda: point_residual(g, p))
+
+
+def _plane_spanned(g: Geometry, la: int, lb: int) -> Optional[int]:
+    """Bitset of the singular plane spanned by two meeting lines, or None."""
+    perp = g.full_mask
+    for x in g.lines[la]:
+        perp &= g.adj[x]
+    if g.line_bits[lb] & ~perp:
         return None
-    return bitset(pts)
-
-
-def convex_closure(g: Geometry, seed: Iterable[int], subspace_closure: bool = True) -> int:
-    """Smallest superset of seed closed under geodesics (and full lines).
-
-    Returns a bitset.  Iterates to a fixed point; all geodesics between
-    members are included, so BFS tie-breaking cannot matter.
-    """
-    cur = bitset(seed)
-    dist_cache: dict[int, list[int]] = {}
-    while True:
-        members = bit_indices(cur)
-        grow = cur
-        for i, x in enumerate(members):
-            if x not in dist_cache:
-                dist_cache[x] = _dist_array(g, x)
-            dx = dist_cache[x]
-            for y in members[i + 1:]:
-                if y not in dist_cache:
-                    dist_cache[y] = _dist_array(g, y)
-                dy = dist_cache[y]
-                d = dx[y]
-                if d >= 2:
-                    for z in range(g.n):
-                        if dx[z] + dy[z] == d:
-                            grow |= 1 << z
-                elif d == 1 and subspace_closure:
-                    li = g.line_through(x, y)
-                    if li is not None:
-                        grow |= g.line_bits[li]
-        if grow == cur:
-            return cur
-        cur = grow
-
-
-def _dist_array(g: Geometry, x: int) -> list[int]:
-    dist = [-1] * g.n
-    for d, layer in enumerate(distance_bitsets(g, x)):
-        for z in _bit_indices(layer):
-            dist[z] = d
-    return dist
+    plane = subspace_closure(g, g.line_bits[la] | g.line_bits[lb])
+    return plane if _is_singular(g, plane) else None

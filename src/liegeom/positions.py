@@ -633,26 +633,3 @@ def combing_algorithm_2(model: HexagonicModel, li: int, targets: Sequence[int],
             after = tuple(model.level(cand, t) for t in targets)
             return CombingRun(x, tuple(aux), cand, before, after)
     raise AlgorithmViolation("ALG3: no admissible line through the free point")
-
-
-def comb_until_opposite_all(model: HexagonicModel, li: int, targets: Sequence[int],
-                            bound: int = 64) -> list[int]:
-    """Drive the two algorithms until the base line is opposite every target.
-
-    Applies the first algorithm while at least two targets are at level 2
-    or more, combs back when exactly one is, and finishes with the first
-    algorithm; returns the sequence of base lines."""
-    seq = [li]
-    cur = li
-    for _ in range(bound):
-        levels = [model.level(cur, t) for t in targets]
-        if all(lv == 0 for lv in levels):
-            return seq
-        high = [i for i, lv in enumerate(levels) if lv >= 2]
-        if len(high) == 1 and any(lv == 0 for lv in levels):
-            back = next(i for i, lv in enumerate(levels) if lv == 0)
-            cur = combing_algorithm_2(model, cur, targets, back).result
-        else:
-            cur = combing_algorithm_1(model, cur, targets).result
-        seq.append(cur)
-    raise NonterminatingComb(f"combing driver exceeded {bound} iterations")

@@ -20,8 +20,8 @@ from .constructors import (
     polar_space,
     split_cayley_hexagon,
 )
-from .geometry import Geometry, Kind, bit_indices, bitset, line_grassmannian, point_residual
-from .orders import HexOrder, multiplicity_integrality, st_square_check, verify_nonex
+from .geometry import Geometry, Kind, bit_indices, bitset, line_grassmannian, residual
+from .orders import HexOrder, feasible_hexagon_order, multiplicity_integrality, verify_nonex
 from .positions import (
     AlgorithmViolation,
     HexagonicModel,
@@ -43,7 +43,8 @@ _GEOMETRIES: dict[str, Geometry] = {}
 
 
 def model_geometry(alias: str) -> Geometry:
-    """Shared constructions, cached per process."""
+    """Shared constructions, cached per process.  What is derived from
+    them is cached on each geometry (Geometry.cached)."""
     if alias in _GEOMETRIES:
         return _GEOMETRIES[alias]
     if alias.startswith("hexagon-"):
@@ -120,9 +121,9 @@ def run_recipe(name: str, seed: int = 0, budget: Optional[int] = None, **params)
         "nonex": _recipe_nonex,
         "obs-gq": _recipe_obsgq,
     }[name]
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = fn(seed=seed, budget=budget, **params)
-    rep.wall_time_s = time.time() - t0
+    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -272,13 +273,13 @@ def _recipe_typeb(seed: int, budget: Optional[int]) -> RunReport:
     # independent recognizer enumeration of hyperbolic pencils
     hyp = set()
     for p in range(base.n):
-        res = point_residual(base, p)
-        back = {i: li for i, li in enumerate(res.meta["lines_of_base"])}
+        res = residual(base, p)
+        lines = res.meta["lines_of_base"]
         for x in range(res.n):
             for y in range(x + 1, res.n):
                 if not res.collinear(x, y):
                     h = S.polar_hyperbolic_line(res, x, y)
-                    hyp.add(tuple(sorted(back[i] for i in h)))
+                    hyp.add(tuple(sorted(lines[i] for i in h)))
     rep.check("hyperbolic-pencils-exact",
               set(map(tuple, tags.get("HyperbolicPencil", []))) == hyp,
               {"recognizer-count": len(hyp)})
@@ -290,20 +291,14 @@ def _recipe_typeb(seed: int, budget: Optional[int]) -> RunReport:
 # -- positions catalogue ----------------------------------------------------------
 
 
-_MODEL_CACHE: dict[str, HexagonicModel] = {}
-_CENSUS_CACHE: dict[str, object] = {}
-
-
 def grassmannian_model() -> HexagonicModel:
-    if "gr-q72" not in _MODEL_CACHE:
-        _MODEL_CACHE["gr-q72"] = HexagonicModel(model_geometry("gr-q72"))
-    return _MODEL_CACHE["gr-q72"]
+    g = model_geometry("gr-q72")
+    return g.cached("hexagonic-model", lambda: HexagonicModel(g))
 
 
 def grassmannian_census():
-    if "gr-q72" not in _CENSUS_CACHE:
-        _CENSUS_CACHE["gr-q72"] = position_census(grassmannian_model())
-    return _CENSUS_CACHE["gr-q72"]
+    return model_geometry("gr-q72").cached(
+        "position-census", lambda: position_census(grassmannian_model()))
 
 
 def _recipe_positions(seed: int, budget: Optional[int]) -> RunReport:
@@ -423,28 +418,20 @@ def _recipe_coroltits(seed: int, budget: Optional[int], points: int = 50) -> Run
     rng = random.Random(seed)
     sample = rng.sample(range(base.n), min(points, base.n))
     rep.info("sampled-points", sample)
-    o_amb = opposition_sets(g)
     mismatches = []
     from itertools import combinations
     for p in sample:
-        through = base.lines_through[p]
-        res = point_residual(base, p)
+        res = residual(base, p)
         res_gq = Geometry(res.n, res.lines, Kind("polar", 2), name=res.name)
-        o_res = opposition_sets(res_gq)
-        idx = {li: i for i, li in enumerate(res.meta["lines_of_base"])}
-        for trip in combinations(through, 3):
-            amb = _is_rut(o_amb, trip, g.full_mask)
-            loc = _is_rut(o_res, tuple(idx[li] for li in trip), res_gq.full_mask)
+        rmap = S.residual_point_map(base, res)
+        for trip in combinations(base.lines_through[p], 3):
+            amb = S.is_round_up_triple(g, *trip)
+            loc = S.is_round_up_triple(res_gq, *(rmap[li] for li in trip))
             if amb != loc:
                 mismatches.append({"point": p, "triple": trip,
                                    "ambient": amb, "residual": loc})
     rep.check("residue-rut-equivalence", not mismatches, mismatches[:5])
     return rep
-
-
-def _is_rut(o, trip, full) -> bool:
-    a, b, c = (o.opp[t] for t in trip)
-    return not (a & ~(b | c)) and not (b & ~(a | c)) and not (c & ~(a | b))
 
 
 # -- Feit-Higman ---------------------------------------------------------------------
@@ -466,7 +453,7 @@ def _recipe_nonex(seed: int, budget: Optional[int], tmax: int = 100) -> RunRepor
         plus, minus = multiplicity_integrality(HexOrder(240, 15))
         rep.check("order-240-15", plus and not minus, {"plus": plus, "minus": minus})
     rep.check("existing-orders-feasible",
-              all(st_square_check(HexOrder(*o)) and all(multiplicity_integrality(HexOrder(*o)))
+              all(feasible_hexagon_order(HexOrder(*o))
                   for o in ((2, 2), (3, 3), (8, 2), (2, 8))))
     return rep
 

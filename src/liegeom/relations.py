@@ -26,24 +26,22 @@ class RelationError(GeometryError):
     pass
 
 
-def _cache(g: Geometry) -> dict:
-    return g.meta.setdefault("_cache", {})
-
-
 def grassmannian_base(g: Geometry) -> Geometry:
     """The base geometry of a Grassmannian, rebuilt from its name if needed."""
-    base = g.meta.get("base")
-    if base is None and g.kind.of:
+    if "base" in g.meta:
+        return g.meta["base"]
+    if not g.kind.of:
+        raise RelationError("Grassmannian carries no base geometry")
+
+    def rebuild():
         from .constructors import geometry_by_name
         base = geometry_by_name(g.kind.of)
         if len(base.lines) != g.n:
             raise RelationError(
                 f"rebuilt base {g.kind.of} has {len(base.lines)} lines, "
                 f"but the Grassmannian has {g.n} points")
-        g.meta["base"] = base
-    if base is None:
-        raise RelationError("Grassmannian carries no base geometry")
-    return base
+        return base
+    return g.cached("base", rebuild)
 
 
 def geometry_family(g: Geometry) -> str:
@@ -78,16 +76,15 @@ def _line_perp_tables(p: Geometry) -> tuple[tuple[int, ...], tuple[int, ...], tu
     in a^perp; perp_all[l]: the points collinear-or-equal to every point
     of line l, so a is in perp_all[l] iff l is in inperp[a].
     """
-    cache = _cache(p)
-    if "line_perp" not in cache:
+    def build():
         perp_all = tuple(_perp_all_line(p, li) for li in range(len(p.lines)))
         inperp = [0] * p.n
         for li, bits in enumerate(perp_all):
             for a in bit_indices(bits):
                 inperp[a] |= 1 << li
         through = tuple(bitset(p.lines_through[a]) for a in range(p.n))
-        cache["line_perp"] = (through, tuple(inperp), perp_all)
-    return cache["line_perp"]
+        return through, tuple(inperp), perp_all
+    return p.cached("line-perp", build)
 
 
 def polar_line_opposition(p: Geometry, li: int) -> int:
@@ -198,10 +195,7 @@ class RelationMatrix:
 
 
 def relation_matrix(g: Geometry) -> RelationMatrix:
-    cache = _cache(g)
-    if "relmatrix" not in cache:
-        cache["relmatrix"] = RelationMatrix(g)
-    return cache["relmatrix"]
+    return g.cached("relation-matrix", lambda: RelationMatrix(g))
 
 
 def classify_pair(g: Geometry, x: int, y: int) -> int:
@@ -231,9 +225,10 @@ class OppositionSets:
 
 
 def opposition_sets(g: Geometry) -> OppositionSets:
-    cache = _cache(g)
-    if "oppsets" in cache:
-        return cache["oppsets"]
+    return g.cached("opposition-sets", lambda: _opposition_sets(g))
+
+
+def _opposition_sets(g: Geometry) -> OppositionSets:
     full = g.full_mask
     if geometry_family(g) in ("quadrangle", "polar"):
         # opposite is non-collinear here; the relation codes call it symplectic
@@ -241,6 +236,4 @@ def opposition_sets(g: Geometry) -> OppositionSets:
     else:
         m = relation_matrix(g)
         opp = tuple(m.classes(x)[OPPOSITE] for x in range(g.n))
-    sets = OppositionSets(g, opp, tuple(full & ~b for b in opp))
-    cache["oppsets"] = sets
-    return sets
+    return OppositionSets(g, opp, tuple(full & ~b for b in opp))

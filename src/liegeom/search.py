@@ -22,14 +22,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .geometry import Geometry, GeometryError, bit_indices, bitset
+from .geometry import Geometry, GeometryError, bit_indices, bitset, residual
 from .relations import (
     OPPOSITE,
     SPECIAL,
     classify_pair,
     geometry_family,
+    grassmannian_base,
     opposition_sets,
-    _cache,
 )
 
 
@@ -251,8 +251,7 @@ def enumerate_geometric_lines(g: Geometry, base_point: Optional[int] = None,
 
 
 def _distance2_bits(g: Geometry) -> tuple[int, ...]:
-    cache = _cache(g)
-    if "dist2" not in cache:
+    def build():
         out = []
         for x in range(g.n):
             near = g.adj[x]
@@ -260,8 +259,8 @@ def _distance2_bits(g: Geometry) -> tuple[int, ...]:
             for y in bit_indices(near):
                 grow |= g.adj[y]
             out.append(grow & ~near)
-        cache["dist2"] = tuple(out)
-    return cache["dist2"]
+        return tuple(out)
+    return g.cached("distance-2", build)
 
 
 def special_center(g: Geometry, a: int, b: int) -> int:
@@ -342,15 +341,24 @@ def all_hyperbolic_lines(g: Geometry, budget: Optional[int] = None) -> list[tupl
     return sorted(tuple(bit_indices(h)) for h in out)
 
 
-def close_to_line_bits(g: Geometry, li: int) -> int:
-    """Points off the line collinear with exactly one of its points."""
-    cache = _cache(g).setdefault("close_line", {})
-    if li not in cache:
-        bits = 0
-        for p in g.lines[li]:
-            bits |= g.adj[p]
-        cache[li] = bits & ~g.line_bits[li]
-    return cache[li]
+def _line_reach(g: Geometry) -> tuple[int, ...]:
+    """Per line: the points equal or collinear to some point of it."""
+    def build():
+        out = []
+        for l in g.lines:
+            bits = 0
+            for p in l:
+                bits |= g.adj[p]
+            out.append(bits)
+        return tuple(out)
+    return g.cached("line-reach", build)
+
+
+def close_to_lines(g: Geometry) -> tuple[int, ...]:
+    """Per line of a polygon: the points off it collinear with exactly one
+    of its points."""
+    return g.cached("close-to-line", lambda: tuple(
+        r & ~lb for r, lb in zip(_line_reach(g), g.line_bits)))
 
 
 def opposite_lines_polygon(g: Geometry, li: int, mi: int) -> bool:
@@ -367,23 +375,11 @@ def opposite_lines_polygon(g: Geometry, li: int, mi: int) -> bool:
         return not (g.line_bits[li] & g.line_bits[mi])
     if fam != "hexagon":
         raise GeometryError("line opposition implemented for generalised polygons")
-    reach = 0
-    for p in g.lines[li]:
-        reach |= g.adj[p]
-    return not (reach & g.line_bits[mi])
+    return not (_line_reach(g)[li] & g.line_bits[mi])
 
 
 def opposite_line_pairs(g: Geometry) -> list[tuple[int, int]]:
-    fam = geometry_family(g)
-    if fam == "quadrangle":
-        blocker = list(g.line_bits)
-    else:
-        blocker = []
-        for li in range(len(g.lines)):
-            bits = 0
-            for p in g.lines[li]:
-                bits |= g.adj[p]
-            blocker.append(bits)
+    blocker = g.line_bits if geometry_family(g) == "quadrangle" else _line_reach(g)
     out = []
     for li in range(len(g.lines)):
         for mi in range(li + 1, len(g.lines)):
@@ -392,31 +388,11 @@ def opposite_line_pairs(g: Geometry) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass
-class Distance3Trace:
-    line_pair: tuple[int, int]
-    points: tuple[int, ...]
-
-
-def distance3_trace(g: Geometry, li: int, mi: int) -> Distance3Trace:
-    """Points close to both of two opposite lines of a hexagon."""
-    if geometry_family(g) != "hexagon":
-        raise GeometryError("distance-3 traces are defined here for hexagons")
-    if not opposite_lines_polygon(g, li, mi):
-        raise GeometryError(f"lines {li} and {mi} are not opposite")
-    bits = close_to_line_bits(g, li) & close_to_line_bits(g, mi)
-    pts = tuple(bit_indices(bits))
-    s = len(g.lines[li]) - 1
-    if len(pts) != s + 1:
-        raise GeometryError(f"trace has {len(pts)} points, expected {s + 1}")
-    return Distance3Trace((li, mi), pts)
-
-
 def all_distance3_traces(g: Geometry) -> list[tuple[int, ...]]:
     """Distinct traces of all opposite line pairs, in one pass over pairs."""
     if geometry_family(g) != "hexagon":
         raise GeometryError("distance-3 traces are defined here for hexagons")
-    close = [close_to_line_bits(g, li) for li in range(len(g.lines))]
+    close = close_to_lines(g)
     out = set()
     for li, mi in opposite_line_pairs(g):
         bits = close[li] & close[mi]
@@ -425,20 +401,6 @@ def all_distance3_traces(g: Geometry) -> list[tuple[int, ...]]:
                                 f"expected {len(g.lines[li])}")
         out.add(bits)
     return sorted(tuple(bit_indices(b)) for b in out)
-
-
-def trace_regular(g: Geometry, tr: Distance3Trace) -> bool:
-    """[N,M]3 = [L,M]3 whenever N is opposite M and shares >= 2 trace points."""
-    li, mi = tr.line_pair
-    bits = bitset(tr.points)
-    close_m = close_to_line_bits(g, mi)
-    for ni in range(len(g.lines)):
-        if ni == mi or not opposite_lines_polygon(g, ni, mi):
-            continue
-        t = close_to_line_bits(g, ni) & close_m
-        if (t & bits).bit_count() >= 2 and t != bits:
-            return False
-    return True
 
 
 # -- quadrangle objects ----------------------------------------------------------
@@ -553,18 +515,15 @@ def classify_blocking_set(g: Geometry, pts: Sequence[int]) -> str:
 
 
 def _is_trace(g: Geometry, pts: Sequence[int]) -> bool:
+    """Whether pts is the distance-3 trace of some pair of opposite lines."""
     bits = bitset(pts)
-    a = pts[0]
-    for li in range(len(g.lines)):
-        if not (close_to_line_bits(g, li) >> a & 1):
+    close = close_to_lines(g)
+    for li, cl in enumerate(close):
+        if bits & ~cl:
             continue
-        if all(close_to_line_bits(g, li) >> p & 1 for p in pts):
-            for mi in range(len(g.lines)):
-                if mi != li and opposite_lines_polygon(g, li, mi) \
-                        and not (bits & ~(close_to_line_bits(g, li) & close_to_line_bits(g, mi))):
-                    t = close_to_line_bits(g, li) & close_to_line_bits(g, mi)
-                    if t == bits:
-                        return True
+        for mi, cm in enumerate(close):
+            if cl & cm == bits and opposite_lines_polygon(g, li, mi):
+                return True
     return False
 
 
@@ -579,8 +538,6 @@ def _is_polar_hyperbolic(g: Geometry, pts: Sequence[int]) -> bool:
 
 def _is_hyperbolic_pencil(g: Geometry, pts: Sequence[int]) -> bool:
     """Lines of the base through one point, hyperbolic in the point residual."""
-    from .geometry import point_residual
-    from .relations import grassmannian_base
     try:
         base = grassmannian_base(g)
     except Exception:
@@ -591,10 +548,7 @@ def _is_hyperbolic_pencil(g: Geometry, pts: Sequence[int]) -> bool:
     if common.bit_count() != 1:
         return False
     p = common.bit_length() - 1
-    cache = _cache(base).setdefault("residuals", {})
-    if p not in cache:
-        cache[p] = point_residual(base, p)
-    res = cache[p]
+    res = residual(base, p)
     rmap = residual_point_map(base, res)
     rpts = sorted(rmap[li] for li in pts)
     if res.collinear(rpts[0], rpts[1]):

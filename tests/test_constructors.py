@@ -282,7 +282,8 @@ def test_hermitian_subquadrangle(h34):
 
 def test_subgq_geodesically_convex_in_parent(h34):
     sub = h34.meta["subgq"]
-    from liegeom.geometry import bitset, convex_closure
+    from liegeom.geometry import bitset
+    from test_geometry import convex_closure
     seed = list(sub.meta["parent_points"])
     assert convex_closure(h34, seed, subspace_closure=False) == bitset(seed)
 

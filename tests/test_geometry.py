@@ -1,5 +1,6 @@
 import json
-from collections import deque
+import random
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,20 +13,122 @@ from liegeom.geometry import (
     Kind,
     bit_indices,
     bitset,
-    convex_closure,
     incidence_girth_diameter,
     is_gamma_space,
     is_generalized_polygon,
     line_grassmannian,
-    point_distance,
     point_residual,
-    recompute_collinearity,
     singular_planes,
-    singular_subspace_dim,
+    subspace_closure,
     validate,
 )
 from liegeom.recipes import model_geometry
 from liegeom.relations import SYMPLECTIC, relation_matrix
+
+
+# -- oracles --------------------------------------------------------------------
+
+
+def recompute_collinearity(g):
+    """Independent rebuild of the collinearity bitsets from the line list."""
+    adj = [1 << i for i in range(g.n)]
+    for l in g.lines:
+        bits = bitset(l)
+        for p in l:
+            adj[p] |= bits
+    return tuple(adj)
+
+
+def distance_bitsets(g, x):
+    """Bitsets of points at distance 0, 1, 2, ... from x."""
+    layers = [1 << x]
+    seen = 1 << x
+    frontier = seen
+    while True:
+        grow = 0
+        for i in bit_indices(frontier):
+            grow |= g.adj[i]
+        frontier = grow & ~seen
+        if not frontier:
+            return layers
+        layers.append(frontier)
+        seen |= frontier
+
+
+def _dist_array(g, x):
+    dist = [-1] * g.n
+    for d, layer in enumerate(distance_bitsets(g, x)):
+        for z in bit_indices(layer):
+            dist[z] = d
+    return dist
+
+
+def convex_closure(g, seed, subspace_closure=True):
+    """Smallest superset of seed closed under geodesics (and full lines).
+
+    Returns a bitset.  Iterates to a fixed point; all geodesics between
+    members are included, so BFS tie-breaking cannot matter.
+    """
+    cur = bitset(seed)
+    dist_cache = {}
+    while True:
+        members = bit_indices(cur)
+        grow = cur
+        for i, x in enumerate(members):
+            if x not in dist_cache:
+                dist_cache[x] = _dist_array(g, x)
+            dx = dist_cache[x]
+            for y in members[i + 1:]:
+                if y not in dist_cache:
+                    dist_cache[y] = _dist_array(g, y)
+                dy = dist_cache[y]
+                d = dx[y]
+                if d >= 2:
+                    for z in range(g.n):
+                        if dx[z] + dy[z] == d:
+                            grow |= 1 << z
+                elif d == 1 and subspace_closure:
+                    li = g.line_through(x, y)
+                    if li is not None:
+                        grow |= g.line_bits[li]
+        if grow == cur:
+            return cur
+        cur = grow
+
+
+def subspace_closure_pairs(g, pts):
+    """The closure under lines through pairs, one pair at a time."""
+    span = set(pts)
+    changed = True
+    while changed:
+        changed = False
+        for x in list(span):
+            for y in list(span):
+                li = g.line_through(x, y) if x < y else None
+                if li is not None and not set(g.lines[li]) <= span:
+                    span.update(g.lines[li])
+                    changed = True
+    return bitset(span)
+
+
+def singular_planes_pairs(g):
+    """The planes as unions of the lines joining an off-line point p to the
+    points of a line it is collinear with, kept when singular and closed."""
+    planes = set()
+    for li, l in enumerate(g.lines):
+        common = g.full_mask
+        for p in l:
+            common &= g.adj[p]
+        for p in bit_indices(common & ~g.line_bits[li]):
+            pts = set(l)
+            for x in l:
+                pts.update(g.lines[g.line_through(p, x)])
+            key = tuple(sorted(pts))
+            bits = bitset(pts)
+            if key not in planes and all(not bits & ~g.adj[x] for x in pts) \
+                    and subspace_closure_pairs(g, pts) == bits:
+                planes.add(key)
+    return sorted(planes)
 
 
 def fano():
@@ -148,20 +251,6 @@ def test_is_generalized_polygon_quadrangle(w32):
     assert not is_generalized_polygon(w32, 6)
 
 
-def test_point_distance(h2):
-    assert point_distance(h2, 5, 5) == 0
-    x, y = h2.lines[0][0], h2.lines[0][1]
-    assert point_distance(h2, x, y) == 1
-    dmax = max(point_distance(h2, 0, y) for y in range(h2.n))
-    assert dmax == 3
-
-
-def test_point_distance_disconnected():
-    g = Geometry(6, [(0, 1, 2), (3, 4, 5)])
-    with pytest.raises(GeometryError):
-        point_distance(g, 0, 3)
-
-
 def test_collinearity_recompute(h2, w52):
     for g in (h2, w52):
         assert recompute_collinearity(g) == g.adj
@@ -227,6 +316,51 @@ def test_point_residual_of_grassmannian_connected(gr_q72):
         assert res.n == 27
 
 
+def test_residuals_built_once_per_point(monkeypatch):
+    # on a fresh W(5,2), the typeb recognizer, the hyperbolic-pencil tags
+    # and coroltits share one residual per point
+    import sys
+    from liegeom import recipes
+    raw = geometry.point_residual
+    built = Counter()
+
+    def counting(g, p):
+        built[p] += 1
+        return raw(g, p)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("liegeom") and getattr(mod, "point_residual", None) is raw:
+            monkeypatch.setattr(mod, "point_residual", counting)
+    monkeypatch.setattr(recipes, "_GEOMETRIES", {})
+    assert recipes.run_recipe("typeb-grassmannian").passed
+    assert recipes.run_recipe("coroltits", points=63).passed
+    assert len(built) == 63 and set(built.values()) == {1}
+
+
+def test_cached_builds_once():
+    g = fano()
+    calls = []
+    for _ in range(3):
+        assert g.cached("k", lambda: calls.append(1) or len(calls)) == 1
+    assert calls == [1]
+    assert fano().cached("k", lambda: 2) == 2
+
+
+def test_subspace_closure_matches_pairs(w52, gr_w52):
+    rng = random.Random(5)
+    for g in (pg(3, 2), w52, gr_w52):
+        for size in (1, 2, 3, 4):
+            for _ in range(10):
+                pts = rng.sample(range(g.n), size)
+                assert subspace_closure(g, bitset(pts)) == subspace_closure_pairs(g, pts)
+        for li in range(5):
+            assert subspace_closure(g, bitset(g.lines[li][:2])) == g.line_bits[li]
+
+
+def test_singular_planes_match_pairs_oracle(w52, q72, gr_w52):
+    for g in (pg(3, 2), pg(3, 3), pg(4, 2), w52, q72, gr_w52):
+        assert singular_planes(g) == singular_planes_pairs(g)
+
+
 def test_convex_closure_basics(w52):
     assert convex_closure(w52, [3]) == 1 << 3
     li = w52.lines[10]
@@ -290,12 +424,6 @@ def test_json_import_normalizes_unsorted():
     g = Geometry.from_json(json.dumps(doc), warn=warnings.append)
     assert warnings
     assert (0, 1, 2) in g.lines
-
-
-def test_singular_subspace_dim(w52):
-    pl = singular_planes(w52)[0]
-    assert singular_subspace_dim(w52, pl) == 2
-    assert singular_subspace_dim(w52, w52.lines[0]) == 1
 
 
 def test_kind_round_trip():

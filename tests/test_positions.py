@@ -12,6 +12,7 @@ from liegeom.positions import (
     CatalogueMiss,
     HexagonicModel,
     NoCombingLine,
+    NonterminatingComb,
     PositionCatalogue,
     PositionCensus,
     PositionError,
@@ -22,7 +23,6 @@ from liegeom.positions import (
     _sort_lanes,
     _swap_key,
     comb_to_opposite,
-    comb_until_opposite_all,
     combing_algorithm_1,
     combing_algorithm_2,
     find_combing_line,
@@ -366,6 +366,28 @@ def test_alg1_and_alg2(gr_model, gr_census):
         gr_model.geometry.lines[0][0]] if mi != 0)
     with pytest.raises(AlgorithmViolation):
         combing_algorithm_2(gr_model, li, [close], 0)
+
+
+def comb_until_opposite_all(model, li, targets, bound=64):
+    """Drive the two algorithms until the base line is opposite every target.
+
+    Applies the first algorithm while at least two targets are at level 2
+    or more, combs back when exactly one is, and finishes with the first
+    algorithm; returns the sequence of base lines."""
+    seq = [li]
+    cur = li
+    for _ in range(bound):
+        levels = [model.level(cur, t) for t in targets]
+        if all(lv == 0 for lv in levels):
+            return seq
+        high = [i for i, lv in enumerate(levels) if lv >= 2]
+        if len(high) == 1 and any(lv == 0 for lv in levels):
+            back = next(i for i, lv in enumerate(levels) if lv == 0)
+            cur = combing_algorithm_2(model, cur, targets, back).result
+        else:
+            cur = combing_algorithm_1(model, cur, targets).result
+        seq.append(cur)
+    raise NonterminatingComb(f"combing driver exceeded {bound} iterations")
 
 
 def test_comb_driver(gr_model):

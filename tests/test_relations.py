@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from liegeom.constructors import PolarFormSpec, polar_space
-from liegeom.geometry import Geometry, Kind, bit_indices, bitset, distance_bitsets, line_grassmannian
+from liegeom.geometry import Geometry, Kind, bit_indices, bitset, line_grassmannian
 from liegeom.relations import (
     COLLINEAR,
     EQUAL,
@@ -22,6 +22,7 @@ from liegeom.relations import (
     opposition_sets,
     relation_matrix,
 )
+from test_geometry import distance_bitsets
 
 
 def test_classify_trivial(h2):
@@ -221,7 +222,7 @@ def _doctored_grassmannian(gr):
     for b in base.lines[y]:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    base.adj, base._np_adj, base.meta = tuple(adj), None, {}
+    base.adj, base._derived = tuple(adj), {}
     return Geometry(gr.n, gr.lines, gr.kind, name=gr.name, meta={"base": base})
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
@@ -124,8 +125,42 @@ def all_hyperbolic_lines_scan(g):
     return sorted(out)
 
 
+@dataclass
+class Distance3Trace:
+    line_pair: tuple[int, int]
+    points: tuple[int, ...]
+
+
+def distance3_trace(g, li, mi):
+    """Points close to both of two opposite lines of a hexagon."""
+    if geometry_family(g) != "hexagon":
+        raise GeometryError("distance-3 traces are defined here for hexagons")
+    if not S.opposite_lines_polygon(g, li, mi):
+        raise GeometryError(f"lines {li} and {mi} are not opposite")
+    close = S.close_to_lines(g)
+    pts = tuple(bit_indices(close[li] & close[mi]))
+    s = len(g.lines[li]) - 1
+    if len(pts) != s + 1:
+        raise GeometryError(f"trace has {len(pts)} points, expected {s + 1}")
+    return Distance3Trace((li, mi), pts)
+
+
+def trace_regular(g, tr):
+    """[N,M]3 = [L,M]3 whenever N is opposite M and shares >= 2 trace points."""
+    li, mi = tr.line_pair
+    bits = bitset(tr.points)
+    close = S.close_to_lines(g)
+    for ni in range(len(g.lines)):
+        if ni == mi or not S.opposite_lines_polygon(g, ni, mi):
+            continue
+        t = close[ni] & close[mi]
+        if (t & bits).bit_count() >= 2 and t != bits:
+            return False
+    return True
+
+
 def all_distance3_traces_pairwise(g):
-    return sorted({S.distance3_trace(g, li, mi).points
+    return sorted({distance3_trace(g, li, mi).points
                    for li, mi in S.opposite_line_pairs(g)})
 
 
@@ -281,21 +316,21 @@ def test_hyperbolic_line_h3(h3):
 def test_distance3_trace(h2):
     pairs = S.opposite_line_pairs(h2)
     assert len(pairs) == 1008
-    tr = S.distance3_trace(h2, *pairs[0])
+    tr = distance3_trace(h2, *pairs[0])
     assert len(tr.points) == 3
-    assert S.trace_regular(h2, tr)
+    assert trace_regular(h2, tr)
     li = 0
     x = h2.lines[0][0]
     mi = next(m for m in h2.lines_through[x] if m != li)
     with pytest.raises(GeometryError):
-        S.distance3_trace(h2, li, mi)
+        distance3_trace(h2, li, mi)
 
 
 def test_trace_regularity_h3_sampled(h3):
     pairs = S.opposite_line_pairs(h3)
     rng = random.Random(1)
     for li, mi in rng.sample(pairs, 40):
-        assert S.trace_regular(h3, S.distance3_trace(h3, li, mi))
+        assert trace_regular(h3, distance3_trace(h3, li, mi))
 
 
 def test_gq_dominating(h34):
