@@ -285,7 +285,7 @@ def test_subgq_geodesically_convex_in_parent(h34):
     from liegeom.geometry import bitset
     from test_geometry import convex_closure
     seed = list(sub.meta["parent_points"])
-    assert convex_closure(h34, seed, subspace_closure=False) == bitset(seed)
+    assert convex_closure(h34, seed, with_lines=False) == bitset(seed)
 
 
 def test_split_cayley_validates(h2, h3):

@@ -63,7 +63,7 @@ def _dist_array(g, x):
     return dist
 
 
-def convex_closure(g, seed, subspace_closure=True):
+def convex_closure(g, seed, with_lines=True):
     """Smallest superset of seed closed under geodesics (and full lines).
 
     Returns a bitset.  Iterates to a fixed point; all geodesics between
@@ -87,7 +87,7 @@ def convex_closure(g, seed, subspace_closure=True):
                     for z in range(g.n):
                         if dx[z] + dy[z] == d:
                             grow |= 1 << z
-                elif d == 1 and subspace_closure:
+                elif d == 1 and with_lines:
                     li = g.line_through(x, y)
                     if li is not None:
                         grow |= g.line_bits[li]
