@@ -122,7 +122,10 @@ def _cmd_positions(args) -> int:
                          for s in tr.steps]}
         _emit(doc, args.out)
         return 0
-    census = position_census(model)
+    try:
+        census = position_census(model, budget=args.budget)
+    except S.BudgetExceeded as exc:
+        return _emit_partial(g, exc, args.out)
     doc = {
         "schema": 1,
         "geometry": g.fingerprint(),
@@ -145,9 +148,14 @@ def _cmd_search(args) -> int:
     try:
         return _run_search(args, g, budget)
     except S.BudgetExceeded as exc:
-        _emit({"schema": 1, "geometry": g.fingerprint(), "status": "PARTIAL",
-               "error": str(exc)}, args.out)
-        return 1
+        return _emit_partial(g, exc, args.out)
+
+
+def _emit_partial(g: Geometry, exc: S.BudgetExceeded, out) -> int:
+    """Report a run cut short by its budget; the exit status is 1."""
+    _emit({"schema": 1, "geometry": g.fingerprint(), "status": "PARTIAL",
+           "error": str(exc)}, out)
+    return 1
 
 
 def _run_search(args, g, budget) -> int:
@@ -244,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=1,
                         help="worker cap; results are identical for any value")
     common.add_argument("--budget", type=int, default=None,
-                        help="node budget for exhaustive searches")
+                        help="node budget for exhaustive searches; line pairs "
+                             "for the position census")
     ap = argparse.ArgumentParser(prog="liegeom",
                                  description="small Lie incidence geometries: "
                                              "construction, censuses, exhaustive search")

@@ -418,18 +418,23 @@ def point_residual(g: Geometry, p: int) -> Geometry:
     through = g.lines_through[p]
     if not through:
         raise GeometryError(f"point {p} lies on no line")
-    index = {li: i for i, li in enumerate(through)}
     res_lines = set()
-    # planes through p: generated by pairs of coplanar lines on p
-    for a_pos in range(len(through)):
-        la = through[a_pos]
-        for b_pos in range(a_pos + 1, len(through)):
-            lb = through[b_pos]
+    # planes through p: generated by pairs of coplanar lines on p.  Each is
+    # spanned once: covered[i] holds the points of the planes found so far
+    # on through[i]; a line through p with a second point in one of them
+    # lies in it, so a line inside covered[i] is skipped for through[i]
+    covered = [0] * len(through)
+    for a_pos, la in enumerate(through):
+        for lb in through[a_pos + 1:]:
+            if not g.line_bits[lb] & ~covered[a_pos]:
+                continue
             plane = _plane_spanned(g, la, lb)
             if plane is None:
                 continue
-            pencil = tuple(sorted(index[li] for li in g.lines_through[p]
-                                  if not g.line_bits[li] & ~plane))
+            pencil = tuple(i for i, li in enumerate(through)
+                           if not g.line_bits[li] & ~plane)
+            for i in pencil:
+                covered[i] |= plane
             if len(pencil) >= 2:
                 res_lines.add(pencil)
     if not res_lines:

@@ -12,6 +12,7 @@ successor position, with the terminal position being the opposite pair.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -28,6 +29,7 @@ from .relations import (
     SYMPLECTIC,
     relation_matrix,
 )
+from .search import BudgetExceeded
 
 
 class PositionError(GeometryError):
@@ -409,15 +411,20 @@ class PositionCensus:
 
 
 def position_census(model: HexagonicModel, instance_cap: int = 10000,
-                    block: int = 32) -> PositionCensus:
+                    block: int = 32, budget: Optional[int] = None) -> PositionCensus:
     """Exhaustive census of all ordered line pairs, vectorized for every line
     size whose signature keys fit in int64 (3- and 4-point lines).
 
-    The column codes of every point with respect to every line are filled
-    in blocks of lines, then each block's keys against all lines are packed
-    from them.  Instances are the first ``instance_cap`` pairs of each
-    position in row-major order.  The inverse law is checked for every
+    The column code of every point with respect to every line is read from
+    a table indexed by the point's unsorted relation codes to the line,
+    and the k codes that occur are renumbered onto range(k).  Each block of
+    lines then packs its keys against all lines in base k, in int32 when
+    k**(2m) < 2**31, and each distinct packed key is translated once to
+    its signature key.  Instances are the first ``instance_cap`` pairs of
+    each position in row-major order.  The inverse law is checked for every
     realized key: the key of (M, L) is the half swap of the key of (L, M).
+    With a ``budget``, BudgetExceeded is raised after the first block that
+    takes the pairs done beyond it.
     """
     g = model.geometry
     nl, m = len(g.lines), model.m
@@ -427,31 +434,66 @@ def position_census(model: HexagonicModel, instance_cap: int = 10000,
                             "beyond the int64 bound 2**63")
     R = model.rel.np()
     lines_arr = np.array(g.lines, dtype=np.intp)
-    # codes[p, L]: the column code of point p with respect to line L
-    codes = np.empty((g.n, nl), dtype=np.min_scalar_type(base - 1))
+    nrel = len(REL_DISPLAY)
+    # code_of[t]: the column code of the relation codes t, packed in base nrel
+    code_of = np.array([_column_code(tuple(sorted(t)))
+                        for t in itertools.product(range(nrel), repeat=m)],
+                       dtype=np.min_scalar_type(base - 1))
+    # codes[p, L]: the column code of point p with respect to line L, read
+    # from code_of at p's relation codes to L's points
+    codes = np.empty((g.n, nl), dtype=code_of.dtype)
+    seen = np.zeros(len(code_of), dtype=bool)
     for i0 in range(0, nl, block):
         pts = lines_arr[i0:i0 + block]
-        rels = _sort_lanes([R[pts[:, i]].astype(np.int64) for i in range(m)])
-        codes[:, i0:i0 + block] = _rank(rels).T
+        tuples = _pack([R[pts[:, i]] for i in range(1, m)], nrel,
+                       R[pts[:, 0]].astype(np.int16))
+        seen[tuples] = True
+        codes[:, i0:i0 + block] = code_of[tuples].T
+    # the k codes that occur, renumbered onto range(k) in ascending order,
+    # so that sorting renumbered codes sorts the codes
+    occurring = np.unique(code_of[seen])
+    k = len(occurring)
+    compact = np.zeros(base, dtype=codes.dtype)
+    compact[occurring] = np.arange(k)
+    for r0 in range(0, g.n, block):
+        codes[r0:r0 + block] = compact[codes[r0:r0 + block]]
+    dtype = np.int32 if k ** (2 * m) < 1 << 31 else np.int64
+    occurring = occurring.tolist()
+    signature: dict[int, int] = {}        # packed key in base k -> signature key
     key_entry = model.catalogue.by_sig
     counts: dict[int, int] = {}
-    inst: dict[int, list] = {}
+    found: dict[int, list] = {}           # signature key -> flat indices of its first pairs
+    have: dict[int, int] = {}
     for i0 in range(0, nl, block):
         pts = lines_arr[i0:i0 + block]
         wrt_block = np.ascontiguousarray(codes[:, i0:i0 + block].T)
         # key[b, M]: sorted codes of the points of line i0 + b with respect
         # to M, then sorted codes of M's points with respect to line i0 + b
-        key = np.zeros((len(pts), nl), dtype=np.int64)
-        _pack(_sort_lanes([codes[pts[:, i]] for i in range(m)])
-              + _sort_lanes([wrt_block[:, lines_arr[:, j]] for j in range(m)]), base, key)
+        lanes = (_sort_lanes([codes[pts[:, i]] for i in range(m)])
+                 + _sort_lanes([np.take(wrt_block, lines_arr[:, j], axis=1)
+                                for j in range(m)]))
+        key = _pack(lanes[1:], k, lanes[0].astype(dtype))
         vals, cnts = np.unique(key, return_counts=True)
         for v, c in zip(vals.tolist(), cnts.tolist()):
-            counts[v] = counts.get(v, 0) + c
-            bucket = inst.setdefault(v, [])
-            take = (instance_cap if v in key_entry else 1) - len(bucket)
+            sig = signature.get(v)
+            if sig is None:
+                digits = [occurring[v // k ** i % k] for i in reversed(range(2 * m))]
+                sig = signature[v] = _pack(digits, base)
+            counts[sig] = counts.get(sig, 0) + c
+            take = (instance_cap if sig in key_entry else 1) - have.get(sig, 0)
             if take > 0:
-                bi, mj = np.nonzero(key == v)
-                bucket.extend(zip((bi[:take] + i0).tolist(), mj[:take].tolist()))
+                at = np.flatnonzero(key == v)[:take] + i0 * nl
+                found.setdefault(sig, []).append(at)
+                have[sig] = have.get(sig, 0) + len(at)
+        if budget is not None and (i0 + len(pts)) * nl > budget:
+            raise BudgetExceeded(f"position census exceeded {budget} pairs")
+    # pairs become tuples only once the code table is freed, so that the two
+    # are never in memory together
+    del codes
+    inst = {}
+    for sig, chunks in found.items():
+        at = np.concatenate(chunks)
+        inst[sig] = list(zip((at // nl).tolist(), (at % nl).tolist()))
     misses = sorted(pairs[0] for v, pairs in inst.items() if v not in key_entry)
     miss_examples = [CatalogueMiss(li, mi, model.pair_matrix(li, mi))
                      for li, mi in misses[:100]]

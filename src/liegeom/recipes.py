@@ -296,16 +296,24 @@ def grassmannian_model() -> HexagonicModel:
     return g.cached("hexagonic-model", lambda: HexagonicModel(g))
 
 
-def grassmannian_census():
-    return model_geometry("gr-q72").cached(
-        "position-census", lambda: position_census(grassmannian_model()))
+def grassmannian_census(budget: Optional[int] = None):
+    """The Gr(Q+(7,2)) census, built once per process.  A budget below the
+    number of line pairs cuts the census short whether or not one is
+    cached, so such a run bypasses the cache and never fills it."""
+    g = model_geometry("gr-q72")
+    if budget is not None and budget < len(g.lines) ** 2:
+        return position_census(grassmannian_model(), budget=budget)
+    return g.cached("position-census", lambda: position_census(grassmannian_model()))
 
 
 def _recipe_positions(seed: int, budget: Optional[int]) -> RunReport:
     model = grassmannian_model()
     g = model.geometry
     rep = RunReport("positions-catalogue", {}, seed, {"grassmannian": g.fingerprint()})
-    census = grassmannian_census()
+    try:
+        census = grassmannian_census(budget)
+    except S.BudgetExceeded as exc:
+        return _partial(rep, exc)
     rep.info("realized-positions", {d: census.counts[d] for d in census.realized()})
     rep.check("census-partition", sum(census.counts.values()) + census.miss_count
               == census.total, {"total": census.total})
@@ -340,7 +348,10 @@ def _recipe_table1(seed: int, budget: Optional[int], instances: int = 100,
     g = model.geometry
     rep = RunReport("table1", {"instances": instances, "trials": trials}, seed,
                     {"grassmannian": g.fingerprint()})
-    census = grassmannian_census()
+    try:
+        census = grassmannian_census(budget)
+    except S.BudgetExceeded as exc:
+        return _partial(rep, exc)
     # criterion: every realized non-terminal position combs per the table
     fails = []
     comb_steps = {}

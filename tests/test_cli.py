@@ -131,6 +131,24 @@ def test_search_budget_partial(tmp_path, capsys):
     assert json.loads(out)["status"] == "PARTIAL"
 
 
+def test_positions_census_budget(tmp_path, capsys):
+    # H(2) has 63 lines: the first block of 32 lines already passes 10 pairs
+    geom = tmp_path / "h2.json"
+    run(capsys, "build", "hexagon", "--q", "2", "--out", str(geom))
+    code, out = run(capsys, "positions", "--geometry", str(geom), "--census",
+                    "--budget", "10")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "PARTIAL"
+    assert doc["error"] == "position census exceeded 10 pairs"
+    for budget in ([], ["--budget", str(63 * 63)]):
+        code, out = run(capsys, "positions", "--geometry", str(geom), "--census", *budget)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["total-ordered-pairs"] == 63 * 63
+        assert doc["census"] == {"0110": 63, "0112": 378, "1223": 1512, "2332": 2016}
+
+
 def test_import_rejects_bad_geometry(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x", "kind": "other", "order": None,

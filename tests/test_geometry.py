@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter, deque
@@ -314,6 +315,46 @@ def test_point_residual_of_grassmannian_connected(gr_q72):
         rep = validate(res)
         assert rep.partial_linear and rep.connected
         assert res.n == 27
+
+
+def point_residual_pairs(g, p):
+    """Lines of the point residual at p, spanning a plane from every pair
+    of lines through p (the library spans each plane once)."""
+    through = g.lines_through[p]
+    res_lines = set()
+    for a, b in itertools.combinations(through, 2):
+        plane = geometry._plane_spanned(g, a, b)
+        if plane is not None:
+            pencil = tuple(i for i, li in enumerate(through)
+                           if not g.line_bits[li] & ~plane)
+            if len(pencil) >= 2:
+                res_lines.add(pencil)
+    return sorted(res_lines)
+
+
+@pytest.mark.parametrize("alias, points", [("w52", None), ("q72", 20), ("q63", 8)])
+def test_point_residual_matches_pairs(alias, points):
+    g = (polar_space(PolarFormSpec("parabolic", 6, 3)) if alias == "q63"
+         else model_geometry(alias))
+    sample = range(g.n) if points is None else random.Random(17).sample(range(g.n), points)
+    for p in sample:
+        res = point_residual(g, p)
+        assert res.lines == tuple(point_residual_pairs(g, p))
+        assert res.n == len(g.lines_through[p])
+        assert res.meta["lines_of_base"] == g.lines_through[p]
+
+
+def test_point_residual_spans_each_plane_once(monkeypatch, w52):
+    # 15 lines and 15 planes through each point of W(5,2); a plane holds 3
+    # of those lines, and pairwise spanning closed each plane 3 times
+    spans = []
+    raw = geometry.subspace_closure
+    monkeypatch.setattr(geometry, "subspace_closure",
+                        lambda g, bits: spans.append(bits) or raw(g, bits))
+    for p in range(w52.n):
+        res = point_residual(w52, p)
+        assert len(res.lines) == 15
+    assert len(spans) == 63 * 15
 
 
 def test_residuals_built_once_per_point(monkeypatch):

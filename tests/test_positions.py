@@ -1,10 +1,12 @@
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liegeom.geometry import Geometry
 from liegeom.positions import (
@@ -32,6 +34,7 @@ from liegeom.positions import (
     seeded_instances,
     to_display,
 )
+from liegeom.recipes import run_recipe
 from liegeom.relations import (
     COLLINEAR,
     EQUAL,
@@ -42,6 +45,7 @@ from liegeom.relations import (
     SYMPLECTIC,
     RelationMatrix,
 )
+from liegeom.search import BudgetExceeded
 from test_relations import dense_oracle
 
 
@@ -57,19 +61,20 @@ def matrix_signature(mat):
 
 
 def census_scalar(model: HexagonicModel, instance_cap: int) -> PositionCensus:
+    """The census pair by pair.  Its miss examples are, as in the census,
+    the first pair of each distinct miss signature, ascending, at most 100."""
     g = model.geometry
     nl = len(g.lines)
     counts: dict[str, int] = {}
     inst: dict[str, list] = {}
-    miss_examples: list[CatalogueMiss] = []
+    first_miss: dict = {}
     miss_count = 0
     for li in range(nl):
         for mi in range(nl):
             pos = model.position_of(li, mi)
             if isinstance(pos, CatalogueMiss):
                 miss_count += 1
-                if len(miss_examples) < 100:
-                    miss_examples.append(pos)
+                first_miss.setdefault(matrix_signature(pos.matrix), pos)
                 continue
             d = to_display(pos)
             counts[d] = counts.get(d, 0) + 1
@@ -80,6 +85,7 @@ def census_scalar(model: HexagonicModel, instance_cap: int) -> PositionCensus:
         e = model.catalogue.by_tuple[parse_display(d)]
         if counts.get(to_display(e.inverse_tuple()), 0) != c:
             raise PositionError(f"inverse law fails for {d}")
+    miss_examples = sorted(first_miss.values(), key=lambda m: (m.line_a, m.line_b))[:100]
     return PositionCensus(counts, miss_examples, miss_count, inst, nl * nl)
 
 
@@ -103,13 +109,18 @@ def doctored(model: HexagonicModel, pairs, code: int) -> HexagonicModel:
     return out
 
 
-def oracle_model(g: Geometry) -> HexagonicModel:
-    """A model on g whose relation data is the dense oracle's matrix."""
+def coded_model(g: Geometry, codes: np.ndarray) -> HexagonicModel:
+    """A model on g whose relation data is the matrix ``codes``."""
     rel = RelationMatrix(g)
-    rel._np = dense_oracle(g)
+    rel._np = codes
     out = HexagonicModel(g)
     out.rel = rel
     return out
+
+
+def oracle_model(g: Geometry) -> HexagonicModel:
+    """A model on g whose relation data is the dense oracle's matrix."""
+    return coded_model(g, dense_oracle(g))
 
 
 def line_pairs(g: Geometry, li: int, mi: int):
@@ -479,6 +490,76 @@ def test_census_rejects_keys_beyond_int64(h34):
     assert model.position_of(0, 0) == parse_display("0110")
 
 
+#: sha256 of the Gr(Q+(7,2)) census instances as sorted-key JSON, recorded
+#: from the census that packed its keys in int64 over all 56 column codes
+GR_Q72_INSTANCES_SHA256 = "b4372747fe8f6b99032b2eac214091f95cf24a549dd1a570f427b859d914b5da"
+
+
+def test_golden_census_instances(gr_census):
+    doc = json.dumps(gr_census.instances, sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == GR_Q72_INSTANCES_SHA256
+
+
+@settings(max_examples=12)
+@given(alphabet=st.sampled_from(((COLLINEAR, SPECIAL), (EQUAL, COLLINEAR, SPECIAL, OPPOSITE),
+                                 tuple(range(len(REL_DISPLAY))))),
+       share=st.sampled_from((0.02, 0.3, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(alphabet=tuple(range(len(REL_DISPLAY))), share=1.0, seed=0)
+def test_census_matches_scalar_on_random_codes(h2, alphabet, share, seed):
+    # H(2) relation data with a share of its pairs given random symmetric
+    # codes: few column codes occur for small alphabets (int32 keys), and
+    # with all six codes everywhere at least 36 do, so 36**6 > 2**31 forces
+    # int64 keys
+    rng = np.random.default_rng(seed)
+    codes = dense_oracle(h2)
+    noise = rng.choice(np.array(alphabet, dtype=codes.dtype), size=codes.shape)
+    codes = np.where(rng.random(codes.shape) < share, noise, codes)
+    codes = np.triu(codes) + np.triu(codes, 1).T
+    model = coded_model(h2, codes)
+    census = position_census(model)
+    oracle = census_scalar(model, instance_cap=10000)
+    assert census.counts == oracle.counts
+    assert census.instances == oracle.instances
+    assert census.miss_count == oracle.miss_count
+    assert ([(m.line_a, m.line_b, m.matrix) for m in census.misses]
+            == [(m.line_a, m.line_b, m.matrix) for m in oracle.misses])
+    if share == 1.0 and len(alphabet) == len(REL_DISPLAY):
+        occurring = {tuple(sorted(codes[list(l), p].tolist()))
+                     for l in h2.lines for p in range(h2.n)}
+        assert len(occurring) >= 36
+
+
+def test_census_budget(h2):
+    # blocks of 32 of the 63 lines: 2016 pairs are done after the first
+    model = HexagonicModel(h2)
+    full = position_census(model)
+    for budget in (0, 10, 32 * 63, 63 * 63 - 1):
+        with pytest.raises(BudgetExceeded, match=f"^position census exceeded {budget} pairs$"):
+            position_census(model, budget=budget)
+    assert position_census(model, budget=63 * 63) == full
+    assert position_census(model, budget=None) == full
+
+
+def test_census_budget_in_recipes(monkeypatch, gr_model, gr_census):
+    # a budget below the 14175**2 pairs cuts the census short whether or
+    # not a full census is kept; a census cut short is not kept
+    g = gr_model.geometry
+    cut = {"name": "budget", "passed": True, "witness": "position census exceeded 1000 pairs"}
+    kept = {k: v for k, v in g._derived.items() if k != "position-census"}
+    for derived in (g._derived, kept):
+        monkeypatch.setattr(g, "_derived", derived)
+        for name, params in (("positions-catalogue", {}), ("table1", {"trials": 0})):
+            rep = run_recipe(name, budget=1000, **params)
+            assert rep.status == "PARTIAL"
+            assert rep.assertions[-1] == cut
+    assert "position-census" not in kept
+    monkeypatch.undo()
+    rep = run_recipe("positions-catalogue", budget=len(g.lines) ** 2)
+    assert rep.status == "PASS"
+    assert rep.payload() == run_recipe("positions-catalogue").payload()
+
+
 def test_column_codes_are_ranks():
     # the column code is a bijection from sorted m-tuples of the six
     # relation codes onto range(_code_base(m))
@@ -538,7 +619,8 @@ def test_key_of_transpose_is_half_swap(mats):
 
 @given(st.sampled_from((3, 4)).flatmap(lambda m: _matrices(m, 8)))
 def test_key_scalar_and_array_agree(mats):
-    # the census evaluates _rank and _pack lane by lane on arrays
+    # _rank and _pack are exact lane by lane on integer arrays as well; the
+    # census sorts lanes of column codes and packs them (in a compact base)
     arr = np.array(mats, dtype=np.int8)
     m = arr.shape[1]
     rows = [_rank(_sort_lanes([arr[:, i, j].astype(np.int64) for j in range(m)]))
