@@ -24,6 +24,7 @@ from .geometry import (
     bit_indices,
     bitset,
     is_generalized_polygon,
+    one_or_all,
     subspace_closure,
     validate,
 )
@@ -255,20 +256,13 @@ def _polar_rank(g: Geometry) -> int:
 
 
 def _check_polar_axioms(g: Geometry) -> None:
-    """One-or-all test plus properness of every perp.
-
-    Per line, over the perps of its points: every point must see at least
-    one point of the line, and the points that see two or more (ge2) must
-    see them all (common).
+    """One-or-all test plus properness of every perp: every point must see
+    at least one point of each line, and the points that see two or more
+    must see them all.
     """
-    for li, l in enumerate(g.lines):
-        ge1 = ge2 = 0
-        common = g.full_mask
-        for p in l:
-            ge2 |= ge1 & g.adj[p]
-            ge1 |= g.adj[p]
-            common &= g.adj[p]
-        bad = g.full_mask & ~ge1 | ge2 & ~common
+    for li in range(len(g.lines)):
+        ge1, some_not_all = one_or_all(g, li)
+        bad = g.full_mask & ~ge1 | some_not_all
         if bad:
             x = (bad & -bad).bit_length() - 1
             c = (g.adj[x] & g.line_bits[li]).bit_count()

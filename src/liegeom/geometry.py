@@ -12,9 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field as dfield
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class GeometryError(ValueError):
@@ -90,7 +88,7 @@ class Geometry:
 
     def cached(self, key, build):
         """build(), called once per geometry and key.  Everything derived
-        from a geometry (adjacency matrix, relation matrix, opposition
+        from a geometry (gamma-space verdict, relation matrix, opposition
         sets, line tables, residuals, position models) is kept here."""
         if key not in self._derived:
             self._derived[key] = build()
@@ -104,32 +102,12 @@ class Geometry:
     def collinear(self, x: int, y: int) -> bool:
         return bool(self.adj[x] >> y & 1)
 
-    def perp(self, x: int) -> int:
-        """Bitset of points collinear with x, x included."""
-        return self.adj[x]
-
     def line_through(self, x: int, y: int) -> Optional[int]:
         """Line ID of the unique line on two distinct collinear points."""
         for li in self.lines_through[x]:
             if self.line_bits[li] >> y & 1:
                 return li
         return None
-
-    def np_adjacency(self, strict: bool = True) -> np.ndarray:
-        """Boolean adjacency matrix; cached with diagonal False, view-adjusted."""
-        def build():
-            a = np.zeros((self.n, self.n), dtype=bool)
-            for i, bits in enumerate(self.adj):
-                for j in _bit_indices(bits):
-                    a[i, j] = True
-            np.fill_diagonal(a, False)
-            return a
-        a = self.cached("np-adjacency", build)
-        if strict:
-            return a
-        out = a.copy()
-        np.fill_diagonal(out, True)
-        return out
 
     def __eq__(self, other):
         return isinstance(other, Geometry) and self.n == other.n and self.lines == other.lines
@@ -321,15 +299,25 @@ def is_generalized_polygon(g: Geometry, gonality: int) -> bool:
 # -- gamma spaces, planes, residues, Grassmannians -------------------------
 
 
+def one_or_all(g: Geometry, li: int) -> tuple[int, int]:
+    """Two bitsets for line li: the points collinear with some point of it,
+    and the points collinear with two or more of its points but not all.
+
+    Over the perps of the line's points, ge1 collects the points in one or
+    more of them, ge2 those in two or more and common those in all.
+    """
+    ge1 = ge2 = 0
+    common = g.full_mask
+    for p in g.lines[li]:
+        ge2 |= ge1 & g.adj[p]
+        ge1 |= g.adj[p]
+        common &= g.adj[p]
+    return ge1, ge2 & ~common
+
+
 def is_gamma_space(g: Geometry) -> bool:
     """Each point collinear with 0, 1 or all points of every line."""
-    adj = g.np_adjacency(strict=False)
-    for l in g.lines:
-        counts = adj[:, list(l)].sum(axis=1)
-        bad = ~np.isin(counts, (0, 1, len(l)))
-        if bad.any():
-            return False
-    return True
+    return not any(one_or_all(g, li)[1] for li in range(len(g.lines)))
 
 
 def subspace_closure(g: Geometry, bits: int) -> int:
@@ -352,11 +340,6 @@ def subspace_closure(g: Geometry, bits: int) -> int:
     return bits
 
 
-def _is_singular(g: Geometry, bits: int) -> bool:
-    """Whether the points of bits are pairwise collinear."""
-    return all(not bits & ~g.adj[x] for x in _bit_indices(bits))
-
-
 def _lines_inside(g: Geometry, bits: int) -> list[int]:
     """Ascending IDs of the lines all of whose points lie in bits."""
     out = []
@@ -367,42 +350,47 @@ def _lines_inside(g: Geometry, bits: int) -> list[int]:
     return sorted(out)
 
 
-def singular_planes(g: Geometry) -> list[tuple[int, ...]]:
-    """All singular subspaces of projective dimension 2.
+def _planes_on(g: Geometry, line_ids: Iterable[int]) -> Iterator[tuple[int, list[int]]]:
+    """Each singular plane on some line of line_ids once, as its point
+    bitset and the ascending IDs of the lines inside it.
 
-    Requires a gamma space, where the span of a line L and a point p
-    collinear with all of L is singular: the plane on L and p.  Each plane
-    is spanned once: covered[l] holds the points of the planes found so far
-    that contain line l, and the points p they hold are skipped for l.
+    Requires a gamma space (checked once per geometry), where the span of a
+    line L and a point p collinear with all of L is singular: the plane on
+    L and p.  covered[l] holds the points of the planes found so far that
+    contain line l, and the points p they hold are skipped for l.
     """
-    if not is_gamma_space(g):
-        raise GeometryError("singular_planes requires a gamma space")
+    if not g.cached("gamma-space", lambda: is_gamma_space(g)):
+        raise GeometryError("singular planes require a gamma space")
     covered = [0] * len(g.lines)
-    planes = []
-    for li, l in enumerate(g.lines):
+    for li in line_ids:
         todo = g.full_mask
-        for p in l:
+        for p in g.lines[li]:
             todo &= g.adj[p]
         todo &= ~g.line_bits[li] & ~covered[li]
         while todo:
             plane = subspace_closure(g, g.line_bits[li] | todo & -todo)
             todo &= ~plane
-            planes.append(tuple(_bit_indices(plane)))
-            for lj in _lines_inside(g, plane):
+            inside = _lines_inside(g, plane)
+            for lj in inside:
                 covered[lj] |= plane
-    return sorted(planes)
+            yield plane, inside
+
+
+def singular_planes(g: Geometry) -> list[tuple[int, ...]]:
+    """All singular subspaces of projective dimension 2; requires a gamma
+    space."""
+    return sorted(tuple(_bit_indices(plane))
+                  for plane, _ in _planes_on(g, range(len(g.lines))))
 
 
 def line_grassmannian(g: Geometry, name: str = "") -> Geometry:
     """Points: lines of g.  Lines: planar pencils {lines of pi through p}."""
-    planes = singular_planes(g)
     in_plane_count = [0] * len(g.lines)
     pencils = set()
-    for pl in planes:
-        plane_lines = _lines_inside(g, bitset(pl))
+    for plane, plane_lines in _planes_on(g, range(len(g.lines))):
         for li in plane_lines:
             in_plane_count[li] += 1
-        for p in pl:
+        for p in _bit_indices(plane):
             pencils.add(tuple(li for li in plane_lines if g.line_bits[li] >> p & 1))
     missing = [li for li, c in enumerate(in_plane_count) if c == 0]
     if missing:
@@ -418,28 +406,14 @@ def point_residual(g: Geometry, p: int) -> Geometry:
     through = g.lines_through[p]
     if not through:
         raise GeometryError(f"point {p} lies on no line")
-    res_lines = set()
-    # planes through p: generated by pairs of coplanar lines on p.  Each is
-    # spanned once: covered[i] holds the points of the planes found so far
-    # on through[i]; a line through p with a second point in one of them
-    # lies in it, so a line inside covered[i] is skipped for through[i]
-    covered = [0] * len(through)
-    for a_pos, la in enumerate(through):
-        for lb in through[a_pos + 1:]:
-            if not g.line_bits[lb] & ~covered[a_pos]:
-                continue
-            plane = _plane_spanned(g, la, lb)
-            if plane is None:
-                continue
-            pencil = tuple(i for i, li in enumerate(through)
-                           if not g.line_bits[li] & ~plane)
-            for i in pencil:
-                covered[i] |= plane
-            if len(pencil) >= 2:
-                res_lines.add(pencil)
+    # a plane on p holds lines through p, so the planes on p are the
+    # planes on the lines through p
+    index = {li: i for i, li in enumerate(through)}
+    res_lines = [tuple(index[li] for li in plane_lines if li in index)
+                 for _, plane_lines in _planes_on(g, through)]
     if not res_lines:
         raise GeometryError(f"no plane through point {p}")
-    return Geometry(len(through), sorted(res_lines), Kind("other"),
+    return Geometry(len(through), res_lines, Kind("other"),
                     name=(f"Res({g.name},{p})" if g.name else f"Res({p})"),
                     meta={"base": g, "base_point": p, "lines_of_base": through})
 
@@ -447,14 +421,3 @@ def point_residual(g: Geometry, p: int) -> Geometry:
 def residual(g: Geometry, p: int) -> Geometry:
     """The point residual of g at p, built once per geometry."""
     return g.cached(("residual", p), lambda: point_residual(g, p))
-
-
-def _plane_spanned(g: Geometry, la: int, lb: int) -> Optional[int]:
-    """Bitset of the singular plane spanned by two meeting lines, or None."""
-    perp = g.full_mask
-    for x in g.lines[la]:
-        perp &= g.adj[x]
-    if g.line_bits[lb] & ~perp:
-        return None
-    plane = subspace_closure(g, g.line_bits[la] | g.line_bits[lb])
-    return plane if _is_singular(g, plane) else None

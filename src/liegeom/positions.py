@@ -146,10 +146,6 @@ class CatalogueEntry:
     def display(self) -> str:
         return to_display(self.tuple4)
 
-    @property
-    def terminal(self) -> bool:
-        return self.successor == self.tuple4
-
     def template(self, m: int) -> list[list[int]]:
         a, b, c, d = self.tuple4
         if self.shape == "homog":
@@ -247,7 +243,7 @@ class PositionCatalogue:
             raise PositionError("catalogue needs lines with at least 3 points")
         self.m = m
         self.entries: list[CatalogueEntry] = []
-        for tup, shape, cls, row, succ, loc, uniq in _entries_data():
+        for tup, shape, cls, row, succ, loc, uniq in _RAW:
             self.entries.append(CatalogueEntry(tup, shape, cls, row, succ, loc, uniq))
         if len(self.entries) != 26:
             raise PositionError(f"catalogue has {len(self.entries)} entries, expected 26")
@@ -287,10 +283,6 @@ class PositionCatalogue:
             if steps > 4:
                 raise PositionError(f"successor chain from {to_display(tup)} does not terminate")
         return steps
-
-
-def _entries_data():
-    return _RAW
 
 
 # -- position context ------------------------------------------------------------
@@ -410,8 +402,13 @@ class PositionCensus:
         return sorted(self.counts)
 
 
-def position_census(model: HexagonicModel, instance_cap: int = 10000,
-                    block: int = 32, budget: Optional[int] = None) -> PositionCensus:
+#: instances kept per position by position_census
+CENSUS_INSTANCES = 10000
+#: lines per block of position_census
+CENSUS_BLOCK = 32
+
+
+def position_census(model: HexagonicModel, budget: Optional[int] = None) -> PositionCensus:
     """Exhaustive census of all ordered line pairs, vectorized for every line
     size whose signature keys fit in int64 (3- and 4-point lines).
 
@@ -420,7 +417,7 @@ def position_census(model: HexagonicModel, instance_cap: int = 10000,
     and the k codes that occur are renumbered onto range(k).  Each block of
     lines then packs its keys against all lines in base k, in int32 when
     k**(2m) < 2**31, and each distinct packed key is translated once to
-    its signature key.  Instances are the first ``instance_cap`` pairs of
+    its signature key.  Instances are the first CENSUS_INSTANCES pairs of
     each position in row-major order.  The inverse law is checked for every
     realized key: the key of (M, L) is the half swap of the key of (L, M).
     With a ``budget``, BudgetExceeded is raised after the first block that
@@ -443,20 +440,20 @@ def position_census(model: HexagonicModel, instance_cap: int = 10000,
     # from code_of at p's relation codes to L's points
     codes = np.empty((g.n, nl), dtype=code_of.dtype)
     seen = np.zeros(len(code_of), dtype=bool)
-    for i0 in range(0, nl, block):
-        pts = lines_arr[i0:i0 + block]
+    for i0 in range(0, nl, CENSUS_BLOCK):
+        pts = lines_arr[i0:i0 + CENSUS_BLOCK]
         tuples = _pack([R[pts[:, i]] for i in range(1, m)], nrel,
                        R[pts[:, 0]].astype(np.int16))
         seen[tuples] = True
-        codes[:, i0:i0 + block] = code_of[tuples].T
+        codes[:, i0:i0 + CENSUS_BLOCK] = code_of[tuples].T
     # the k codes that occur, renumbered onto range(k) in ascending order,
     # so that sorting renumbered codes sorts the codes
     occurring = np.unique(code_of[seen])
     k = len(occurring)
     compact = np.zeros(base, dtype=codes.dtype)
     compact[occurring] = np.arange(k)
-    for r0 in range(0, g.n, block):
-        codes[r0:r0 + block] = compact[codes[r0:r0 + block]]
+    for r0 in range(0, g.n, CENSUS_BLOCK):
+        codes[r0:r0 + CENSUS_BLOCK] = compact[codes[r0:r0 + CENSUS_BLOCK]]
     dtype = np.int32 if k ** (2 * m) < 1 << 31 else np.int64
     occurring = occurring.tolist()
     signature: dict[int, int] = {}        # packed key in base k -> signature key
@@ -464,9 +461,9 @@ def position_census(model: HexagonicModel, instance_cap: int = 10000,
     counts: dict[int, int] = {}
     found: dict[int, list] = {}           # signature key -> flat indices of its first pairs
     have: dict[int, int] = {}
-    for i0 in range(0, nl, block):
-        pts = lines_arr[i0:i0 + block]
-        wrt_block = np.ascontiguousarray(codes[:, i0:i0 + block].T)
+    for i0 in range(0, nl, CENSUS_BLOCK):
+        pts = lines_arr[i0:i0 + CENSUS_BLOCK]
+        wrt_block = np.ascontiguousarray(codes[:, i0:i0 + CENSUS_BLOCK].T)
         # key[b, M]: sorted codes of the points of line i0 + b with respect
         # to M, then sorted codes of M's points with respect to line i0 + b
         lanes = (_sort_lanes([codes[pts[:, i]] for i in range(m)])
@@ -480,7 +477,7 @@ def position_census(model: HexagonicModel, instance_cap: int = 10000,
                 digits = [occurring[v // k ** i % k] for i in reversed(range(2 * m))]
                 sig = signature[v] = _pack(digits, base)
             counts[sig] = counts.get(sig, 0) + c
-            take = (instance_cap if sig in key_entry else 1) - have.get(sig, 0)
+            take = (CENSUS_INSTANCES if sig in key_entry else 1) - have.get(sig, 0)
             if take > 0:
                 at = np.flatnonzero(key == v)[:take] + i0 * nl
                 found.setdefault(sig, []).append(at)
@@ -565,12 +562,17 @@ def find_combing_line(model: HexagonicModel, li: int, mi: int, x: int) -> int:
         f"(position {to_display(pos)})")
 
 
-def comb_to_opposite(model: HexagonicModel, li: int, mi: int, bound: int = 8) -> CombTrace:
+#: combing steps after which comb_to_opposite gives up; a catalogue
+#: position is at most 4 steps from the opposite one
+COMB_STEPS = 8
+
+
+def comb_to_opposite(model: HexagonicModel, li: int, mi: int) -> CombTrace:
     """Iterate combing replacements until the pair is opposite."""
     g = model.geometry
     steps: list[CombStep] = []
     cur = li
-    for _ in range(bound):
+    for _ in range(COMB_STEPS):
         pos = model.position_of(cur, mi)
         if isinstance(pos, CatalogueMiss):
             raise PositionError("combing requires catalogue positions")
@@ -592,12 +594,7 @@ def comb_to_opposite(model: HexagonicModel, li: int, mi: int, bound: int = 8) ->
                 f"{nxt if isinstance(nxt, CatalogueMiss) else to_display(nxt)} "
                 f"does not match the combing table")
         cur = repl
-    raise NonterminatingComb(f"comb of ({li},{mi}) exceeded {bound} steps")
-
-
-def level(model: HexagonicModel, li: int, mi: int) -> int:
-    """Number of combing steps to the opposite position (0 when opposite)."""
-    return model.level(li, mi)
+    raise NonterminatingComb(f"comb of ({li},{mi}) exceeded {COMB_STEPS} steps")
 
 
 # -- the two combing algorithms ----------------------------------------------------

@@ -1,8 +1,11 @@
 """Named verification recipes with machine-readable reports.
 
-Each recipe runs a list of assertions against constructed geometries and
-returns a RunReport; reports are deterministic for a fixed seed (wall
-time is excluded from the comparable payload).
+run_recipe builds the RunReport (recipe name and seed) and hands it to the
+recipe, which records its parameters and geometry fingerprints and runs a
+list of assertions against constructed geometries.  A search cut short by
+its budget ends the recipe in run_recipe, the one place that knows the
+budget policy.  Reports are deterministic for a fixed seed (wall time is
+excluded from the comparable payload).
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dfield
-from typing import Callable, Optional
+from typing import Optional
 
 from . import search as S
 from .constructors import (
@@ -36,8 +39,20 @@ from .positions import (
 )
 from .relations import COLLINEAR, SPECIAL, classify_pair, opposition_sets
 
-RECIPE_NAMES = ("bshex", "geomlines-hex", "typeb-grassmannian", "positions-catalogue",
-                "table1", "coroltits", "nonex", "obs-gq")
+#: recipe name -> the function of this module that runs it.  The function
+#: is looked up by name when the recipe runs, so a function patched onto the
+#: module (as the benchmark's tracer does) is the one called.
+_RECIPES = {
+    "bshex": "_recipe_bshex",
+    "geomlines-hex": "_recipe_geomlines_hex",
+    "typeb-grassmannian": "_recipe_typeb",
+    "positions-catalogue": "_recipe_positions",
+    "table1": "_recipe_table1",
+    "coroltits": "_recipe_coroltits",
+    "nonex": "_recipe_nonex",
+    "obs-gq": "_recipe_obsgq",
+}
+RECIPE_NAMES = tuple(_RECIPES)
 
 _GEOMETRIES: dict[str, Geometry] = {}
 
@@ -71,9 +86,9 @@ def model_geometry(alias: str) -> Geometry:
 @dataclass
 class RunReport:
     recipe: str
-    params: dict
     seed: int
-    geometries: dict
+    params: dict = dfield(default_factory=dict)
+    geometries: dict = dfield(default_factory=dict)
     assertions: list = dfield(default_factory=list)
     status: str = "PASS"
     wall_time_s: float = 0.0
@@ -109,43 +124,31 @@ class RunReport:
 
 
 def run_recipe(name: str, seed: int = 0, budget: Optional[int] = None, **params) -> RunReport:
-    if name not in RECIPE_NAMES:
+    """Run a recipe.  When a search exceeds the budget the recipe ends: a
+    report that passed so far becomes PARTIAL, a failed one stays FAIL,
+    and the budget message is its last assertion."""
+    if name not in _RECIPES:
         raise ValueError(f"unknown recipe {name}; choose from {RECIPE_NAMES}")
-    fn: Callable = {
-        "bshex": _recipe_bshex,
-        "geomlines-hex": _recipe_geomlines_hex,
-        "typeb-grassmannian": _recipe_typeb,
-        "positions-catalogue": _recipe_positions,
-        "table1": _recipe_table1,
-        "coroltits": _recipe_coroltits,
-        "nonex": _recipe_nonex,
-        "obs-gq": _recipe_obsgq,
-    }[name]
+    rep = RunReport(name, seed)
     t0 = time.perf_counter()
-    rep = fn(seed=seed, budget=budget, **params)
+    try:
+        globals()[_RECIPES[name]](rep, budget, **params)
+    except S.BudgetExceeded as exc:
+        if rep.status == "PASS":
+            rep.status = "PARTIAL"
+        rep.info("budget", str(exc))
     rep.wall_time_s = time.perf_counter() - t0
-    return rep
-
-
-def _partial(rep: RunReport, exc: S.BudgetExceeded) -> RunReport:
-    """Mark a report cut short by a search budget; a failed check stays FAIL."""
-    if rep.status == "PASS":
-        rep.status = "PARTIAL"
-    rep.info("budget", str(exc))
     return rep
 
 
 # -- hexagon blocking sets -----------------------------------------------------
 
 
-def _recipe_bshex(seed: int, budget: Optional[int], q: int = 2) -> RunReport:
+def _recipe_bshex(rep: RunReport, budget: Optional[int], q: int = 2) -> None:
     g = model_geometry(f"hexagon-{q}")
-    rep = RunReport("bshex", {"q": q}, seed, {"hexagon": g.fingerprint()})
+    rep.params, rep.geometries = {"q": q}, {"hexagon": g.fingerprint()}
     s = g.order[0]
-    try:
-        blocking = S.enumerate_blocking_sets(g, s + 1, minimal_only=True, budget=budget)
-    except S.BudgetExceeded as exc:
-        return _partial(rep, exc)
+    blocking = S.enumerate_blocking_sets(g, s + 1, minimal_only=True, budget=budget)
     tags = {}
     for b in blocking:
         tags.setdefault(S.classify_blocking_set(g, b), []).append(b)
@@ -160,7 +163,7 @@ def _recipe_bshex(seed: int, budget: Optional[int], q: int = 2) -> RunReport:
               {"unexpected": sorted(set(counts) - allowed)})
     rep.check("all-lines-blocking", counts.get("Line", 0) == len(g.lines))
     rep.check("soundness-sample",
-              S.blocking_soundness_sample(g, s + 1, blocking, seed=seed))
+              S.blocking_soundness_sample(g, s + 1, blocking, seed=rep.seed))
     o = opposition_sets(g)
     if s % 2 == 1:
         traces = S.all_distance3_traces(g)
@@ -174,13 +177,9 @@ def _recipe_bshex(seed: int, budget: Optional[int], q: int = 2) -> RunReport:
         ok = all(o.common_opposite_bits(p) != 0
                  for p in itertools.combinations(range(g.n), 2))
         rep.check("s-sets-admit-opposite", ok)
-    try:
-        hyp = S.all_hyperbolic_lines(g, budget=budget)
-    except S.BudgetExceeded as exc:
-        return _partial(rep, exc)
+    hyp = S.all_hyperbolic_lines(g, budget=budget)
     rep.check("hyperbolic-size", all(len(h) == q + 1 for h in hyp), {"count": len(hyp)})
     rep.check("hyperbolic-count-matches", counts.get("HyperbolicLine", 0) == len(hyp))
-    return rep
 
 
 # -- geometric lines and round-up triples in hexagons ----------------------------
@@ -217,13 +216,10 @@ def _rut_lemma_witness(g: Geometry, traces, t) -> Optional[str]:
     return None
 
 
-def _recipe_geomlines_hex(seed: int, budget: Optional[int], q: int = 2) -> RunReport:
+def _recipe_geomlines_hex(rep: RunReport, budget: Optional[int], q: int = 2) -> None:
     g = model_geometry(f"hexagon-{q}")
-    rep = RunReport("geomlines-hex", {"q": q}, seed, {"hexagon": g.fingerprint()})
-    try:
-        ruts = S.enumerate_round_up_triples(g, budget=budget)
-    except S.BudgetExceeded as exc:
-        return _partial(rep, exc)
+    rep.params, rep.geometries = {"q": q}, {"hexagon": g.fingerprint()}
+    ruts = S.enumerate_round_up_triples(g, budget=budget)
     rep.info("rut-count", len(ruts))
     traces = S.all_distance3_traces(g)
     bad = None
@@ -235,10 +231,7 @@ def _recipe_geomlines_hex(seed: int, budget: Optional[int], q: int = 2) -> RunRe
     rep.check("rut-lemmas", bad is None, bad)
     gls = set(S.enumerate_geometric_lines(g, budget=budget))
     lines = set(map(tuple, g.lines))
-    try:
-        hyp = set(S.all_hyperbolic_lines(g, budget=budget))
-    except S.BudgetExceeded as exc:
-        return _partial(rep, exc)
+    hyp = set(S.all_hyperbolic_lines(g, budget=budget))
     expect = lines | hyp | (set(traces) if q % 2 == 0 else set())
     rep.info("geometric-lines", len(gls))
     rep.check("equals-recognizers", gls == expect,
@@ -247,21 +240,16 @@ def _recipe_geomlines_hex(seed: int, budget: Optional[int], q: int = 2) -> RunRe
               all(S.is_geometric_line(g, l) for l in g.lines))
     rep.check("geometric-lines-block",
               all(S.common_opposite(g, gl) is None for gl in gls))
-    return rep
 
 
 # -- type B small-rank Grassmannian ---------------------------------------------
 
 
-def _recipe_typeb(seed: int, budget: Optional[int]) -> RunReport:
+def _recipe_typeb(rep: RunReport, budget: Optional[int]) -> None:
     base = model_geometry("w52")
     g = model_geometry("gr-w52")
-    rep = RunReport("typeb-grassmannian", {}, seed,
-                    {"base": base.fingerprint(), "grassmannian": g.fingerprint()})
-    try:
-        gls = S.enumerate_geometric_lines(g, budget=budget)
-    except S.BudgetExceeded as exc:
-        return _partial(rep, exc)
+    rep.geometries = {"base": base.fingerprint(), "grassmannian": g.fingerprint()}
+    gls = S.enumerate_geometric_lines(g, budget=budget)
     tags = {}
     for gl in gls:
         tags.setdefault(S.classify_blocking_set(g, gl), []).append(gl)
@@ -285,7 +273,6 @@ def _recipe_typeb(seed: int, budget: Optional[int]) -> RunReport:
               {"recognizer-count": len(hyp)})
     rep.check("lines-are-geometric",
               all(S.is_geometric_line(g, l) for l in g.lines))
-    return rep
 
 
 # -- positions catalogue ----------------------------------------------------------
@@ -306,14 +293,11 @@ def grassmannian_census(budget: Optional[int] = None):
     return g.cached("position-census", lambda: position_census(grassmannian_model()))
 
 
-def _recipe_positions(seed: int, budget: Optional[int]) -> RunReport:
+def _recipe_positions(rep: RunReport, budget: Optional[int]) -> None:
     model = grassmannian_model()
     g = model.geometry
-    rep = RunReport("positions-catalogue", {}, seed, {"grassmannian": g.fingerprint()})
-    try:
-        census = grassmannian_census(budget)
-    except S.BudgetExceeded as exc:
-        return _partial(rep, exc)
+    rep.geometries = {"grassmannian": g.fingerprint()}
+    census = grassmannian_census(budget)
     rep.info("realized-positions", {d: census.counts[d] for d in census.realized()})
     rep.check("census-partition", sum(census.counts.values()) + census.miss_count
               == census.total, {"total": census.total})
@@ -322,7 +306,7 @@ def _recipe_positions(seed: int, budget: Optional[int]) -> RunReport:
               census.counts.get("0110", 0) == len(g.lines))
     # the census construction itself verifies the inverse law for every
     # signature key; re-assert on a seeded sample through the scalar path
-    rng = random.Random(seed)
+    rng = random.Random(rep.seed)
     ok = True
     for _ in range(500):
         li, mi = rng.randrange(len(g.lines)), rng.randrange(len(g.lines))
@@ -336,22 +320,18 @@ def _recipe_positions(seed: int, budget: Optional[int]) -> RunReport:
               all(model.catalogue.entry(t).dual_tuple() in realized for t in realized))
     unrealized = {e.display for e in model.catalogue.entries} - set(census.realized())
     rep.info("unrealized-positions", sorted(unrealized))
-    return rep
 
 
 # -- combing table and algorithms ---------------------------------------------------
 
 
-def _recipe_table1(seed: int, budget: Optional[int], instances: int = 100,
-                   trials: int = 500) -> RunReport:
+def _recipe_table1(rep: RunReport, budget: Optional[int], instances: int = 100,
+                   trials: int = 500) -> None:
     model = grassmannian_model()
     g = model.geometry
-    rep = RunReport("table1", {"instances": instances, "trials": trials}, seed,
-                    {"grassmannian": g.fingerprint()})
-    try:
-        census = grassmannian_census(budget)
-    except S.BudgetExceeded as exc:
-        return _partial(rep, exc)
+    rep.params = {"instances": instances, "trials": trials}
+    rep.geometries = {"grassmannian": g.fingerprint()}
+    census = grassmannian_census(budget)
     # criterion: every realized non-terminal position combs per the table
     fails = []
     comb_steps = {}
@@ -359,7 +339,7 @@ def _recipe_table1(seed: int, budget: Optional[int], instances: int = 100,
         tup = parse_display(disp)
         if tup == TERMINAL:
             continue
-        for li, mi in seeded_instances(census, disp, instances, seed):
+        for li, mi in seeded_instances(census, disp, instances, rep.seed):
             try:
                 if li != mi:
                     # free points come in (sorted) line order; comb_to_opposite
@@ -378,7 +358,7 @@ def _recipe_table1(seed: int, budget: Optional[int], instances: int = 100,
     rep.info("levels-by-position", comb_steps)
 
     # combing algorithm trials
-    rng = random.Random(seed)
+    rng = random.Random(rep.seed)
     nl = len(g.lines)
     alg1_runs = alg1_skips = alg2_runs = alg2_skips = 0
     violations = []
@@ -415,18 +395,17 @@ def _recipe_table1(seed: int, budget: Optional[int], instances: int = 100,
     rep.check("alg-zero-violations", not violations, violations[:5])
     if trials:
         rep.check("alg-coverage", alg1_runs >= max(20, trials // 20) and alg2_runs >= 10)
-    return rep
 
 
 # -- corolTits residue round-up triples ----------------------------------------------
 
 
-def _recipe_coroltits(seed: int, budget: Optional[int], points: int = 50) -> RunReport:
+def _recipe_coroltits(rep: RunReport, budget: Optional[int], points: int = 50) -> None:
     base = model_geometry("w52")
     g = model_geometry("gr-w52")
-    rep = RunReport("coroltits", {"points": points}, seed,
-                    {"base": base.fingerprint(), "grassmannian": g.fingerprint()})
-    rng = random.Random(seed)
+    rep.params = {"points": points}
+    rep.geometries = {"base": base.fingerprint(), "grassmannian": g.fingerprint()}
+    rng = random.Random(rep.seed)
     sample = rng.sample(range(base.n), min(points, base.n))
     rep.info("sampled-points", sample)
     mismatches = []
@@ -442,14 +421,13 @@ def _recipe_coroltits(seed: int, budget: Optional[int], points: int = 50) -> Run
                 mismatches.append({"point": p, "triple": trip,
                                    "ambient": amb, "residual": loc})
     rep.check("residue-rut-equivalence", not mismatches, mismatches[:5])
-    return rep
 
 
 # -- Feit-Higman ---------------------------------------------------------------------
 
 
-def _recipe_nonex(seed: int, budget: Optional[int], tmax: int = 100) -> RunReport:
-    rep = RunReport("nonex", {"tmax": tmax}, seed, {})
+def _recipe_nonex(rep: RunReport, budget: Optional[int], tmax: int = 100) -> None:
+    rep.params = {"tmax": tmax}
     res = verify_nonex(tmax)
     rep.check("all-orders-excluded", res.all_excluded,
               {"feasible": res.failures})
@@ -466,21 +444,16 @@ def _recipe_nonex(seed: int, budget: Optional[int], tmax: int = 100) -> RunRepor
     rep.check("existing-orders-feasible",
               all(feasible_hexagon_order(HexOrder(*o))
                   for o in ((2, 2), (3, 3), (8, 2), (2, 8))))
-    return rep
 
 
 # -- ovoidal blocking kernel ----------------------------------------------------------
 
 
-def _recipe_obsgq(seed: int, budget: Optional[int]) -> RunReport:
+def _recipe_obsgq(rep: RunReport, budget: Optional[int]) -> None:
     g = model_geometry("h34")
     sub = g.meta["subgq"]
-    rep = RunReport("obs-gq", {}, seed,
-                    {"hermitian": g.fingerprint(), "subgq": sub.fingerprint()})
-    try:
-        ovoids = S.enumerate_ovoids(sub, budget=budget)
-    except S.BudgetExceeded as exc:
-        return _partial(rep, exc)
+    rep.geometries = {"hermitian": g.fingerprint(), "subgq": sub.fingerprint()}
+    ovoids = S.enumerate_ovoids(sub, budget=budget)
     rep.check("subgq-ovoid-count", len(ovoids) == 6, len(ovoids))
     parent = sub.meta["parent_points"]
     from itertools import combinations
@@ -499,4 +472,3 @@ def _recipe_obsgq(seed: int, budget: Optional[int]) -> RunReport:
     tags = {S.classify_blocking_set(g, tuple(sorted(parent[p] for p in ov)))
             for ov in ovoids}
     rep.check("classified-as-subgq-ovoid", tags == {"OvoidOfSubGQ"}, sorted(tags))
-    return rep

@@ -118,13 +118,17 @@ def enumerate_blocking_sets(g: Geometry, k: int, minimal_only: bool = False,
     return sorted(set(results))
 
 
+#: random k-sets drawn by blocking_soundness_sample
+SOUNDNESS_TRIALS = 1000
+
+
 def blocking_soundness_sample(g: Geometry, k: int, found: Iterable[tuple[int, ...]],
-                              trials: int = 1000, seed: int = 0) -> bool:
+                              seed: int = 0) -> bool:
     """Every sampled k-set the enumerator skipped has a common opposite."""
     o = opposition_sets(g)
     found_set = set(found)
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(SOUNDNESS_TRIALS):
         s = tuple(sorted(rng.sample(range(g.n), k)))
         if s in found_set:
             continue

@@ -3,8 +3,9 @@ import json
 import random
 from collections import Counter, deque
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from liegeom import geometry
 from liegeom.constructors import pg, polar_space, PolarFormSpec
@@ -95,6 +96,26 @@ def convex_closure(g, seed, with_lines=True):
         if grow == cur:
             return cur
         cur = grow
+
+
+def np_adjacency(g, strict=True):
+    """Boolean matrix of the collinearity bitsets (which a test may have
+    doctored apart from the lines); the diagonal is False when strict and
+    True otherwise."""
+    width = (g.n + 7) // 8
+    rows = b"".join(bits.to_bytes(width, "little") for bits in g.adj)
+    a = np.unpackbits(np.frombuffer(rows, dtype=np.uint8).reshape(g.n, width),
+                      axis=1, count=g.n, bitorder="little").astype(bool)
+    np.fill_diagonal(a, not strict)
+    return a
+
+
+def is_gamma_space_counts(g):
+    """Whether each point sees 0, 1 or all points of every line, from
+    numpy counts over the adjacency matrix."""
+    adj = np_adjacency(g, strict=False)
+    return all(np.isin(adj[:, list(l)].sum(axis=1), (0, 1, len(l))).all()
+               for l in g.lines)
 
 
 def subspace_closure_pairs(g, pts):
@@ -275,6 +296,33 @@ def test_gamma_space_gate():
     assert not validate(g).partial_linear or not is_gamma_space(g)
 
 
+@st.composite
+def partial_linear_spaces(draw):
+    """Up to 9 points, keeping each drawn line that meets every line kept
+    so far in at most one point."""
+    n = draw(st.integers(2, 9))
+    lines = []
+    for cand in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=4),
+                              max_size=12)):
+        if all(len(cand & l) <= 1 for l in lines):
+            lines.append(cand)
+    return Geometry(n, lines)
+
+
+@given(g=partial_linear_spaces())
+@example(g=Geometry(4, [(0, 1, 2), (0, 3), (1, 3)]))    # 3 sees 0 and 1, not 2
+@example(g=Geometry(7, pg(2, 2).lines))
+def test_is_gamma_space_matches_counts(g):
+    assert is_gamma_space(g) == is_gamma_space_counts(g)
+
+
+@pytest.mark.parametrize("alias", ["w32", "w52", "q72", "hexagon-2", "h34", "gr-w52",
+                                   "gr-q72"])
+def test_is_gamma_space_matches_counts_on_models(alias):
+    g = model_geometry(alias)
+    assert is_gamma_space(g) == is_gamma_space_counts(g)
+
+
 def test_line_grassmannian_counts(q72, w52, gr_q72, gr_w52):
     assert gr_q72.n == 1575 and len(gr_q72.lines) == 14175
     assert gr_w52.n == 315 and len(gr_w52.lines) == 945
@@ -317,13 +365,24 @@ def test_point_residual_of_grassmannian_connected(gr_q72):
         assert res.n == 27
 
 
+def _plane_spanned(g, la, lb):
+    """Bitset of the singular plane spanned by two meeting lines, or None."""
+    perp = g.full_mask
+    for x in g.lines[la]:
+        perp &= g.adj[x]
+    if g.line_bits[lb] & ~perp:
+        return None
+    plane = subspace_closure(g, g.line_bits[la] | g.line_bits[lb])
+    return plane if all(not plane & ~g.adj[x] for x in bit_indices(plane)) else None
+
+
 def point_residual_pairs(g, p):
     """Lines of the point residual at p, spanning a plane from every pair
     of lines through p (the library spans each plane once)."""
     through = g.lines_through[p]
     res_lines = set()
     for a, b in itertools.combinations(through, 2):
-        plane = geometry._plane_spanned(g, a, b)
+        plane = _plane_spanned(g, a, b)
         if plane is not None:
             pencil = tuple(i for i, li in enumerate(through)
                            if not g.line_bits[li] & ~plane)

@@ -22,7 +22,7 @@ from liegeom.relations import (
     opposition_sets,
     relation_matrix,
 )
-from test_geometry import distance_bitsets
+from test_geometry import distance_bitsets, np_adjacency
 
 
 def test_classify_trivial(h2):
@@ -95,7 +95,7 @@ def opposite_lines_polar(p: Geometry, li: int, mi: int) -> bool:
 def dense_line_opposition(p: Geometry) -> np.ndarray:
     """Boolean matrix of pairwise line opposition in a polar space."""
     nl = len(p.lines)
-    adj = p.np_adjacency(strict=False)
+    adj = np_adjacency(p, strict=False)
     line_pts = np.zeros((nl, p.n), dtype=bool)
     perp_all = np.zeros((nl, p.n), dtype=bool)
     for li, l in enumerate(p.lines):
@@ -114,7 +114,7 @@ def dense_oracle(g: Geometry) -> np.ndarray:
     of the bitset kernel.  Connected input only: it has no diameter check
     for hexagons."""
     fam, n = geometry_family(g), g.n
-    adj = g.np_adjacency(strict=True)
+    adj = np_adjacency(g, strict=True)
     eye = np.eye(n, dtype=bool)
     codes = np.zeros((n, n), dtype=np.int8)
     codes[adj] = COLLINEAR

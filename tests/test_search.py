@@ -214,7 +214,7 @@ def test_blocking_budget(h2):
 
 def test_soundness_sample(h2):
     found = S.enumerate_blocking_sets(h2, 3, minimal_only=True)
-    assert S.blocking_soundness_sample(h2, 3, found, trials=1000, seed=0)
+    assert S.blocking_soundness_sample(h2, 3, found, seed=0)
 
 
 def test_round_up_triples_basics(h2):
@@ -563,6 +563,18 @@ def test_recipes_report_partial_on_budget():
         assert rep.status == "PARTIAL"
         assert rep.assertions[-1]["name"] == "budget"
         assert rep.assertions[-1]["witness"].startswith(cut)
+
+
+def test_budget_keeps_a_failed_check(monkeypatch):
+    # with a classifier that tags every set wrongly, bshex has failed before
+    # its 720 nodes run out in the hyperbolic-line scan: it stays FAIL
+    monkeypatch.setattr(S, "classify_blocking_set", lambda g, b: "Unknown")
+    rep = run_recipe("bshex", budget=720, q=2)
+    assert rep.status == "FAIL"
+    failed = [a["name"] for a in rep.assertions if not a["passed"]]
+    assert "classification-exact" in failed
+    assert rep.assertions[-1]["name"] == "budget"
+    assert rep.assertions[-1]["witness"].startswith("hyperbolic-line scan")
 
 
 # -- properties -----------------------------------------------------------------------

@@ -36,3 +36,15 @@ def test_traced_names_resolve():
         if not callable(owner):
             missing.append(f"{mod}.{qual}")
     assert names and not missing
+
+
+def test_run_recipe_calls_the_patched_function(monkeypatch):
+    # the tracer wraps a recipe by patching its function onto the recipes
+    # module, so run_recipe has to look the function up when it runs
+    from liegeom import recipes
+    raw, calls = recipes._recipe_nonex, []
+    monkeypatch.setattr(recipes, "_recipe_nonex",
+                        lambda *args, **kw: calls.append(kw) or raw(*args, **kw))
+    rep = recipes.run_recipe("nonex", tmax=20)
+    assert calls == [{"tmax": 20}]
+    assert rep.passed and rep.params == {"tmax": 20}
