@@ -3,8 +3,9 @@ hyperbolic lines, distance-3 traces and ovoids.
 
 Everything here runs on opposition bitsets, and each kernel computes its
 candidate set as a bitset expression instead of testing points one by
-one.  Opposition and the distance-2 relation are symmetric, so a row
-read as "the points opposite p" is also "the points p is opposite".
+one; the round-up-triple scan buckets its candidates by a restricted
+opposite set.  Opposition and the distance-2 relation are symmetric, so
+a row read as "the points opposite p" is also "the points p is opposite".
 
 The blocking-set enumerator uses witness-driven branching: every set it
 must find fails to cover the least uncovered point, so candidates can be
@@ -149,33 +150,31 @@ def is_round_up_triple(g: Geometry, v1: int, v2: int, v3: int) -> bool:
 
 def enumerate_round_up_triples(g: Geometry, base_point: Optional[int] = None,
                                budget: Optional[int] = None) -> list[tuple[int, int, int]]:
-    """All round-up triples; with base_point set, only triples through it."""
+    """All round-up triples; with base_point set, only triples through it.
+
+    (i, j, k) is round-up iff opp[j] and opp[k] agree on notopp[i] and
+    opp[i] & notopp[j] & notopp[k] is empty, so the candidates j are
+    bucketed by opp[j] & notopp[i] and only pairs inside a bucket are
+    tested.  The budget counts one node per point bucketed and one per
+    pair tested, and is checked before the pairs of each first point.
+    """
     o = opposition_sets(g)
     opp, notopp = o.opp, o.notopp
-    n = g.n
     out = []
     nodes = 0
-    if base_point is None:
-        firsts = range(n)
-    else:
-        firsts = (base_point,)
-    for i in firsts:
-        oi = opp[i]
-        lo = 0 if base_point is not None else i + 1
-        for j in range(lo, n):
-            if j == i:
-                continue
-            V = oi ^ opp[j]
-            W = ~(oi | opp[j]) & g.full_mask
-            for k in range(j + 1, n):
-                if k == i:
-                    continue
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    raise BudgetExceeded(f"triple scan exceeded {budget} nodes")
-                if not (V & notopp[k]) and not (opp[k] & W):
-                    out.append(tuple(sorted((i, j, k))))
-    return sorted(set(out))
+    for i in range(g.n) if base_point is None else (base_point,):
+        cands = range(i + 1, g.n) if base_point is None else [j for j in range(g.n) if j != i]
+        groups: dict[int, list[int]] = {}
+        for j in cands:
+            groups.setdefault(opp[j] & notopp[i], []).append(j)
+        nodes += len(cands) + sum(len(grp) * (len(grp) - 1) // 2 for grp in groups.values())
+        if budget is not None and nodes > budget:
+            raise BudgetExceeded(f"triple scan exceeded {budget} nodes")
+        for grp in groups.values():
+            for a, j in enumerate(grp):
+                missed = opp[i] & notopp[j]
+                out += [tuple(sorted((i, j, k))) for k in grp[a + 1:] if not (missed & notopp[k])]
+    return sorted(out)
 
 
 # -- geometric lines -------------------------------------------------------------

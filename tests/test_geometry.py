@@ -291,9 +291,11 @@ def test_singular_planes_q72(q72):
 
 
 def test_gamma_space_gate():
-    # a triangle-with-tail is not a gamma space
-    g = Geometry(4, [(0, 1, 3), (1, 2, 3), (0, 2, 3)])
-    assert not validate(g).partial_linear or not is_gamma_space(g)
+    # a triangle of 3-point lines is a partial linear space but not a gamma
+    # space: point 0 is collinear with 2 and 4 on the line (2, 3, 4), not 3
+    g = Geometry(6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
+    assert validate(g).partial_linear
+    assert not is_gamma_space(g)
 
 
 @st.composite

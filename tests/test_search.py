@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from liegeom import search as S
 from liegeom.geometry import GeometryError, bit_indices, bitset
@@ -56,6 +57,32 @@ def enumerate_blocking_sets_scan(g, k, minimal_only=False):
             taken |= 1 << p
     dfs([], g.full_mask, 0)
     return sorted(set(results))
+
+
+def round_up_triples_scan(g, base_point=None):
+    """Every pair (j, k) tested against each first point i."""
+    o = opposition_sets(g)
+    opp, notopp = o.opp, o.notopp
+    n = g.n
+    out = []
+    if base_point is None:
+        firsts = range(n)
+    else:
+        firsts = (base_point,)
+    for i in firsts:
+        oi = opp[i]
+        lo = 0 if base_point is not None else i + 1
+        for j in range(lo, n):
+            if j == i:
+                continue
+            V = oi ^ opp[j]
+            W = ~(oi | opp[j]) & g.full_mask
+            for k in range(j + 1, n):
+                if k == i:
+                    continue
+                if not (V & notopp[k]) and not (opp[k] & W):
+                    out.append(tuple(sorted((i, j, k))))
+    return sorted(set(out))
 
 
 def is_geometric_line_counts(g, pts):
@@ -505,6 +532,37 @@ def test_geometric_line_closure_equals_scan(h2, h3, h2_dual, w32, gr_w52):
         assert got == [geometric_line_closure_scan(g, t) for t in ruts]
 
 
+def test_round_up_triples_equal_scan(h2, h2_dual, w32, gr_w52):
+    for g in (h2, h2_dual, w32, gr_w52):
+        assert S.enumerate_round_up_triples(g) == round_up_triples_scan(g)
+
+
+@pytest.mark.parametrize("alias", ["hexagon-2", "hexagon-3", "gr-w52"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_round_up_triples_through_a_point_equal_scan(alias, data):
+    from liegeom.recipes import model_geometry
+    g = model_geometry(alias)
+    p = data.draw(st.integers(0, g.n - 1))
+    assert (S.enumerate_round_up_triples(g, base_point=p)
+            == round_up_triples_scan(g, base_point=p))
+
+
+@given(n=st.integers(3, 9), data=st.data())
+def test_round_up_triples_equal_scan_on_any_opposition(n, data):
+    # in a quadrangle opposite means non-collinear, so 2-point lines give
+    # every symmetric opposition relation; unlike on the models, in-bucket
+    # pairs here can fail the subset check
+    from liegeom.geometry import Geometry, Kind
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    g = Geometry(n, set(map(frozenset, pairs)), Kind("polygon", 4))
+    p = data.draw(st.integers(0, n - 1))
+    assert S.enumerate_round_up_triples(g) == round_up_triples_scan(g)
+    assert (S.enumerate_round_up_triples(g, base_point=p)
+            == round_up_triples_scan(g, base_point=p))
+
+
 def test_blocking_sets_equal_scan(h2, h3, h2_dual, w32, gr_w52):
     cases = [(h2, 3, True), (h2, 3, False), (h3, 3, True), (h2_dual, 3, True),
              (h2_dual, 2, False), (w32, 3, False), (w32, 4, True), (w32, 4, False),
@@ -552,6 +610,23 @@ def test_hyperbolic_lines_budget(h2):
 def test_ovoids_budget(w32):
     with pytest.raises(S.BudgetExceeded):
         S.enumerate_ovoids(w32, budget=3)
+
+
+def test_round_up_triples_budget(h2):
+    # one node per point bucketed and one per in-bucket pair tested: the
+    # first point alone buckets the other n - 1 points
+    with pytest.raises(S.BudgetExceeded, match="triple scan exceeded"):
+        S.enumerate_round_up_triples(h2, budget=h2.n - 2)
+    opp, notopp = opposition_sets(h2).opp, opposition_sets(h2).notopp
+    total = 0
+    for i in range(h2.n):
+        sizes = Counter(opp[j] & notopp[i] for j in range(i + 1, h2.n))
+        total += h2.n - 1 - i + sum(m * (m - 1) // 2 for m in sizes.values())
+    ruts = S.enumerate_round_up_triples(h2)
+    assert len(ruts) == 651
+    assert S.enumerate_round_up_triples(h2, budget=total) == ruts
+    with pytest.raises(S.BudgetExceeded):
+        S.enumerate_round_up_triples(h2, budget=total - 1)
 
 
 def test_recipes_report_partial_on_budget():
