@@ -261,8 +261,8 @@ def _check_polar_axioms(g: Geometry) -> None:
     must see them all.
     """
     for li in range(len(g.lines)):
-        ge1, some_not_all = one_or_all(g, li)
-        bad = g.full_mask & ~ge1 | some_not_all
+        ge1, ge2, common = one_or_all(g, li)
+        bad = g.full_mask & ~ge1 | ge2 & ~common
         if bad:
             x = (bad & -bad).bit_length() - 1
             c = (g.adj[x] & g.line_bits[li]).bit_count()

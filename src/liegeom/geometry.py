@@ -299,25 +299,23 @@ def is_generalized_polygon(g: Geometry, gonality: int) -> bool:
 # -- gamma spaces, planes, residues, Grassmannians -------------------------
 
 
-def one_or_all(g: Geometry, li: int) -> tuple[int, int]:
-    """Two bitsets for line li: the points collinear with some point of it,
-    and the points collinear with two or more of its points but not all.
-
-    Over the perps of the line's points, ge1 collects the points in one or
-    more of them, ge2 those in two or more and common those in all.
-    """
+def one_or_all(g: Geometry, li: int) -> tuple[int, int, int]:
+    """The one fold over the perps of line li's points: the points
+    collinear-or-equal to one or more of them (ge1), to two or more (ge2)
+    and to all of them (common)."""
     ge1 = ge2 = 0
     common = g.full_mask
     for p in g.lines[li]:
         ge2 |= ge1 & g.adj[p]
         ge1 |= g.adj[p]
         common &= g.adj[p]
-    return ge1, ge2 & ~common
+    return ge1, ge2, common
 
 
 def is_gamma_space(g: Geometry) -> bool:
     """Each point collinear with 0, 1 or all points of every line."""
-    return not any(one_or_all(g, li)[1] for li in range(len(g.lines)))
+    return not any(ge2 & ~common for _, ge2, common in
+                   (one_or_all(g, li) for li in range(len(g.lines))))
 
 
 def subspace_closure(g: Geometry, bits: int) -> int:
@@ -363,10 +361,7 @@ def _planes_on(g: Geometry, line_ids: Iterable[int]) -> Iterator[tuple[int, list
         raise GeometryError("singular planes require a gamma space")
     covered = [0] * len(g.lines)
     for li in line_ids:
-        todo = g.full_mask
-        for p in g.lines[li]:
-            todo &= g.adj[p]
-        todo &= ~g.line_bits[li] & ~covered[li]
+        todo = one_or_all(g, li)[2] & ~g.line_bits[li] & ~covered[li]
         while todo:
             plane = subspace_closure(g, g.line_bits[li] | todo & -todo)
             todo &= ~plane

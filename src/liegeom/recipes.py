@@ -229,7 +229,7 @@ def _recipe_geomlines_hex(rep: RunReport, budget: Optional[int], q: int = 2) -> 
             bad = {"triple": t, "witness": w}
             break
     rep.check("rut-lemmas", bad is None, bad)
-    gls = set(S.enumerate_geometric_lines(g, budget=budget))
+    gls = {gl for t in ruts if (gl := S.geometric_line_closure(g, t)) is not None}
     lines = set(map(tuple, g.lines))
     hyp = set(S.all_hyperbolic_lines(g, budget=budget))
     expect = lines | hyp | (set(traces) if q % 2 == 0 else set())

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Geometry, GeometryError, bit_indices, bitset
+from .geometry import Geometry, GeometryError, bit_indices, bitset, one_or_all
 
 EQUAL, COLLINEAR, SYMPLECTIC, SPECIAL, OPPOSITE, NEAR_OPPOSITE = range(6)
 
@@ -61,14 +61,6 @@ def geometry_family(g: Geometry) -> str:
 # -- polar line opposition ------------------------------------------------
 
 
-def _perp_all_line(p: Geometry, li: int) -> int:
-    """Bitset of points collinear-or-equal to every point of line li."""
-    bits = p.full_mask
-    for x in p.lines[li]:
-        bits &= p.adj[x]
-    return bits
-
-
 def _line_perp_tables(p: Geometry) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Per polar space, bitsets over its lines: (through, inperp, perp_all).
 
@@ -77,7 +69,7 @@ def _line_perp_tables(p: Geometry) -> tuple[tuple[int, ...], tuple[int, ...], tu
     of line l, so a is in perp_all[l] iff l is in inperp[a].
     """
     def build():
-        perp_all = tuple(_perp_all_line(p, li) for li in range(len(p.lines)))
+        perp_all = tuple(one_or_all(p, li)[2] for li in range(len(p.lines)))
         inperp = [0] * p.n
         for li, bits in enumerate(perp_all):
             for a in bit_indices(bits):

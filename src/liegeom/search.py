@@ -6,6 +6,9 @@ candidate set as a bitset expression instead of testing points one by
 one; the round-up-triple scan buckets its candidates by a restricted
 opposite set.  Opposition and the distance-2 relation are symmetric, so
 a row read as "the points opposite p" is also "the points p is opposite".
+Hexagon lines are read from one table per hexagon, holding per line the
+points close to it and the lines opposite it; the distance-3 traces walk
+it and the trace recognizer reads it.
 
 The blocking-set enumerator uses witness-driven branching: every set it
 must find fails to cover the least uncovered point, so candidates can be
@@ -19,11 +22,10 @@ completions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .geometry import Geometry, GeometryError, bit_indices, bitset, residual
+from .geometry import Geometry, GeometryError, bit_indices, bitset, one_or_all, residual
 from .relations import (
     OPPOSITE,
     SPECIAL,
@@ -274,13 +276,6 @@ def special_center(g: Geometry, a: int, b: int) -> int:
     return common.bit_length() - 1
 
 
-@dataclass
-class HyperbolicLine:
-    center: int
-    points: tuple[int, ...]
-    regular: bool
-
-
 def _special_trace_cap(g: Geometry, c: int, a: int, b: int) -> tuple[int, int]:
     """For a special pair a, b with centre c: the points q opposite c and
     special to both, and the perp of c (without c) cut by the special
@@ -305,27 +300,16 @@ def _hyperbolic_bits(g: Geometry, a: int, b: int) -> tuple[int, int]:
     return c, h
 
 
-def hyperbolic_line(g: Geometry, a: int, b: int) -> HyperbolicLine:
-    """Hyperbolic line through a special pair of a generalised hexagon.
+def hyperbolic_line(g: Geometry, a: int, b: int) -> tuple[int, ...]:
+    """Points of the hyperbolic line through a special pair of a
+    generalised hexagon.
 
     H = intersection of q-special-traces on the perp of the centre, over
-    all points q opposite the centre and special to both a and b.  It is
-    regular when every point opposite the centre special to at least two
-    points of H has the same trace; those points are the ones lying in
-    two or more of the rows d2[p], p in H.
+    all points q opposite the centre and special to both a and b.
     """
     if geometry_family(g) != "hexagon":
         raise GeometryError("hyperbolic lines are defined here for hexagons")
-    c, h = _hyperbolic_bits(g, a, b)
-    d2 = _distance2_bits(g)
-    pts = tuple(bit_indices(h))
-    ge1 = ge2 = 0
-    for p in pts:
-        ge2 |= ge1 & d2[p]
-        ge1 |= d2[p]
-    regular = all((d2[q] & g.adj[c]) == h
-                  for q in bit_indices(opposition_sets(g).opp[c] & ge2))
-    return HyperbolicLine(c, pts, regular)
+    return tuple(bit_indices(_hyperbolic_bits(g, a, b)[1]))
 
 
 def all_hyperbolic_lines(g: Geometry, budget: Optional[int] = None) -> list[tuple[int, ...]]:
@@ -344,65 +328,39 @@ def all_hyperbolic_lines(g: Geometry, budget: Optional[int] = None) -> list[tupl
     return sorted(tuple(bit_indices(h)) for h in out)
 
 
-def _line_reach(g: Geometry) -> tuple[int, ...]:
-    """Per line: the points equal or collinear to some point of it."""
+def _hexagon_line_table(g: Geometry) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per line of a hexagon: the points off it collinear with one of its
+    points, and the bitset of the lines opposite it, i.e. missing its
+    reach (ge1 of one_or_all): no point of one is collinear with a point
+    of the other."""
     def build():
-        out = []
-        for l in g.lines:
-            bits = 0
-            for p in l:
-                bits |= g.adj[p]
-            out.append(bits)
-        return tuple(out)
-    return g.cached("line-reach", build)
-
-
-def close_to_lines(g: Geometry) -> tuple[int, ...]:
-    """Per line of a polygon: the points off it collinear with exactly one
-    of its points."""
-    return g.cached("close-to-line", lambda: tuple(
-        r & ~lb for r, lb in zip(_line_reach(g), g.line_bits)))
-
-
-def opposite_lines_polygon(g: Geometry, li: int, mi: int) -> bool:
-    """Lines at maximal incidence-graph distance.
-
-    In a hexagon that means disjoint with no collinear cross pair (each
-    point of one line is then special to a unique point of the other);
-    in a quadrangle it means disjoint.
-    """
-    if li == mi:
-        return False
-    fam = geometry_family(g)
-    if fam == "quadrangle":
-        return not (g.line_bits[li] & g.line_bits[mi])
-    if fam != "hexagon":
-        raise GeometryError("line opposition implemented for generalised polygons")
-    return not (_line_reach(g)[li] & g.line_bits[mi])
-
-
-def opposite_line_pairs(g: Geometry) -> list[tuple[int, int]]:
-    blocker = g.line_bits if geometry_family(g) == "quadrangle" else _line_reach(g)
-    out = []
-    for li in range(len(g.lines)):
-        for mi in range(li + 1, len(g.lines)):
-            if not (blocker[li] & g.line_bits[mi]):
-                out.append((li, mi))
-    return out
+        through = [bitset(ls) for ls in g.lines_through]
+        all_lines = (1 << len(g.lines)) - 1
+        close, opp = [], []
+        for li, lb in enumerate(g.line_bits):
+            reach = one_or_all(g, li)[0]
+            met = 0
+            for x in bit_indices(reach):
+                met |= through[x]
+            close.append(reach & ~lb)
+            opp.append(all_lines & ~met)
+        return tuple(close), tuple(opp)
+    return g.cached("hexagon-lines", build)
 
 
 def all_distance3_traces(g: Geometry) -> list[tuple[int, ...]]:
-    """Distinct traces of all opposite line pairs, in one pass over pairs."""
+    """Distinct traces of all opposite line pairs, read off the line table."""
     if geometry_family(g) != "hexagon":
         raise GeometryError("distance-3 traces are defined here for hexagons")
-    close = close_to_lines(g)
+    close, opp = _hexagon_line_table(g)
     out = set()
-    for li, mi in opposite_line_pairs(g):
-        bits = close[li] & close[mi]
-        if bits.bit_count() != len(g.lines[li]):
-            raise GeometryError(f"trace has {bits.bit_count()} points, "
-                                f"expected {len(g.lines[li])}")
-        out.add(bits)
+    for li, row in enumerate(opp):
+        for mi in bit_indices(row >> li << li):     # the lines mi > li
+            bits = close[li] & close[mi]
+            if bits.bit_count() != len(g.lines[li]):
+                raise GeometryError(f"trace has {bits.bit_count()} points, "
+                                    f"expected {len(g.lines[li])}")
+            out.add(bits)
     return sorted(tuple(bit_indices(b)) for b in out)
 
 
@@ -491,7 +449,7 @@ def classify_blocking_set(g: Geometry, pts: Sequence[int]) -> str:
         rels = {classify_pair(g, a, b) for a, b in combinations(pts, 2)}
         if rels == {SPECIAL}:
             try:
-                if set(hyperbolic_line(g, pts[0], pts[1]).points) == set(pts):
+                if hyperbolic_line(g, pts[0], pts[1]) == pts:
                     return "HyperbolicLine"
             except GeometryError:
                 pass
@@ -520,12 +478,12 @@ def classify_blocking_set(g: Geometry, pts: Sequence[int]) -> str:
 def _is_trace(g: Geometry, pts: Sequence[int]) -> bool:
     """Whether pts is the distance-3 trace of some pair of opposite lines."""
     bits = bitset(pts)
-    close = close_to_lines(g)
+    close, opp = _hexagon_line_table(g)
     for li, cl in enumerate(close):
         if bits & ~cl:
             continue
         for mi, cm in enumerate(close):
-            if cl & cm == bits and opposite_lines_polygon(g, li, mi):
+            if cl & cm == bits and opp[li] >> mi & 1:
                 return True
     return False
 
@@ -543,7 +501,7 @@ def _is_hyperbolic_pencil(g: Geometry, pts: Sequence[int]) -> bool:
     """Lines of the base through one point, hyperbolic in the point residual."""
     try:
         base = grassmannian_base(g)
-    except Exception:
+    except GeometryError:
         return False
     common = base.full_mask
     for li in pts:
@@ -553,7 +511,4 @@ def _is_hyperbolic_pencil(g: Geometry, pts: Sequence[int]) -> bool:
     p = common.bit_length() - 1
     res = residual(base, p)
     rmap = residual_point_map(base, res)
-    rpts = sorted(rmap[li] for li in pts)
-    if res.collinear(rpts[0], rpts[1]):
-        return False
-    return set(polar_hyperbolic_line(res, rpts[0], rpts[1])) == set(rpts)
+    return _is_polar_hyperbolic(res, sorted(rmap[li] for li in pts))

@@ -118,7 +118,17 @@ def geometric_line_closure_scan(g, triple):
     return pts if is_geometric_line_counts(g, pts) else None
 
 
+@dataclass
+class HyperbolicLine:
+    center: int
+    points: tuple[int, ...]
+    regular: bool
+
+
 def hyperbolic_line_scan(g, a, b):
+    """Hyperbolic line through a special pair, with its regularity: every
+    point opposite the centre special to two or more of its points has
+    the same trace."""
     if geometry_family(g) != "hexagon":
         raise GeometryError("hyperbolic lines are defined here for hexagons")
     c = S.special_center(g, a, b)
@@ -139,7 +149,20 @@ def hyperbolic_line_scan(g, a, b):
         (d2[q] & g.adj[c]) == h
         for q in bit_indices(o.opp[c])
         if (d2[q] & h).bit_count() >= 2)
-    return S.HyperbolicLine(c, pts, regular)
+    return HyperbolicLine(c, pts, regular)
+
+
+def regular_by_fold(g, hl):
+    """Regularity read off the rows d2[p], p in H: the points special to
+    two or more points of H are those in two or more rows."""
+    d2 = S._distance2_bits(g)
+    ge1 = ge2 = 0
+    for p in hl.points:
+        ge2 |= ge1 & d2[p]
+        ge1 |= d2[p]
+    h = bitset(hl.points)
+    return all((d2[q] & g.adj[hl.center]) == h
+               for q in bit_indices(opposition_sets(g).opp[hl.center] & ge2))
 
 
 def all_hyperbolic_lines_scan(g):
@@ -158,14 +181,32 @@ class Distance3Trace:
     points: tuple[int, ...]
 
 
+def lines_opposite_pairwise(g, li, mi):
+    """Hexagon line opposition from g.adj: distinct lines with no point of
+    one collinear-or-equal to a point of the other."""
+    return li != mi and not any(g.adj[x] & g.line_bits[mi] for x in g.lines[li])
+
+
+def opposite_line_pairs_pairwise(g):
+    return [(li, mi) for li, mi in combinations(range(len(g.lines)), 2)
+            if lines_opposite_pairwise(g, li, mi)]
+
+
+def close_to_line(g, li):
+    """Points off line li collinear with one of its points."""
+    bits = 0
+    for x in g.lines[li]:
+        bits |= g.adj[x]
+    return bits & ~g.line_bits[li]
+
+
 def distance3_trace(g, li, mi):
     """Points close to both of two opposite lines of a hexagon."""
     if geometry_family(g) != "hexagon":
         raise GeometryError("distance-3 traces are defined here for hexagons")
-    if not S.opposite_lines_polygon(g, li, mi):
+    if not lines_opposite_pairwise(g, li, mi):
         raise GeometryError(f"lines {li} and {mi} are not opposite")
-    close = S.close_to_lines(g)
-    pts = tuple(bit_indices(close[li] & close[mi]))
+    pts = tuple(bit_indices(close_to_line(g, li) & close_to_line(g, mi)))
     s = len(g.lines[li]) - 1
     if len(pts) != s + 1:
         raise GeometryError(f"trace has {len(pts)} points, expected {s + 1}")
@@ -176,19 +217,21 @@ def trace_regular(g, tr):
     """[N,M]3 = [L,M]3 whenever N is opposite M and shares >= 2 trace points."""
     li, mi = tr.line_pair
     bits = bitset(tr.points)
-    close = S.close_to_lines(g)
+    cm = close_to_line(g, mi)
     for ni in range(len(g.lines)):
-        if ni == mi or not S.opposite_lines_polygon(g, ni, mi):
+        if not lines_opposite_pairwise(g, ni, mi):
             continue
-        t = close[ni] & close[mi]
+        t = close_to_line(g, ni) & cm
         if (t & bits).bit_count() >= 2 and t != bits:
             return False
     return True
 
 
 def all_distance3_traces_pairwise(g):
+    if geometry_family(g) != "hexagon":
+        raise GeometryError("distance-3 traces are defined here for hexagons")
     return sorted({distance3_trace(g, li, mi).points
-                   for li, mi in S.opposite_line_pairs(g)})
+                   for li, mi in opposite_line_pairs_pairwise(g)})
 
 
 def test_common_opposite(h2):
@@ -325,23 +368,20 @@ def test_hyperbolic_line_h2(h2):
     hyps = S.all_hyperbolic_lines(h2)
     assert len(hyps) == 252
     assert all(len(h) == 3 for h in hyps)
-    h = S.hyperbolic_line(h2, hyps[0][0], hyps[0][1])
-    assert h.regular
-    assert set(h.points) == set(hyps[0])
+    assert S.hyperbolic_line(h2, hyps[0][0], hyps[0][1]) == hyps[0]
+    assert hyperbolic_line_scan(h2, hyps[0][0], hyps[0][1]).regular
 
 
 def test_hyperbolic_line_h3(h3):
     d2 = S._distance2_bits(h3)
-    from liegeom.geometry import bit_indices
     a = 0
     b = bit_indices(d2[0])[0]
-    h = S.hyperbolic_line(h3, a, b)
-    assert len(h.points) == 4
-    assert h.regular
+    assert len(S.hyperbolic_line(h3, a, b)) == 4
+    assert hyperbolic_line_scan(h3, a, b).regular
 
 
 def test_distance3_trace(h2):
-    pairs = S.opposite_line_pairs(h2)
+    pairs = opposite_line_pairs_pairwise(h2)
     assert len(pairs) == 1008
     tr = distance3_trace(h2, *pairs[0])
     assert len(tr.points) == 3
@@ -354,10 +394,26 @@ def test_distance3_trace(h2):
 
 
 def test_trace_regularity_h3_sampled(h3):
-    pairs = S.opposite_line_pairs(h3)
     rng = random.Random(1)
-    for li, mi in rng.sample(pairs, 40):
+    pairs = []
+    while len(pairs) < 40:
+        li, mi = rng.sample(range(len(h3.lines)), 2)
+        if lines_opposite_pairwise(h3, li, mi):
+            pairs.append((li, mi))
+    for li, mi in pairs:
         assert trace_regular(h3, distance3_trace(h3, li, mi))
+
+
+def test_hexagon_line_table_equals_pairwise(h2, h3, h2_dual):
+    for g, sample in ((h2, None), (h2_dual, None), (h3, 40)):
+        close, opp = S._hexagon_line_table(g)
+        lines = range(len(g.lines))
+        assert all(opp[li] >> mi & 1 == opp[mi] >> li & 1 for li in lines for mi in lines)
+        rows = lines if sample is None else random.Random(10).sample(lines, sample)
+        for li in rows:
+            assert close[li] == close_to_line(g, li)
+            assert opp[li] == bitset(mi for mi in lines if lines_opposite_pairwise(g, li, mi))
+    assert sum(b.bit_count() for b in S._hexagon_line_table(h2)[1]) == 2 * 1008
 
 
 def test_gq_dominating(h34):
@@ -476,9 +532,10 @@ def test_hyperbolic_lines_equal_scan(h2, h3, h2_dual):
     h3_pairs = random.Random(4).sample(_special_pairs(h3), 300)
     for g, pairs in ((h2, _special_pairs(h2)), (h3, h3_pairs),
                      (h2_dual, _special_pairs(h2_dual))):
-        lines = [S.hyperbolic_line(g, a, b) for a, b in pairs]
-        assert lines == [hyperbolic_line_scan(g, a, b) for a, b in pairs]
-        assert {h.regular for h in lines} == {g is not h2_dual}
+        scans = [hyperbolic_line_scan(g, a, b) for a, b in pairs]
+        assert [S.hyperbolic_line(g, a, b) for a, b in pairs] == [h.points for h in scans]
+        assert [regular_by_fold(g, h) for h in scans] == [h.regular for h in scans]
+        assert {h.regular for h in scans} == {g is not h2_dual}
 
 
 def test_hyperbolic_lines_only_in_hexagons(w32, gr_w52):
@@ -627,6 +684,32 @@ def test_round_up_triples_budget(h2):
     assert S.enumerate_round_up_triples(h2, budget=total) == ruts
     with pytest.raises(S.BudgetExceeded):
         S.enumerate_round_up_triples(h2, budget=total - 1)
+
+
+def test_geomlines_recipe_scans_the_triples_once(monkeypatch):
+    # the recipe closes the round-up triples it already holds instead of
+    # scanning them again through enumerate_geometric_lines
+    raw, calls = S.enumerate_round_up_triples, []
+    monkeypatch.setattr(S, "enumerate_round_up_triples",
+                        lambda *args, **kw: calls.append(kw) or raw(*args, **kw))
+    rep = run_recipe("geomlines-hex", q=2)
+    assert rep.passed and len(calls) == 1
+
+
+def test_hyperbolic_pencil_catches_only_geometry_errors(monkeypatch, gr_w52):
+    from liegeom.geometry import Geometry, Kind
+    pts = (0, 1, 2)
+    assert gr_w52.line_id(pts) is None
+    # a base that cannot be rebuilt from its name leaves the set unclassified
+    unbuildable = Geometry(gr_w52.n, gr_w52.lines, Kind("grassmannian", of="X(9,9)"))
+    assert S.classify_blocking_set(unbuildable, pts) == "Unclassified"
+    # a programming error in the base lookup is not read as "Unclassified"
+
+    def broken(g):
+        raise KeyError("base")
+    monkeypatch.setattr(S, "grassmannian_base", broken)
+    with pytest.raises(KeyError):
+        S.classify_blocking_set(gr_w52, pts)
 
 
 def test_recipes_report_partial_on_budget():
