@@ -152,6 +152,15 @@ class Geometry:
         rep = validate(g)
         if not rep.partial_linear:
             raise GeometryError(f"import violates partial linearity: {rep.violations[:3]}")
+        # the claimed kind is checked too, except a Grassmannian's base
+        k = g.kind
+        if k.family == "polygon" and not is_generalized_polygon(g, k.param):
+            raise GeometryError(f"import is not a generalized {k.param}-gon")
+        if k.family == "polar":
+            from .constructors import _check_polar_axioms, _polar_rank
+            _check_polar_axioms(g)
+            if (rank := _polar_rank(g)) != k.param:
+                raise GeometryError(f"import is a polar space of rank {rank}, not {k.param}")
         return g
 
     def fingerprint(self) -> dict:

@@ -123,16 +123,12 @@ class FieldSpec:
 class GF:
     """A concrete small field with precomputed operation tables."""
 
-    def __init__(self, q: int, modulus=None):
+    def __init__(self, q: int):
         p, k = _factor_order(q)
+        modulus = (0, 1) if k == 1 else _DEFAULT_MODULI.get((p, k))
         if modulus is None:
-            if k == 1:
-                modulus = (0, 1)
-            else:
-                modulus = _DEFAULT_MODULI.get((p, k))
-            if modulus is None:
-                raise FieldError(f"no default modulus for GF({p}^{k})")
-        self.spec = FieldSpec(p, k, tuple(m % p for m in modulus[:-1]) + (1,))
+            raise FieldError(f"no default modulus for GF({p}^{k})")
+        self.spec = FieldSpec(p, k, modulus)
         self.p, self.k, self.q = p, k, q
         self._build_tables()
 

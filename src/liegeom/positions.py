@@ -29,7 +29,7 @@ from .relations import (
     SYMPLECTIC,
     relation_matrix,
 )
-from .search import BudgetExceeded
+from .search import BudgetExceeded, special_center
 
 
 class PositionError(GeometryError):
@@ -629,8 +629,7 @@ def _auxiliary_lines(model: HexagonicModel, li: int, targets: Sequence[int], x: 
             # the unique special pair (x, y) with y on the target
             row = [model.rel.rel(x, y) for y in g.lines[t]]
             y = g.lines[t][row.index(SPECIAL)]
-            centre = (g.adj[x] & g.adj[y] & ~(1 << x) & ~(1 << y)).bit_length() - 1
-            ki = g.line_through(x, centre)
+            ki = g.line_through(x, special_center(g, x, y))
             if ki is None or li not in model.local_opposites(x)[ki]:
                 raise PositionError("projection line is not locally opposite the base")
             out.append(ki)

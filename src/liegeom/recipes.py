@@ -203,8 +203,8 @@ def _rut_lemma_witness(g: Geometry, traces, t) -> Optional[str]:
         qs, cap = S._special_trace_cap(g, c, *pair)
         tb = bitset(t)
         if qs and tb & ~cap:
-            d2 = S._distance2_bits(g)
-            y = next(y for y in bit_indices(qs) if tb & ~(g.adj[c] & d2[y]))
+            notopp = opposition_sets(g).notopp
+            y = next(y for y in bit_indices(qs) if tb & ~(g.adj[c] & notopp[y]))
             return f"not inside centre-perp cap special-trace of {y}"
         return None
     # pairwise opposite: containment in every trace meeting it twice

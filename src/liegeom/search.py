@@ -1,14 +1,15 @@
 """Exhaustive search for blocking sets, round-up triples, geometric lines,
 hyperbolic lines, distance-3 traces and ovoids.
 
-Everything here runs on opposition bitsets, and each kernel computes its
-candidate set as a bitset expression instead of testing points one by
-one; the round-up-triple scan buckets its candidates by a restricted
-opposite set.  Opposition and the distance-2 relation are symmetric, so
-a row read as "the points opposite p" is also "the points p is opposite".
-Hexagon lines are read from one table per hexagon, holding per line the
-points close to it and the lines opposite it; the distance-3 traces walk
-it and the trace recognizer reads it.
+Everything here runs on the opposition rows, adjacency and line bitsets,
+and each kernel computes its candidate set as a bitset expression instead
+of testing points one by one; the round-up-triple scan buckets its
+candidates by a restricted opposite set.  Opposition is symmetric, so a
+row read as "the points opposite p" is also "the points p is opposite".
+In a hexagon notopp[x] is the ball of radius 2 about x, so the points
+special to x are notopp[x] & ~adj[x].  One table per hexagon holds per
+line the points close to it and the lines opposite it; the distance-3
+traces walk it and the trace recognizer reads it.
 
 The blocking-set enumerator uses witness-driven branching: every set it
 must find fails to cover the least uncovered point, so candidates can be
@@ -17,6 +18,9 @@ make the enumeration exact with each solution produced exactly once.  At
 the last level the completing points are one intersection of
 non-opposite rows, so a node one point short of k stands for all its
 completions.
+
+The ovoid search keeps its chosen points pairwise non-collinear, so a
+line is met iff it holds a chosen point: no per-line flags are kept.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ def enumerate_blocking_sets(g: Geometry, k: int, minimal_only: bool = False,
     """
     o = opposition_sets(g)
     opp, notopp = o.opp, o.notopp
-    notopp_pts = [tuple(bit_indices(b)) for b in notopp]
     results: list[tuple[int, ...]] = []
     nodes = 0
 
@@ -86,9 +89,7 @@ def enumerate_blocking_sets(g: Geometry, k: int, minimal_only: bool = False,
                 if not minimal_only or minimal(got):
                     results.append(got)
             elif not minimal_only:
-                chosen_bits = bitset(chosen)
-                rest = [p for p in range(g.n)
-                        if not (chosen_bits >> p & 1) and not (excluded >> p & 1)]
+                rest = bit_indices(g.full_mask & ~bitset(chosen) & ~excluded)
                 for extra in combinations(rest, k - len(chosen)):
                     results.append(tuple(sorted(chosen + list(extra))))
             return
@@ -110,11 +111,8 @@ def enumerate_blocking_sets(g: Geometry, k: int, minimal_only: bool = False,
                 if not minimal_only or minimal(got):
                     results.append(got)
             return
-        chosen_bits = bitset(chosen)
-        cands = [p for p in notopp_pts[w]
-                 if not (excluded >> p & 1) and not (chosen_bits >> p & 1)]
         taken = 0
-        for p in cands:
+        for p in bit_indices(notopp[w] & ~excluded & ~bitset(chosen)):
             dfs(chosen + [p], inter & opp[p], excluded | taken)
             taken |= 1 << p
     dfs([], g.full_mask, 0)
@@ -255,19 +253,6 @@ def enumerate_geometric_lines(g: Geometry, base_point: Optional[int] = None,
 # -- hexagon objects ---------------------------------------------------------------
 
 
-def _distance2_bits(g: Geometry) -> tuple[int, ...]:
-    def build():
-        out = []
-        for x in range(g.n):
-            near = g.adj[x]
-            grow = 0
-            for y in bit_indices(near):
-                grow |= g.adj[y]
-            out.append(grow & ~near)
-        return tuple(out)
-    return g.cached("distance-2", build)
-
-
 def special_center(g: Geometry, a: int, b: int) -> int:
     """The unique common neighbour of a special pair."""
     common = g.adj[a] & g.adj[b] & ~(1 << a) & ~(1 << b)
@@ -279,25 +264,26 @@ def special_center(g: Geometry, a: int, b: int) -> int:
 def _special_trace_cap(g: Geometry, c: int, a: int, b: int) -> tuple[int, int]:
     """For a special pair a, b with centre c: the points q opposite c and
     special to both, and the perp of c (without c) cut by the special
-    traces d2[q] of all those q.  d2 is symmetric, so the points q are
-    opp[c] & d2[a] & d2[b]."""
-    d2 = _distance2_bits(g)
-    qs = opposition_sets(g).opp[c] & d2[a] & d2[b]
+    traces of all those q.  notopp[x] is the ball of radius 2 about x, and
+    a point opposite c is collinear with no point of c's perp, so the
+    points q are opp[c] & notopp[a] & notopp[b] and each trace on the perp
+    is notopp[q]."""
+    o = opposition_sets(g)
+    qs = o.opp[c] & o.notopp[a] & o.notopp[b]
     h = g.adj[c] & ~(1 << c)
     for q in bit_indices(qs):
-        h &= d2[q]
+        h &= o.notopp[q]
     return qs, h
 
 
-def _hyperbolic_bits(g: Geometry, a: int, b: int) -> tuple[int, int]:
-    """Centre and point bitset of the hyperbolic line through a special pair."""
-    c = special_center(g, a, b)
-    qs, h = _special_trace_cap(g, c, a, b)
+def _hyperbolic_bits(g: Geometry, a: int, b: int) -> int:
+    """Point bitset of the hyperbolic line through a special pair."""
+    qs, h = _special_trace_cap(g, special_center(g, a, b), a, b)
     if not qs:
         raise GeometryError("no point opposite the centre is special to both")
     if not (h >> a & 1) or not (h >> b & 1):
         raise GeometryError("hyperbolic line does not contain its defining pair")
-    return c, h
+    return h
 
 
 def hyperbolic_line(g: Geometry, a: int, b: int) -> tuple[int, ...]:
@@ -309,22 +295,22 @@ def hyperbolic_line(g: Geometry, a: int, b: int) -> tuple[int, ...]:
     """
     if geometry_family(g) != "hexagon":
         raise GeometryError("hyperbolic lines are defined here for hexagons")
-    return tuple(bit_indices(_hyperbolic_bits(g, a, b)[1]))
+    return tuple(bit_indices(_hyperbolic_bits(g, a, b)))
 
 
 def all_hyperbolic_lines(g: Geometry, budget: Optional[int] = None) -> list[tuple[int, ...]]:
     """Point sets of the hyperbolic lines through every special pair."""
     if geometry_family(g) != "hexagon":
         raise GeometryError("hyperbolic lines are defined here for hexagons")
-    d2 = _distance2_bits(g)
+    notopp = opposition_sets(g).notopp
     out = set()
     nodes = 0
     for a in range(g.n):
-        for b in bit_indices(d2[a] >> (a + 1)):
+        for b in bit_indices((notopp[a] & ~g.adj[a]) >> (a + 1)):
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(f"hyperbolic-line scan exceeded {budget} pairs")
-            out.add(_hyperbolic_bits(g, a, a + 1 + b)[1])
+            out.add(_hyperbolic_bits(g, a, a + 1 + b))
     return sorted(tuple(bit_indices(h)) for h in out)
 
 
@@ -386,34 +372,27 @@ def is_ovoid(g: Geometry, pts: Sequence[int]) -> bool:
 
 
 def enumerate_ovoids(g: Geometry, budget: Optional[int] = None) -> list[tuple[int, ...]]:
-    """All ovoids, by covering the least unmet line at each step."""
+    """All ovoids, by covering the least unmet line at each step.  The
+    chosen points are pairwise non-collinear, so a line is met iff it holds
+    one, and a point collinear with none of them lies on no met line."""
     out = []
-    nl = len(g.lines)
     nodes = 0
 
-    def dfs(chosen_bits: int, chosen: list[int], hit: list[bool]):
+    def dfs(chosen: int):
         nonlocal nodes
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceeded(f"ovoid search exceeded {budget} nodes")
-        li = next((i for i in range(nl) if not hit[i]), None)
+        li = next((i for i, lb in enumerate(g.line_bits) if not lb & chosen), None)
         if li is None:
-            if is_ovoid(g, chosen):
-                out.append(tuple(sorted(chosen)))
+            pts = tuple(bit_indices(chosen))
+            if is_ovoid(g, pts):
+                out.append(pts)
             return
         for p in g.lines[li]:
-            if g.adj[p] & chosen_bits:
-                continue
-            new_hit = list(hit)
-            ok = True
-            for lj in g.lines_through[p]:
-                if new_hit[lj]:
-                    ok = False
-                    break
-                new_hit[lj] = True
-            if ok:
-                dfs(chosen_bits | 1 << p, chosen + [p], new_hit)
-    dfs(0, [], [False] * nl)
+            if not g.adj[p] & chosen:
+                dfs(chosen | 1 << p)
+    dfs(0)
     return sorted(set(out))
 
 

@@ -512,6 +512,17 @@ def test_json_round_trip_line_subsets(alias, data):
     assert back.fingerprint() == sub.fingerprint()
 
 
+def test_json_import_rejects_mislabelled_kind(h2, w32):
+    # the claimed kind is checked: W(3,2) is no hexagon (every one of its
+    # points would block alone), H(2) is no polar space, and W(3,2) has
+    # polar rank 2
+    for g, kind in ((w32, "polygon:6"), (h2, "polar:2"), (w32, "polar:3")):
+        doc = json.loads(g.to_json())
+        doc["kind"] = kind
+        with pytest.raises(GeometryError):
+            Geometry.from_json(json.dumps(doc))
+
+
 def test_json_import_rejects_duplicates():
     doc = {"name": "bad", "kind": "other", "order": None, "points": 3,
            "lines": [[0, 1, 2], [2, 1, 0]]}

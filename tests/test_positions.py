@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liegeom.geometry import Geometry
+from liegeom.geometry import Geometry, GeometryError
 from liegeom.positions import (
     AlgorithmViolation,
     CatalogueMiss,
@@ -377,6 +377,27 @@ def test_alg1_and_alg2(gr_model, gr_census):
         gr_model.geometry.lines[0][0]] if mi != 0)
     with pytest.raises(AlgorithmViolation):
         combing_algorithm_2(gr_model, li, [close], 0)
+
+
+def test_combing_rejects_swapped_special_partners(h2):
+    # relation data that keeps an opposite pair (L, M) terminal but swaps
+    # the special partners on M of two points of L: the partner read for
+    # the free point shares no neighbour with it in the geometry, which is
+    # a geometry error, not a negative shift count
+    li = 0
+    mi = next(m for m in range(len(h2.lines))
+              if HexagonicModel(h2).position_of(li, m) == TERMINAL)
+    codes = RelationMatrix(h2).np()
+    x1, x2 = h2.lines[li][:2]
+    partner = {a: next(b for b in h2.lines[mi] if codes[a, b] == SPECIAL) for a in (x1, x2)}
+    for a, b in ((x1, x2), (x2, x1)):
+        codes[a, partner[a]] = codes[partner[a], a] = OPPOSITE
+        codes[a, partner[b]] = codes[partner[b], a] = SPECIAL
+    doc = coded_model(h2, codes)
+    assert doc.position_of(li, mi) == TERMINAL
+    assert min(doc.free_points(li, mi)) == x1
+    with pytest.raises(GeometryError, match="not a special pair"):
+        combing_algorithm_1(doc, li, [mi])
 
 
 def comb_until_opposite_all(model, li, targets, bound=64):

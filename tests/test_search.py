@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -118,6 +119,18 @@ def geometric_line_closure_scan(g, triple):
     return pts if is_geometric_line_counts(g, pts) else None
 
 
+@functools.cache
+def distance2_rows(g):
+    """Per point x: the points at distance 2 from x, folded from g.adj."""
+    out = []
+    for x in range(g.n):
+        grow = 0
+        for y in bit_indices(g.adj[x]):
+            grow |= g.adj[y]
+        out.append(grow & ~g.adj[x])
+    return tuple(out)
+
+
 @dataclass
 class HyperbolicLine:
     center: int
@@ -132,7 +145,7 @@ def hyperbolic_line_scan(g, a, b):
     if geometry_family(g) != "hexagon":
         raise GeometryError("hyperbolic lines are defined here for hexagons")
     c = S.special_center(g, a, b)
-    d2 = S._distance2_bits(g)
+    d2 = distance2_rows(g)
     o = opposition_sets(g)
     h = g.adj[c] & ~(1 << c)
     found = False
@@ -155,7 +168,7 @@ def hyperbolic_line_scan(g, a, b):
 def regular_by_fold(g, hl):
     """Regularity read off the rows d2[p], p in H: the points special to
     two or more points of H are those in two or more rows."""
-    d2 = S._distance2_bits(g)
+    d2 = distance2_rows(g)
     ge1 = ge2 = 0
     for p in hl.points:
         ge2 |= ge1 & d2[p]
@@ -166,7 +179,7 @@ def regular_by_fold(g, hl):
 
 
 def all_hyperbolic_lines_scan(g):
-    d2 = S._distance2_bits(g)
+    d2 = distance2_rows(g)
     out = set()
     for a in range(g.n):
         for b in bit_indices(d2[a]):
@@ -297,7 +310,7 @@ def test_round_up_triples_basics(h2):
 def test_rut_counterexample_witness(h2):
     # a line pair plus an off-line point special to one of them fails
     l = h2.lines[0]
-    d2 = S._distance2_bits(h2)
+    d2 = distance2_rows(h2)
     from liegeom.geometry import bit_indices
     z = next(z for z in bit_indices(d2[l[0]]) if not (h2.line_bits[0] >> z & 1))
     assert not S.is_round_up_triple(h2, l[0], l[1], z)
@@ -347,7 +360,7 @@ def test_geometric_line_closure(h2):
     assert S.geometric_line_closure(h2, l) == tuple(l)
     hyp = S.all_hyperbolic_lines(h2)[0]
     assert S.geometric_line_closure(h2, hyp) == tuple(hyp)
-    d2 = S._distance2_bits(h2)
+    d2 = distance2_rows(h2)
     from liegeom.geometry import bit_indices
     z = next(z for z in bit_indices(d2[l[0]]) if not (h2.line_bits[0] >> z & 1))
     with pytest.raises(GeometryError):
@@ -373,7 +386,7 @@ def test_hyperbolic_line_h2(h2):
 
 
 def test_hyperbolic_line_h3(h3):
-    d2 = S._distance2_bits(h3)
+    d2 = distance2_rows(h3)
     a = 0
     b = bit_indices(d2[0])[0]
     assert len(S.hyperbolic_line(h3, a, b)) == 4
@@ -522,7 +535,7 @@ def h2_dual(h2):
 
 
 def _special_pairs(g):
-    d2 = S._distance2_bits(g)
+    d2 = distance2_rows(g)
     return [(a, b) for a in range(g.n) for b in bit_indices(d2[a]) if b > a]
 
 
@@ -636,7 +649,7 @@ def test_rut_witness_special_pair_equals_scan(h2):
     from liegeom.recipes import _rut_lemma_witness
     from liegeom.relations import COLLINEAR, classify_pair
     o = opposition_sets(h2)
-    d2 = S._distance2_bits(h2)
+    d2 = distance2_rows(h2)
     outcomes = set()
     for a, b in random.Random(8).sample(_special_pairs(h2), 60):
         c = S.special_center(h2, a, b)
@@ -667,6 +680,25 @@ def test_hyperbolic_lines_budget(h2):
 def test_ovoids_budget(w32):
     with pytest.raises(S.BudgetExceeded):
         S.enumerate_ovoids(w32, budget=3)
+
+
+def test_blocking_search_node_counts(h2, w32):
+    # the least budgets that complete, one node per search call; the
+    # non-minimal W(3,2) 4-sets also count the nodes that fill up a
+    # blocking set with arbitrary points
+    for g, k, minimal_only, nodes in ((h2, 3, True, 700), (w32, 3, True, 44),
+                                      (w32, 4, False, 207)):
+        assert (S.enumerate_blocking_sets(g, k, minimal_only=minimal_only, budget=nodes)
+                == S.enumerate_blocking_sets(g, k, minimal_only=minimal_only))
+        with pytest.raises(S.BudgetExceeded):
+            S.enumerate_blocking_sets(g, k, minimal_only=minimal_only, budget=nodes - 1)
+
+
+def test_ovoid_search_node_counts(w32, h34):
+    for g, nodes in ((w32, 33), (h34.meta["subgq"], 34)):
+        assert S.enumerate_ovoids(g, budget=nodes) == S.enumerate_ovoids(g)
+        with pytest.raises(S.BudgetExceeded):
+            S.enumerate_ovoids(g, budget=nodes - 1)
 
 
 def test_round_up_triples_budget(h2):
