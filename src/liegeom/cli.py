@@ -2,9 +2,9 @@
 
 Subcommands: build, relations, positions, search, check, fh, verify.
 Every command reads/writes the JSON geometry interchange format and
-emits JSON reports; --seed fixes all sampled choices, --threads is
-accepted for interface compatibility (execution is deterministic and
-identical for every thread count).
+emits JSON reports; --seed fixes all sampled choices.  --threads changes
+nothing: the position census uses the CPUs the process may run on, and
+every result is identical for any CPU count.
 """
 
 from __future__ import annotations
@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the JSON result to this file")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--threads", type=int, default=1,
-                        help="worker cap; results are identical for any value")
+                        help="ignored: the position census uses the CPUs the process "
+                             "may run on, and results are identical for any CPU count")
     common.add_argument("--budget", type=int, default=None,
                         help="node budget for exhaustive searches; line pairs "
                              "for the position census")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -405,7 +406,30 @@ class PositionCensus:
 #: instances kept per position by position_census
 CENSUS_INSTANCES = 10000
 #: lines per block of position_census
-CENSUS_BLOCK = 32
+CENSUS_BLOCK = 16
+#: runs of blocks position_census splits its work into: one per CPU the
+#: process may use
+CENSUS_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+
+
+def _over_runs(fn, end: int) -> list:
+    """fn(lo, hi) on each run (lo, hi) of range(end) cut into at most
+    CENSUS_WORKERS contiguous runs of whole blocks of CENSUS_BLOCK, as even
+    as the blocks allow, with the results in run order.  The first run goes
+    on the calling thread and the others on a thread pool, so a single run
+    starts no thread."""
+    nb = -(-end // CENSUS_BLOCK)
+    stops = sorted({min(nb * i // CENSUS_WORKERS * CENSUS_BLOCK, end)
+                    for i in range(CENSUS_WORKERS + 1)})
+    runs = list(zip(stops, stops[1:]))
+    if len(runs) == 1:
+        return [fn(*runs[0])]
+    # imported here, so that programs that run no census never load it
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(len(runs) - 1) as pool:
+        rest = [pool.submit(fn, *run) for run in runs[1:]]
+        return [fn(*runs[0])] + [f.result() for f in rest]
 
 
 def position_census(model: HexagonicModel, budget: Optional[int] = None) -> PositionCensus:
@@ -422,6 +446,12 @@ def position_census(model: HexagonicModel, budget: Optional[int] = None) -> Posi
     realized key: the key of (M, L) is the half swap of the key of (L, M).
     With a ``budget``, BudgetExceeded is raised after the first block that
     takes the pairs done beyond it.
+
+    Both passes over the line blocks, and the renumbering over blocks of
+    rows, are split into at most CENSUS_WORKERS contiguous runs, which
+    overlap on threads where numpy releases the GIL.  The runs are merged
+    in order, so the census is identical for every worker count.  Relation
+    rows and pair matrices are read on the calling thread only.
     """
     g = model.geometry
     nl, m = len(g.lines), model.m
@@ -439,51 +469,83 @@ def position_census(model: HexagonicModel, budget: Optional[int] = None) -> Posi
     # codes[p, L]: the column code of point p with respect to line L, read
     # from code_of at p's relation codes to L's points
     codes = np.empty((g.n, nl), dtype=code_of.dtype)
-    seen = np.zeros(len(code_of), dtype=bool)
-    for i0 in range(0, nl, CENSUS_BLOCK):
-        pts = lines_arr[i0:i0 + CENSUS_BLOCK]
-        tuples = _pack([R[pts[:, i]] for i in range(1, m)], nrel,
-                       R[pts[:, 0]].astype(np.int16))
-        seen[tuples] = True
-        codes[:, i0:i0 + CENSUS_BLOCK] = code_of[tuples].T
+
+    def fill(lo, hi):
+        seen = np.zeros(len(code_of), dtype=bool)
+        for i0 in range(lo, hi, CENSUS_BLOCK):
+            pts = lines_arr[i0:i0 + CENSUS_BLOCK]
+            tuples = _pack([R[pts[:, i]] for i in range(1, m)], nrel,
+                           R[pts[:, 0]].astype(np.int16))
+            seen[tuples] = True
+            codes[:, i0:i0 + CENSUS_BLOCK] = code_of[tuples].T
+        return seen
+
+    seen = np.logical_or.reduce(_over_runs(fill, nl))
     # the k codes that occur, renumbered onto range(k) in ascending order,
     # so that sorting renumbered codes sorts the codes
     occurring = np.unique(code_of[seen])
     k = len(occurring)
     compact = np.zeros(base, dtype=codes.dtype)
     compact[occurring] = np.arange(k)
-    for r0 in range(0, g.n, CENSUS_BLOCK):
-        codes[r0:r0 + CENSUS_BLOCK] = compact[codes[r0:r0 + CENSUS_BLOCK]]
+
+    def renumber(lo, hi):
+        for r0 in range(lo, hi, CENSUS_BLOCK):
+            codes[r0:r0 + CENSUS_BLOCK] = compact[codes[r0:r0 + CENSUS_BLOCK]]
+
+    _over_runs(renumber, g.n)
     dtype = np.int32 if k ** (2 * m) < 1 << 31 else np.int64
     occurring = occurring.tolist()
-    signature: dict[int, int] = {}        # packed key in base k -> signature key
     key_entry = model.catalogue.by_sig
+
+    def quota(sig):
+        return CENSUS_INSTANCES if sig in key_entry else 1
+
+    def classify(lo, hi):
+        signature: dict[int, int] = {}    # packed key in base k -> signature key
+        counts: dict[int, int] = {}
+        found: dict[int, list] = {}       # signature key -> flat indices of its first pairs
+        have: dict[int, int] = {}
+        for i0 in range(lo, hi, CENSUS_BLOCK):
+            pts = lines_arr[i0:i0 + CENSUS_BLOCK]
+            wrt_block = np.ascontiguousarray(codes[:, i0:i0 + CENSUS_BLOCK].T)
+            # key[b, M]: sorted codes of the points of line i0 + b with respect
+            # to M, then sorted codes of M's points with respect to line i0 + b
+            lanes = (_sort_lanes([codes[pts[:, i]] for i in range(m)])
+                     + _sort_lanes([np.take(wrt_block, lines_arr[:, j], axis=1)
+                                    for j in range(m)]))
+            key = _pack(lanes[1:], k, lanes[0].astype(dtype))
+            vals, cnts = np.unique(key, return_counts=True)
+            for v, c in zip(vals.tolist(), cnts.tolist()):
+                sig = signature.get(v)
+                if sig is None:
+                    digits = [occurring[v // k ** i % k] for i in reversed(range(2 * m))]
+                    sig = signature[v] = _pack(digits, base)
+                counts[sig] = counts.get(sig, 0) + c
+                take = quota(sig) - have.get(sig, 0)
+                if take > 0:
+                    at = np.flatnonzero(key == v)[:take] + i0 * nl
+                    found.setdefault(sig, []).append(at)
+                    have[sig] = have.get(sig, 0) + len(at)
+        return counts, found
+
+    # a budget below the nl * nl pairs ends the census with the first block
+    # whose end takes the pairs done beyond it
+    cut = budget is not None and nl * nl > budget
+    end = min((budget // nl // CENSUS_BLOCK + 1) * CENSUS_BLOCK, nl) if cut else nl
+    runs = _over_runs(classify, end)
+    if cut:
+        raise BudgetExceeded(f"position census exceeded {budget} pairs")
+    # runs in order: each position keeps the first pairs in row-major order
     counts: dict[int, int] = {}
-    found: dict[int, list] = {}           # signature key -> flat indices of its first pairs
-    have: dict[int, int] = {}
-    for i0 in range(0, nl, CENSUS_BLOCK):
-        pts = lines_arr[i0:i0 + CENSUS_BLOCK]
-        wrt_block = np.ascontiguousarray(codes[:, i0:i0 + CENSUS_BLOCK].T)
-        # key[b, M]: sorted codes of the points of line i0 + b with respect
-        # to M, then sorted codes of M's points with respect to line i0 + b
-        lanes = (_sort_lanes([codes[pts[:, i]] for i in range(m)])
-                 + _sort_lanes([np.take(wrt_block, lines_arr[:, j], axis=1)
-                                for j in range(m)]))
-        key = _pack(lanes[1:], k, lanes[0].astype(dtype))
-        vals, cnts = np.unique(key, return_counts=True)
-        for v, c in zip(vals.tolist(), cnts.tolist()):
-            sig = signature.get(v)
-            if sig is None:
-                digits = [occurring[v // k ** i % k] for i in reversed(range(2 * m))]
-                sig = signature[v] = _pack(digits, base)
+    found: dict[int, list] = {}
+    for run_counts, run_found in runs:
+        for sig, c in run_counts.items():
             counts[sig] = counts.get(sig, 0) + c
-            take = (CENSUS_INSTANCES if sig in key_entry else 1) - have.get(sig, 0)
+        for sig, chunks in run_found.items():
+            kept = found.setdefault(sig, [])
+            take = quota(sig) - sum(map(len, kept))
             if take > 0:
-                at = np.flatnonzero(key == v)[:take] + i0 * nl
-                found.setdefault(sig, []).append(at)
-                have[sig] = have.get(sig, 0) + len(at)
-        if budget is not None and (i0 + len(pts)) * nl > budget:
-            raise BudgetExceeded(f"position census exceeded {budget} pairs")
+                kept.append(np.concatenate(chunks)[:take])
     # pairs become tuples only once the code table is freed, so that the two
     # are never in memory together
     del codes

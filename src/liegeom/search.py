@@ -111,8 +111,10 @@ def enumerate_blocking_sets(g: Geometry, k: int, minimal_only: bool = False,
                 if not minimal_only or minimal(got):
                     results.append(got)
             return
+        # w lies in inter, so it is opposite every chosen point and
+        # notopp[w] holds none of them
         taken = 0
-        for p in bit_indices(notopp[w] & ~excluded & ~bitset(chosen)):
+        for p in bit_indices(notopp[w] & ~excluded):
             dfs(chosen + [p], inter & opp[p], excluded | taken)
             taken |= 1 << p
     dfs([], g.full_mask, 0)

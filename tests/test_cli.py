@@ -132,7 +132,7 @@ def test_search_budget_partial(tmp_path, capsys):
 
 
 def test_positions_census_budget(tmp_path, capsys):
-    # H(2) has 63 lines: the first block of 32 lines already passes 10 pairs
+    # H(2) has 63 lines: the first block of 16 lines already passes 10 pairs
     geom = tmp_path / "h2.json"
     run(capsys, "build", "hexagon", "--q", "2", "--out", str(geom))
     code, out = run(capsys, "positions", "--geometry", str(geom), "--census",

@@ -2,12 +2,15 @@ import hashlib
 import itertools
 import json
 import random
+import threading
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from liegeom import positions
 from liegeom.geometry import Geometry, GeometryError
 from liegeom.positions import (
     AlgorithmViolation,
@@ -525,20 +528,22 @@ def test_golden_census_instances(gr_census):
 @given(alphabet=st.sampled_from(((COLLINEAR, SPECIAL), (EQUAL, COLLINEAR, SPECIAL, OPPOSITE),
                                  tuple(range(len(REL_DISPLAY))))),
        share=st.sampled_from((0.02, 0.3, 1.0)),
-       seed=st.integers(0, 2 ** 32 - 1))
-@example(alphabet=tuple(range(len(REL_DISPLAY))), share=1.0, seed=0)
-def test_census_matches_scalar_on_random_codes(h2, alphabet, share, seed):
+       seed=st.integers(0, 2 ** 32 - 1),
+       workers=st.sampled_from((1, 2, 3)))
+@example(alphabet=tuple(range(len(REL_DISPLAY))), share=1.0, seed=0, workers=3)
+def test_census_matches_scalar_on_random_codes(h2, alphabet, share, seed, workers):
     # H(2) relation data with a share of its pairs given random symmetric
     # codes: few column codes occur for small alphabets (int32 keys), and
     # with all six codes everywhere at least 36 do, so 36**6 > 2**31 forces
-    # int64 keys
+    # int64 keys; 3 workers split H(2)'s 4 blocks into uneven runs
     rng = np.random.default_rng(seed)
     codes = dense_oracle(h2)
     noise = rng.choice(np.array(alphabet, dtype=codes.dtype), size=codes.shape)
     codes = np.where(rng.random(codes.shape) < share, noise, codes)
     codes = np.triu(codes) + np.triu(codes, 1).T
     model = coded_model(h2, codes)
-    census = position_census(model)
+    with mock.patch.object(positions, "CENSUS_WORKERS", workers):
+        census = position_census(model)
     oracle = census_scalar(model, instance_cap=10000)
     assert census.counts == oracle.counts
     assert census.instances == oracle.instances
@@ -551,15 +556,49 @@ def test_census_matches_scalar_on_random_codes(h2, alphabet, share, seed):
         assert len(occurring) >= 36
 
 
-def test_census_budget(h2):
-    # blocks of 32 of the 63 lines: 2016 pairs are done after the first
+def test_census_budget(monkeypatch, h2):
+    # blocks of 16 of the 63 lines: 1008 pairs are done after the first;
+    # on the machine's worker count, then in one run and in three
     model = HexagonicModel(h2)
     full = position_census(model)
-    for budget in (0, 10, 32 * 63, 63 * 63 - 1):
-        with pytest.raises(BudgetExceeded, match=f"^position census exceeded {budget} pairs$"):
-            position_census(model, budget=budget)
-    assert position_census(model, budget=63 * 63) == full
-    assert position_census(model, budget=None) == full
+    for workers in (positions.CENSUS_WORKERS, 1, 3):
+        monkeypatch.setattr(positions, "CENSUS_WORKERS", workers)
+        for budget in (0, 10, 32 * 63, 63 * 63 - 1):
+            with pytest.raises(BudgetExceeded, match=f"^position census exceeded {budget} pairs$"):
+                position_census(model, budget=budget)
+        assert position_census(model, budget=63 * 63) == full
+        assert position_census(model, budget=None) == full
+
+
+def test_census_reads_relations_on_calling_thread(monkeypatch, h2):
+    # the census splits its blocks over threads, but relation rows and the
+    # pair matrices of miss examples are read on the thread that called it:
+    # H(2)'s 4 blocks in 3 runs, with the miss (mi, li) beyond the first run
+    monkeypatch.setattr(positions, "CENSUS_WORKERS", 3)
+    li = 0
+    mi = max(m for m in range(len(h2.lines)) if not h2.line_bits[li] & h2.line_bits[m])
+    doc = doctored(HexagonicModel(h2), line_pairs(h2, li, mi), NEAR_OPPOSITE)
+    threads = []
+    for owner, name in ((HexagonicModel, "pair_matrix"), (RelationMatrix, "row"),
+                        (RelationMatrix, "np")):
+        def recorded(*args, _fn=getattr(owner, name)):
+            threads.append(threading.get_ident())
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, recorded)
+    census = position_census(doc)
+    assert census.misses and mi >= positions.CENSUS_BLOCK
+    assert threads and set(threads) == {threading.get_ident()}
+
+
+def test_census_starts_no_thread_for_one_worker(monkeypatch, h2):
+    def start(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    model = HexagonicModel(h2)
+    full = position_census(model)
+    monkeypatch.setattr(positions, "CENSUS_WORKERS", 1)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert position_census(model) == full
 
 
 def test_census_budget_in_recipes(monkeypatch, gr_model, gr_census):
