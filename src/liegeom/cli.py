@@ -2,20 +2,28 @@
 
 Subcommands: build, relations, positions, search, check, fh, verify.
 Every command reads/writes the JSON geometry interchange format and
-emits JSON reports; --seed fixes all sampled choices.  --threads changes
-nothing: the position census uses the CPUs the process may run on, and
-every result is identical for any CPU count.
+emits JSON reports.  Each command, build target, search mode and verify
+recipe has its own parser carrying only the options its handler reads,
+so an option given where it would be ignored is a usage error (exit 2).
+The options of ``verify <recipe>`` are the keyword parameters of the
+recipe function, typed from their defaults; --seed fixes all sampled
+choices of a recipe.  verify's --threads is the one exception: it changes
+nothing, because the position census uses the CPUs the process may run
+on and every result is identical for any CPU count.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Optional
 
+from . import recipes
 from . import search as S
 from .constructors import (
+    POLAR_NAMES,
     PolarFormSpec,
     hermitian_quadrangle,
     hermitian_subquadrangle,
@@ -27,7 +35,6 @@ from .constructors import (
 from .geometry import Geometry, line_grassmannian, validate
 from .orders import HexOrder, multiplicity_integrality, st_square_check, verify_nonex
 from .positions import CatalogueMiss, HexagonicModel, comb_to_opposite, position_census, to_display
-from .recipes import RECIPE_NAMES, run_recipe
 from .relations import NEAR_OPPOSITE, relation_matrix, opposition_sets
 
 
@@ -46,23 +53,9 @@ def _load_geometry(path: str) -> Geometry:
 
 
 def _cmd_build(args) -> int:
-    if args.what == "pg":
-        g = pg(args.n, args.q)
-    elif args.what == "polar":
-        g = polar_space(PolarFormSpec(args.family, args.dim, args.q))
-    elif args.what == "hexagon":
-        if args.variant == "twisted":
-            g = twisted_triality_hexagon(args.q)
-        else:
-            g = split_cayley_hexagon(args.q)
-    elif args.what == "hermitian-gq":
-        g = hermitian_quadrangle(args.q)
-        if args.subgq:
-            g = hermitian_subquadrangle(g)
-    else:
-        raise SystemExit(f"unknown build target {args.what}")
-    if args.grassmannian:
-        g = line_grassmannian(g, name=f"Gr({g.name})")
+    g = args.make(args)
+    if getattr(args, "grassmannian", False):
+        g = line_grassmannian(g)
     rep = validate(g)
     if not rep.partial_linear:
         raise SystemExit("construction failed partial-linearity validation")
@@ -75,8 +68,20 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _cmd_relations(args) -> int:
+def _on_geometry(args) -> int:
+    """Load --geometry, emit the report args.run makes of it; a run cut
+    short by its budget reports PARTIAL and exits 1."""
     g = _load_geometry(args.geometry)
+    try:
+        doc, code = args.run(args, g), 0
+    except S.BudgetExceeded as exc:
+        doc, code = {"schema": 1, "geometry": g.fingerprint(), "status": "PARTIAL",
+                     "error": str(exc)}, 1
+    _emit(doc, args.out)
+    return code
+
+
+def _relations(args, g) -> dict:
     m = relation_matrix(g)
     o = opposition_sets(g)
     size_hist: dict[int, int] = {}
@@ -96,12 +101,12 @@ def _cmd_relations(args) -> int:
         for x, y in list(zip(xs.tolist(), ys.tolist()))[:100]:
             near.append([x, y])
         doc["near-opposite-pairs"] = near
-    _emit(doc, args.out)
-    return 0
+    return doc
 
 
-def _cmd_positions(args) -> int:
-    g = _load_geometry(args.geometry)
+def _positions(args, g) -> dict:
+    if args.budget is not None and not args.census:
+        args.error("--budget applies to --census only")
     model = HexagonicModel(g)
     if args.pair:
         li, mi = args.pair
@@ -111,22 +116,16 @@ def _cmd_positions(args) -> int:
         if not isinstance(pos, CatalogueMiss):
             doc["level"] = model.level(li, mi)
             doc["free-points"] = list(model.free_points(li, mi))
-        _emit(doc, args.out)
-        return 0
+        return doc
     if args.comb:
         li, mi = args.comb
         tr = comb_to_opposite(model, li, mi)
-        doc = {"start": li, "target": mi, "final": tr.final,
-               "steps": [{"line": s.line, "position": to_display(s.position),
-                          "x": s.x, "k": s.k, "replacement": s.replacement}
-                         for s in tr.steps]}
-        _emit(doc, args.out)
-        return 0
-    try:
-        census = position_census(model, budget=args.budget)
-    except S.BudgetExceeded as exc:
-        return _emit_partial(g, exc, args.out)
-    doc = {
+        return {"start": li, "target": mi, "final": tr.final,
+                "steps": [{"line": s.line, "position": to_display(s.position),
+                           "x": s.x, "k": s.k, "replacement": s.replacement}
+                          for s in tr.steps]}
+    census = position_census(model, budget=args.budget)
+    return {
         "schema": 1,
         "geometry": g.fingerprint(),
         "census": census.counts,
@@ -134,88 +133,65 @@ def _cmd_positions(args) -> int:
         "catalogue-misses": census.miss_count,
         "miss-examples": [m.display for m in census.misses],
     }
-    _emit(doc, args.out)
-    return 0
 
 
-def _parse_points(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
-
-
-def _cmd_search(args) -> int:
-    g = _load_geometry(args.geometry)
-    budget = args.budget
-    try:
-        return _run_search(args, g, budget)
-    except S.BudgetExceeded as exc:
-        return _emit_partial(g, exc, args.out)
-
-
-def _emit_partial(g: Geometry, exc: S.BudgetExceeded, out) -> int:
-    """Report a run cut short by its budget; the exit status is 1."""
-    _emit({"schema": 1, "geometry": g.fingerprint(), "status": "PARTIAL",
-           "error": str(exc)}, out)
-    return 1
-
-
-def _run_search(args, g, budget) -> int:
-    if args.mode == "blocking":
-        found = S.enumerate_blocking_sets(g, args.k, minimal_only=args.minimal_only,
-                                          budget=budget)
-        doc = {"schema": 1, "geometry": g.fingerprint(), "k": args.k,
-               "count": len(found)}
-        if args.classify:
-            census: dict[str, int] = {}
-            tagged = []
-            for b in found:
-                tag = S.classify_blocking_set(g, b)
-                census[tag] = census.get(tag, 0) + 1
-                tagged.append({"points": list(b), "tag": tag})
-            doc["census"] = census
-            doc["sets"] = tagged if len(tagged) <= args.limit else tagged[:args.limit]
-        else:
-            doc["sets"] = [list(b) for b in found[:args.limit]]
-    elif args.mode == "rut":
-        ruts = S.enumerate_round_up_triples(g, base_point=args.base_point, budget=budget)
-        doc = {"schema": 1, "geometry": g.fingerprint(), "count": len(ruts),
-               "partial": args.base_point is not None,
-               "triples": [list(t) for t in ruts[:args.limit]]}
-    elif args.mode == "geometric-lines":
-        gls = S.enumerate_geometric_lines(g, base_point=args.base_point, budget=budget)
+def _search_blocking(args, g) -> dict:
+    found = S.enumerate_blocking_sets(g, args.k, minimal_only=args.minimal_only,
+                                      budget=args.budget)
+    doc = {"schema": 1, "geometry": g.fingerprint(), "k": args.k, "count": len(found)}
+    if args.classify:
         census: dict[str, int] = {}
-        for gl in gls:
-            tag = S.classify_blocking_set(g, gl)
+        tagged = []
+        for b in found:
+            tag = S.classify_blocking_set(g, b)
             census[tag] = census.get(tag, 0) + 1
-        doc = {"schema": 1, "geometry": g.fingerprint(), "count": len(gls),
-               "census": census, "sets": [list(x) for x in gls[:args.limit]]}
+            tagged.append({"points": list(b), "tag": tag})
+        doc["census"] = census
+        doc["sets"] = tagged[:args.limit]
     else:
-        raise SystemExit(f"unknown search mode {args.mode}")
-    _emit(doc, args.out)
-    return 0
+        doc["sets"] = [list(b) for b in found[:args.limit]]
+    return doc
+
+
+def _search_rut(args, g) -> dict:
+    ruts = S.enumerate_round_up_triples(g, base_point=args.base_point, budget=args.budget)
+    return {"schema": 1, "geometry": g.fingerprint(), "count": len(ruts),
+            "partial": args.base_point is not None,
+            "triples": [list(t) for t in ruts[:args.limit]]}
+
+
+def _search_geometric_lines(args, g) -> dict:
+    gls = S.enumerate_geometric_lines(g, base_point=args.base_point, budget=args.budget)
+    census: dict[str, int] = {}
+    for gl in gls:
+        tag = S.classify_blocking_set(g, gl)
+        census[tag] = census.get(tag, 0) + 1
+    return {"schema": 1, "geometry": g.fingerprint(), "count": len(gls),
+            "census": census, "sets": [list(x) for x in gls[:args.limit]]}
 
 
 def _cmd_check(args) -> int:
     g = _load_geometry(args.geometry)
-    pts = _parse_points(args.points)
-    if args.what == "dominating":
-        ok = S.gq_dominating_check(g, pts)
-    elif args.what == "ovoid":
-        ok = S.is_ovoid(g, pts)
-    else:
-        raise SystemExit(f"unknown check {args.what}")
+    pts = [int(tok) for tok in args.points.replace(",", " ").split()]
+    ok = args.test(g, pts)
     _emit({"schema": 1, "check": args.what, "points": pts, "result": ok}, args.out)
     return 0 if ok else 1
 
 
 def _cmd_fh(args) -> int:
     if args.verify_nonex:
-        res = verify_nonex(args.tmax)
-        doc = {"schema": 1, "tmax": args.tmax,
+        if (args.s, args.t) != (None, None):
+            args.error("--s and --t do not apply to --verify-nonex")
+        tmax = 100 if args.tmax is None else args.tmax
+        res = verify_nonex(tmax)
+        doc = {"schema": 1, "tmax": tmax,
                "all-excluded": res.all_excluded,
                "excluded": len(res.excluded),
                "feasible-counterexamples": res.failures}
         _emit(doc, args.out)
         return 0 if res.all_excluded else 1
+    if None in (args.s, args.t) or args.tmax is not None:
+        args.error("give --verify-nonex [--tmax T], or both --s and --t")
     o = HexOrder(args.s, args.t)
     sq = st_square_check(o)
     plus = minus = None
@@ -229,95 +205,111 @@ def _cmd_fh(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    params = {}
-    if args.q is not None:
-        params["q"] = args.q
-    if args.tmax is not None:
-        params["tmax"] = args.tmax
-    if args.points is not None:
-        params["points"] = args.points
-    if args.instances is not None:
-        params["instances"] = args.instances
-    if args.trials is not None:
-        params["trials"] = args.trials
-    rep = run_recipe(args.recipe, seed=args.seed, budget=args.budget, **params)
+    params = {name: getattr(args, name) for name in args.params}
+    rep = recipes.run_recipe(args.recipe, seed=args.seed, budget=args.budget, **params)
     _emit(rep.document(), args.out)
     return 0 if rep.passed else 1
 
 
+#: options shared between commands, each given only to the parsers that read it
+_SHARED = {
+    "geometry": dict(required=True, help="geometry JSON file"),
+    "budget": dict(type=int, default=None, help="node budget for exhaustive searches; "
+                                                "line pairs for the position census"),
+    "seed": dict(type=int, default=0),
+    "threads": dict(type=int, default=1,
+                    help="ignored: the position census uses the CPUs the process "
+                         "may run on, and results are identical for any CPU count"),
+}
+
+
+def _leaf(sub, name: str, *shared: str, help=None, **defaults) -> argparse.ArgumentParser:
+    """A parser that runs a handler: --out, the named shared options, the
+    handler's defaults, and args.error for usage errors argparse cannot
+    express."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--out", help="write the JSON result to this file")
+    for opt in shared:
+        p.add_argument(f"--{opt}", **_SHARED[opt])
+    p.set_defaults(error=p.error, **defaults)
+    return p
+
+
+def _recipe_parser(sub, name: str) -> None:
+    """verify <name>: one option per keyword parameter of the recipe."""
+    params = [p for p in inspect.signature(getattr(recipes, recipes._RECIPES[name]))
+              .parameters.values() if p.default is not inspect.Parameter.empty]
+    v = _leaf(sub, name, "budget", "seed", "threads", fn=_cmd_verify,
+              params=tuple(p.name for p in params))
+    for p in params:
+        v.add_argument("--" + p.name.replace("_", "-"), type=type(p.default), default=p.default)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the JSON result to this file")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1,
-                        help="ignored: the position census uses the CPUs the process "
-                             "may run on, and results are identical for any CPU count")
-    common.add_argument("--budget", type=int, default=None,
-                        help="node budget for exhaustive searches; line pairs "
-                             "for the position census")
     ap = argparse.ArgumentParser(prog="liegeom",
                                  description="small Lie incidence geometries: "
                                              "construction, censuses, exhaustive search")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def group(name, dest, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
 
-    b = add("build", help="construct a geometry and write its JSON")
-    b.add_argument("what", choices=("pg", "polar", "hexagon", "hermitian-gq"))
+    targets = group("build", "what", "construct a geometry and write its JSON")
+    b = _leaf(targets, "pg", fn=_cmd_build, make=lambda a: pg(a.n, a.q))
     b.add_argument("--n", type=int, default=3)
-    b.add_argument("--dim", type=int, default=3)
-    b.add_argument("--q", type=int, default=2)
-    b.add_argument("--family", choices=("sp", "parabolic", "hyperbolic", "elliptic",
-                                        "hermitian"), default="sp")
-    b.add_argument("--variant", choices=("split", "twisted"), default="split")
-    b.add_argument("--subgq", action="store_true")
     b.add_argument("--grassmannian", action="store_true")
-    b.set_defaults(fn=_cmd_build)
+    b = _leaf(targets, "polar", fn=_cmd_build,
+              make=lambda a: polar_space(PolarFormSpec(a.family, a.dim, a.q)))
+    b.add_argument("--family", choices=tuple(POLAR_NAMES), default="sp")
+    b.add_argument("--dim", type=int, default=3)
+    b.add_argument("--grassmannian", action="store_true")
+    b = _leaf(targets, "hexagon", fn=_cmd_build,
+              make=lambda a: (split_cayley_hexagon if a.variant == "split"
+                              else twisted_triality_hexagon)(a.q))
+    b.add_argument("--variant", choices=("split", "twisted"), default="split")
+    b = _leaf(targets, "hermitian-gq", fn=_cmd_build,
+              make=lambda a: hermitian_subquadrangle(hermitian_quadrangle(a.q))
+              if a.subgq else hermitian_quadrangle(a.q))
+    b.add_argument("--subgq", action="store_true")
+    for b in targets.choices.values():
+        b.add_argument("--q", type=int, default=2)
 
-    r = add("relations", help="pair-relation census of a geometry")
-    r.add_argument("--geometry", required=True)
+    r = _leaf(sub, "relations", "geometry", help="pair-relation census of a geometry",
+              fn=_on_geometry, run=_relations)
     r.add_argument("--census", action="store_true")
-    r.set_defaults(fn=_cmd_relations)
 
-    p = add("positions", help="line-pair position census and combing")
-    p.add_argument("--geometry", required=True)
-    p.add_argument("--census", action="store_true")
-    p.add_argument("--pair", type=int, nargs=2, metavar=("L", "M"))
-    p.add_argument("--comb", type=int, nargs=2, metavar=("L", "M"))
-    p.set_defaults(fn=_cmd_positions)
+    p = _leaf(sub, "positions", "geometry", "budget", help="line-pair position census "
+              "and combing", fn=_on_geometry, run=_positions)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--census", action="store_true")
+    mode.add_argument("--pair", type=int, nargs=2, metavar=("L", "M"))
+    mode.add_argument("--comb", type=int, nargs=2, metavar=("L", "M"))
 
-    s = add("search", help="blocking sets, round-up triples, geometric lines")
-    s.add_argument("mode", choices=("blocking", "rut", "geometric-lines"))
-    s.add_argument("--geometry", required=True)
+    modes = group("search", "mode", "blocking sets, round-up triples, geometric lines")
+    s = _leaf(modes, "blocking", "geometry", "budget", fn=_on_geometry, run=_search_blocking)
     s.add_argument("--k", type=int, default=3)
     s.add_argument("--classify", action="store_true")
     s.add_argument("--minimal-only", action="store_true")
-    s.add_argument("--base-point", type=int, default=None)
-    s.add_argument("--limit", type=int, default=200, help="cap on listed results")
-    s.set_defaults(fn=_cmd_search)
+    for name, run in (("rut", _search_rut), ("geometric-lines", _search_geometric_lines)):
+        s = _leaf(modes, name, "geometry", "budget", fn=_on_geometry, run=run)
+        s.add_argument("--base-point", type=int, default=None)
+    for s in modes.choices.values():
+        s.add_argument("--limit", type=int, default=200, help="cap on listed results")
 
-    c = add("check", help="point-set predicates")
-    c.add_argument("what", choices=("dominating", "ovoid"))
-    c.add_argument("--geometry", required=True)
-    c.add_argument("--points", required=True, help="comma separated point IDs")
-    c.set_defaults(fn=_cmd_check)
+    checks = group("check", "what", "point-set predicates")
+    for name, test in (("dominating", S.gq_dominating_check), ("ovoid", S.is_ovoid)):
+        c = _leaf(checks, name, "geometry", fn=_cmd_check, test=test)
+        c.add_argument("--points", required=True, help="comma separated point IDs")
 
-    f = add("fh", help="hexagon order feasibility")
+    f = _leaf(sub, "fh", help="hexagon order feasibility", fn=_cmd_fh)
     f.add_argument("--s", type=int)
     f.add_argument("--t", type=int)
     f.add_argument("--verify-nonex", action="store_true")
-    f.add_argument("--tmax", type=int, default=100)
-    f.set_defaults(fn=_cmd_fh)
+    f.add_argument("--tmax", type=int, help="largest t of --verify-nonex (default 100)")
 
-    v = add("verify", help="run a named verification recipe")
-    v.add_argument("recipe", choices=RECIPE_NAMES)
-    v.add_argument("--q", type=int)
-    v.add_argument("--tmax", type=int)
-    v.add_argument("--points", type=int)
-    v.add_argument("--instances", type=int)
-    v.add_argument("--trials", type=int)
-    v.set_defaults(fn=_cmd_verify)
+    recipe_parsers = group("verify", "recipe", "run a named verification recipe")
+    for name in recipes.RECIPE_NAMES:
+        _recipe_parser(recipe_parsers, name)
     return ap
 
 

@@ -10,6 +10,7 @@ against its family axioms before it is returned.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
@@ -152,6 +153,11 @@ def pg(n: int, q: int) -> Geometry:
 # -- polar spaces -------------------------------------------------------------
 
 
+#: polar family -> the name prefix of its geometries, as in W(5,2) or Q+(7,2)
+POLAR_NAMES = {"sp": "W", "parabolic": "Q", "hyperbolic": "Q+", "elliptic": "Q-",
+               "hermitian": "H"}
+
+
 @dataclass(frozen=True)
 class PolarFormSpec:
     """Family + ambient projective dimension + coordinate field order."""
@@ -161,8 +167,7 @@ class PolarFormSpec:
     q: int               # order of the coordinate field
 
     def __post_init__(self):
-        fams = ("sp", "parabolic", "hyperbolic", "elliptic", "hermitian")
-        if self.family not in fams:
+        if self.family not in POLAR_NAMES:
             raise ConstructionError(f"unknown polar family {self.family!r}")
 
 
@@ -233,9 +238,8 @@ def polar_space(spec: PolarFormSpec) -> Geometry:
         raise ConstructionError(f"form {spec} has no isotropic points")
     lines = _lines_from_pairs(F, pts, _pair_rows(pts, pair_ok))
     g0 = Geometry(len(pts), lines)
-    name = {"sp": "W", "parabolic": "Q", "hyperbolic": "Q+", "elliptic": "Q-",
-            "hermitian": "H"}[fam]
-    g = Geometry(len(pts), lines, Kind("polar", _polar_rank(g0)), name=f"{name}({d},{q})",
+    g = Geometry(len(pts), lines, Kind("polar", _polar_rank(g0)),
+                 name=f"{POLAR_NAMES[fam]}({d},{q})",
                  order=validate(g0).order, meta={"coords": tuple(pts), "field": F, "spec": spec})
     _check_polar_axioms(g)
     return g
@@ -379,25 +383,14 @@ def geometry_by_name(name: str) -> Geometry:
     Used to recover the base of a Grassmannian loaded from JSON, where
     only the name survives serialization.
     """
-    import re
     m = re.fullmatch(r"PG\((\d+),(\d+)\)", name)
     if m:
         return pg(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"W\((\d+),(\d+)\)", name)
+    prefixes = "|".join(map(re.escape, POLAR_NAMES.values()))
+    m = re.fullmatch(rf"({prefixes})\((\d+),(\d+)\)", name)
     if m:
-        return polar_space(PolarFormSpec("sp", int(m.group(1)), int(m.group(2))))
-    m = re.fullmatch(r"Q\+\((\d+),(\d+)\)", name)
-    if m:
-        return polar_space(PolarFormSpec("hyperbolic", int(m.group(1)), int(m.group(2))))
-    m = re.fullmatch(r"Q-\((\d+),(\d+)\)", name)
-    if m:
-        return polar_space(PolarFormSpec("elliptic", int(m.group(1)), int(m.group(2))))
-    m = re.fullmatch(r"Q\((\d+),(\d+)\)", name)
-    if m:
-        return polar_space(PolarFormSpec("parabolic", int(m.group(1)), int(m.group(2))))
-    m = re.fullmatch(r"H\((\d+),(\d+)\)", name)
-    if m:
-        return polar_space(PolarFormSpec("hermitian", int(m.group(1)), int(m.group(2))))
+        family = {prefix: f for f, prefix in POLAR_NAMES.items()}[m.group(1)]
+        return polar_space(PolarFormSpec(family, int(m.group(2)), int(m.group(3))))
     m = re.fullmatch(r"H\((\d+)\)", name)
     if m:
         return split_cayley_hexagon(int(m.group(1)))

@@ -9,7 +9,8 @@ row read as "the points opposite p" is also "the points p is opposite".
 In a hexagon notopp[x] is the ball of radius 2 about x, so the points
 special to x are notopp[x] & ~adj[x].  One table per hexagon holds per
 line the points close to it and the lines opposite it; the distance-3
-traces walk it and the trace recognizer reads it.
+traces are read off it once per hexagon, and the classifier tags a set as
+a trace by membership in that one set.
 
 The blocking-set enumerator uses witness-driven branching: every set it
 must find fails to cover the least uncovered point, so candidates can be
@@ -336,20 +337,28 @@ def _hexagon_line_table(g: Geometry) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return g.cached("hexagon-lines", build)
 
 
+def _distance3_traces(g: Geometry) -> frozenset[tuple[int, ...]]:
+    """The distinct traces of all opposite line pairs of a hexagon, read
+    off the line table once per geometry."""
+    def build():
+        close, opp = _hexagon_line_table(g)
+        out = set()
+        for li, row in enumerate(opp):
+            for mi in bit_indices(row >> li << li):     # the lines mi > li
+                bits = close[li] & close[mi]
+                if bits.bit_count() != len(g.lines[li]):
+                    raise GeometryError(f"trace has {bits.bit_count()} points, "
+                                        f"expected {len(g.lines[li])}")
+                out.add(bits)
+        return frozenset(tuple(bit_indices(b)) for b in out)
+    return g.cached("distance3-traces", build)
+
+
 def all_distance3_traces(g: Geometry) -> list[tuple[int, ...]]:
-    """Distinct traces of all opposite line pairs, read off the line table."""
+    """Distinct traces of all opposite line pairs, in ascending order."""
     if geometry_family(g) != "hexagon":
         raise GeometryError("distance-3 traces are defined here for hexagons")
-    close, opp = _hexagon_line_table(g)
-    out = set()
-    for li, row in enumerate(opp):
-        for mi in bit_indices(row >> li << li):     # the lines mi > li
-            bits = close[li] & close[mi]
-            if bits.bit_count() != len(g.lines[li]):
-                raise GeometryError(f"trace has {bits.bit_count()} points, "
-                                    f"expected {len(g.lines[li])}")
-            out.add(bits)
-    return sorted(tuple(bit_indices(b)) for b in out)
+    return sorted(_distance3_traces(g))
 
 
 # -- quadrangle objects ----------------------------------------------------------
@@ -434,7 +443,7 @@ def classify_blocking_set(g: Geometry, pts: Sequence[int]) -> str:
                     return "HyperbolicLine"
             except GeometryError:
                 pass
-        if rels == {OPPOSITE} and _is_trace(g, pts):
+        if rels == {OPPOSITE} and pts in _distance3_traces(g):
             return "Distance3Trace"
         return "Unclassified"
     if fam == "grassmannian":
@@ -454,19 +463,6 @@ def classify_blocking_set(g: Geometry, pts: Sequence[int]) -> str:
     if fam == "polar" and _is_polar_hyperbolic(g, pts):
         return "HyperbolicLine"
     return "Unclassified"
-
-
-def _is_trace(g: Geometry, pts: Sequence[int]) -> bool:
-    """Whether pts is the distance-3 trace of some pair of opposite lines."""
-    bits = bitset(pts)
-    close, opp = _hexagon_line_table(g)
-    for li, cl in enumerate(close):
-        if bits & ~cl:
-            continue
-        for mi, cm in enumerate(close):
-            if cl & cm == bits and opp[li] >> mi & 1:
-                return True
-    return False
 
 
 def _is_polar_hyperbolic(g: Geometry, pts: Sequence[int]) -> bool:

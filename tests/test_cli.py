@@ -1,8 +1,13 @@
+import argparse
+import inspect
 import json
 
 import pytest
 
-from liegeom.cli import main
+from liegeom import recipes
+from liegeom.cli import build_parser, main
+from liegeom.constructors import PolarFormSpec, polar_space
+from liegeom.geometry import line_grassmannian
 
 
 def run(capsys, *argv):
@@ -155,3 +160,61 @@ def test_import_rejects_bad_geometry(tmp_path, capsys):
                                "points": 4, "lines": [[0, 1, 2], [1, 2, 3]]}))
     with pytest.raises(Exception):
         run(capsys, "relations", "--geometry", str(bad))
+
+
+@pytest.fixture(scope="module")
+def w32_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "w32.json"
+    assert main(["build", "polar", "--family", "sp", "--dim", "3", "--q", "2",
+                 "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "pg", "--seed", "1"),
+    ("build", "hexagon", "--grassmannian"),
+    ("search", "rut", "--geometry", "{geom}", "--k", "4"),
+    ("verify", "nonex", "--q", "3"),
+    ("positions", "--geometry", "{geom}"),
+    ("positions", "--geometry", "{geom}", "--pair", "0", "0", "--comb", "0", "0"),
+    ("positions", "--geometry", "{geom}", "--pair", "0", "0", "--budget", "5"),
+    ("fh",),
+    ("fh", "--s", "3"),
+    ("fh", "--s", "3", "--t", "3", "--tmax", "5"),
+    ("fh", "--verify-nonex", "--s", "3"),
+], ids=" ".join)
+def test_ignored_or_crashing_options_are_usage_errors(w32_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("{geom}", w32_file) for a in argv])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def _subparser(parser, *path):
+    for name in path:
+        parser = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return parser
+
+
+@pytest.mark.parametrize("name", recipes.RECIPE_NAMES)
+def test_verify_options_are_the_recipe_parameters(name):
+    fn = getattr(recipes, recipes._RECIPES[name])
+    want = {"--" + p.name.replace("_", "-"): p.default
+            for p in inspect.signature(fn).parameters.values()
+            if p.default is not inspect.Parameter.empty}
+    shared = {"--help", "--out", "--budget", "--seed", "--threads"}
+    got = {a.option_strings[-1]: a.default
+           for a in _subparser(build_parser(), "verify", name)._actions
+           if a.option_strings and a.option_strings[-1] not in shared}
+    assert got == want
+
+
+def test_build_polar_grassmannian_json(tmp_path, capsys):
+    # the input perfbench's polar-grassmannians workload prepares
+    path = tmp_path / "grq63.json"
+    code, _ = run(capsys, "build", "polar", "--family", "parabolic", "--dim", "6",
+                  "--q", "3", "--grassmannian", "--out", str(path))
+    assert code == 0
+    want = line_grassmannian(polar_space(PolarFormSpec("parabolic", 6, 3))).to_json()
+    assert path.read_text() == want + "\n"

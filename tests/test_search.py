@@ -566,6 +566,36 @@ def test_distance3_traces_equal_pairwise(h2, h3, h2_dual, w32):
             fn(w32)
 
 
+def test_classify_tags_exactly_the_traces(h2, h3, h2_dual):
+    rng = random.Random(15)
+    for g, sample in ((h2, None), (h2_dual, None), (h3, 200)):
+        traces = all_distance3_traces_pairwise(g)
+        trace_set = set(traces)
+        if sample is not None:
+            traces = rng.sample(traces, sample)
+        o = opposition_sets(g)
+        swapped = []
+        for t in traces:
+            # one member swapped for a point opposite the others: the set
+            # stays pairwise opposite, so only trace membership can reject it
+            i = rng.randrange(len(t))
+            rest = t[:i] + t[i + 1:]
+            cands = bit_indices(o.common_opposite_bits(rest) & ~bitset(t))
+            swapped.append(sorted(rest + (rng.choice(cands),)))
+        assert any(tuple(s) not in trace_set for s in swapped)
+        for s in [list(t) for t in traces] + swapped + _perturbed(g, traces, rng):
+            is_trace = S.classify_blocking_set(g, s) == "Distance3Trace"
+            assert is_trace == (tuple(sorted(s)) in trace_set)
+
+
+def test_distance3_traces_fresh_list(h2):
+    first = S.all_distance3_traces(h2)
+    want = list(first)
+    first[0] = (-1,)
+    first.pop()
+    assert S.all_distance3_traces(h2) == want
+
+
 def _perturbed(g, sets, rng):
     # each set with one member swapped for a random point
     out = []
