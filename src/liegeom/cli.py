@@ -4,10 +4,11 @@ Subcommands: build, relations, positions, search, check, fh, verify.
 Every command reads/writes the JSON geometry interchange format and
 emits JSON reports.  Each command, build target, search mode and verify
 recipe has its own parser carrying only the options its handler reads,
-so an option given where it would be ignored is a usage error (exit 2).
-The options of ``verify <recipe>`` are the keyword parameters of the
-recipe function, typed from their defaults; --seed fixes all sampled
-choices of a recipe.  verify's --threads is the one exception: it changes
+so an option given where it would be ignored, or a point or line ID
+outside the geometry, is a usage error (exit 2).  The options of
+``verify <recipe>`` are the recipe function's keyword parameters, budget
+among them where it takes one, typed from their defaults; --seed fixes
+all sampled choices.  verify's --threads is the one exception: it changes
 nothing, because the position census uses the CPUs the process may run
 on and every result is identical for any CPU count.
 """
@@ -18,6 +19,7 @@ import argparse
 import inspect
 import json
 import sys
+from collections import Counter
 from typing import Optional
 
 from . import recipes
@@ -33,7 +35,7 @@ from .constructors import (
     twisted_triality_hexagon,
 )
 from .geometry import Geometry, line_grassmannian, validate
-from .orders import HexOrder, multiplicity_integrality, st_square_check, verify_nonex
+from .orders import HexOrder, multiplicity_integrality, st_square_check
 from .positions import CatalogueMiss, HexagonicModel, comb_to_opposite, position_census, to_display
 from .relations import NEAR_OPPOSITE, relation_matrix, opposition_sets
 
@@ -50,6 +52,14 @@ def _emit(doc, out: Optional[str]):
 def _load_geometry(path: str) -> Geometry:
     with open(path) as fh:
         return Geometry.from_json(fh.read(), warn=lambda m: print(f"warning: {m}", file=sys.stderr))
+
+
+def _in_range(args, option: str, values, stop: float, start: int = 0) -> None:
+    """A value of option outside [start, stop) is a usage error (exit 2);
+    None stands for an option not given."""
+    for v in values:
+        if v is not None and not start <= v < stop:
+            args.error(f"argument {option}: {v} is not in [{start}, {stop})")
 
 
 def _cmd_build(args) -> int:
@@ -84,14 +94,11 @@ def _on_geometry(args) -> int:
 def _relations(args, g) -> dict:
     m = relation_matrix(g)
     o = opposition_sets(g)
-    size_hist: dict[int, int] = {}
-    for s in o.sizes():
-        size_hist[s] = size_hist.get(s, 0) + 1
     doc = {
         "schema": 1,
         "geometry": g.fingerprint(),
         "census": m.census(),
-        "opposite-set-sizes": size_hist,
+        "opposite-set-sizes": Counter(o.sizes()),
     }
     if args.census:
         near = []
@@ -107,6 +114,8 @@ def _relations(args, g) -> dict:
 def _positions(args, g) -> dict:
     if args.budget is not None and not args.census:
         args.error("--budget applies to --census only")
+    _in_range(args, "--pair" if args.pair else "--comb", args.pair or args.comb or (),
+              len(g.lines))
     model = HexagonicModel(g)
     if args.pair:
         li, mi = args.pair
@@ -136,24 +145,22 @@ def _positions(args, g) -> dict:
 
 
 def _search_blocking(args, g) -> dict:
+    _in_range(args, "--k", [args.k], float("inf"), start=1)
     found = S.enumerate_blocking_sets(g, args.k, minimal_only=args.minimal_only,
                                       budget=args.budget)
     doc = {"schema": 1, "geometry": g.fingerprint(), "k": args.k, "count": len(found)}
     if args.classify:
-        census: dict[str, int] = {}
-        tagged = []
-        for b in found:
-            tag = S.classify_blocking_set(g, b)
-            census[tag] = census.get(tag, 0) + 1
-            tagged.append({"points": list(b), "tag": tag})
-        doc["census"] = census
-        doc["sets"] = tagged[:args.limit]
+        tags = S.tag_census(g, found)
+        tag_of = {b: tag for tag, sets in tags.items() for b in sets}
+        doc["census"] = {tag: len(sets) for tag, sets in tags.items()}
+        doc["sets"] = [{"points": list(b), "tag": tag_of[b]} for b in found[:args.limit]]
     else:
         doc["sets"] = [list(b) for b in found[:args.limit]]
     return doc
 
 
 def _search_rut(args, g) -> dict:
+    _in_range(args, "--base-point", [args.base_point], g.n)
     ruts = S.enumerate_round_up_triples(g, base_point=args.base_point, budget=args.budget)
     return {"schema": 1, "geometry": g.fingerprint(), "count": len(ruts),
             "partial": args.base_point is not None,
@@ -161,11 +168,9 @@ def _search_rut(args, g) -> dict:
 
 
 def _search_geometric_lines(args, g) -> dict:
+    _in_range(args, "--base-point", [args.base_point], g.n)
     gls = S.enumerate_geometric_lines(g, base_point=args.base_point, budget=args.budget)
-    census: dict[str, int] = {}
-    for gl in gls:
-        tag = S.classify_blocking_set(g, gl)
-        census[tag] = census.get(tag, 0) + 1
+    census = {tag: len(sets) for tag, sets in S.tag_census(g, gls).items()}
     return {"schema": 1, "geometry": g.fingerprint(), "count": len(gls),
             "census": census, "sets": [list(x) for x in gls[:args.limit]]}
 
@@ -173,25 +178,13 @@ def _search_geometric_lines(args, g) -> dict:
 def _cmd_check(args) -> int:
     g = _load_geometry(args.geometry)
     pts = [int(tok) for tok in args.points.replace(",", " ").split()]
+    _in_range(args, "--points", pts, g.n)
     ok = args.test(g, pts)
     _emit({"schema": 1, "check": args.what, "points": pts, "result": ok}, args.out)
     return 0 if ok else 1
 
 
 def _cmd_fh(args) -> int:
-    if args.verify_nonex:
-        if (args.s, args.t) != (None, None):
-            args.error("--s and --t do not apply to --verify-nonex")
-        tmax = 100 if args.tmax is None else args.tmax
-        res = verify_nonex(tmax)
-        doc = {"schema": 1, "tmax": tmax,
-               "all-excluded": res.all_excluded,
-               "excluded": len(res.excluded),
-               "feasible-counterexamples": res.failures}
-        _emit(doc, args.out)
-        return 0 if res.all_excluded else 1
-    if None in (args.s, args.t) or args.tmax is not None:
-        args.error("give --verify-nonex [--tmax T], or both --s and --t")
     o = HexOrder(args.s, args.t)
     sq = st_square_check(o)
     plus = minus = None
@@ -206,7 +199,7 @@ def _cmd_fh(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = {name: getattr(args, name) for name in args.params}
-    rep = recipes.run_recipe(args.recipe, seed=args.seed, budget=args.budget, **params)
+    rep = recipes.run_recipe(args.recipe, seed=args.seed, **params)
     _emit(rep.document(), args.out)
     return 0 if rep.passed else 1
 
@@ -235,14 +228,22 @@ def _leaf(sub, name: str, *shared: str, help=None, **defaults) -> argparse.Argum
     return p
 
 
+def _count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return int(text)
+
+
 def _recipe_parser(sub, name: str) -> None:
-    """verify <name>: one option per keyword parameter of the recipe."""
+    """verify <name>: one option per keyword parameter of the recipe; an int
+    or None (budget) default takes a count."""
     params = [p for p in inspect.signature(getattr(recipes, recipes._RECIPES[name]))
               .parameters.values() if p.default is not inspect.Parameter.empty]
-    v = _leaf(sub, name, "budget", "seed", "threads", fn=_cmd_verify,
+    v = _leaf(sub, name, "seed", "threads", fn=_cmd_verify,
               params=tuple(p.name for p in params))
     for p in params:
-        v.add_argument("--" + p.name.replace("_", "-"), type=type(p.default), default=p.default)
+        kind = _count if p.default is None or type(p.default) is int else type(p.default)
+        v.add_argument("--" + p.name.replace("_", "-"), type=kind, default=p.default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,10 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--points", required=True, help="comma separated point IDs")
 
     f = _leaf(sub, "fh", help="hexagon order feasibility", fn=_cmd_fh)
-    f.add_argument("--s", type=int)
-    f.add_argument("--t", type=int)
-    f.add_argument("--verify-nonex", action="store_true")
-    f.add_argument("--tmax", type=int, help="largest t of --verify-nonex (default 100)")
+    f.add_argument("--s", type=int, required=True)
+    f.add_argument("--t", type=int, required=True)
 
     recipe_parsers = group("verify", "recipe", "run a named verification recipe")
     for name in recipes.RECIPE_NAMES:

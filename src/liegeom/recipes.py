@@ -1,18 +1,21 @@
 """Named verification recipes with machine-readable reports.
 
-run_recipe builds the RunReport (recipe name and seed) and hands it to the
-recipe, which records its parameters and geometry fingerprints and runs a
-list of assertions against constructed geometries.  A search cut short by
-its budget ends the recipe in run_recipe, the one place that knows the
-budget policy.  Reports are deterministic for a fixed seed (wall time is
-excluded from the comparable payload).
+run_recipe builds the RunReport (recipe name and seed) and hands it, with
+the options, to the recipe, which records its parameters and geometry
+fingerprints and runs a list of assertions against constructed
+geometries.  A recipe that runs a search takes ``budget``; a search cut
+short by it ends the recipe in run_recipe, the one budget policy.
+Reports are deterministic for a fixed seed (wall time is excluded from
+the comparable payload).
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dfield
+from itertools import combinations
 from typing import Optional
 
 from . import search as S
@@ -123,16 +126,16 @@ class RunReport:
         return doc
 
 
-def run_recipe(name: str, seed: int = 0, budget: Optional[int] = None, **params) -> RunReport:
-    """Run a recipe.  When a search exceeds the budget the recipe ends: a
-    report that passed so far becomes PARTIAL, a failed one stays FAIL,
-    and the budget message is its last assertion."""
+def run_recipe(name: str, seed: int = 0, **params) -> RunReport:
+    """Run a recipe with the options params.  When a search exceeds the
+    budget the recipe ends: a report that passed so far becomes PARTIAL, a
+    failed one stays FAIL, and the budget message is its last assertion."""
     if name not in _RECIPES:
         raise ValueError(f"unknown recipe {name}; choose from {RECIPE_NAMES}")
     rep = RunReport(name, seed)
     t0 = time.perf_counter()
     try:
-        globals()[_RECIPES[name]](rep, budget, **params)
+        globals()[_RECIPES[name]](rep, **params)
     except S.BudgetExceeded as exc:
         if rep.status == "PASS":
             rep.status = "PARTIAL"
@@ -144,15 +147,12 @@ def run_recipe(name: str, seed: int = 0, budget: Optional[int] = None, **params)
 # -- hexagon blocking sets -----------------------------------------------------
 
 
-def _recipe_bshex(rep: RunReport, budget: Optional[int], q: int = 2) -> None:
+def _recipe_bshex(rep: RunReport, q: int = 2, budget: Optional[int] = None) -> None:
     g = model_geometry(f"hexagon-{q}")
     rep.params, rep.geometries = {"q": q}, {"hexagon": g.fingerprint()}
     s = g.order[0]
     blocking = S.enumerate_blocking_sets(g, s + 1, minimal_only=True, budget=budget)
-    tags = {}
-    for b in blocking:
-        tags.setdefault(S.classify_blocking_set(g, b), []).append(b)
-    counts = {k: len(v) for k, v in sorted(tags.items())}
+    counts = {k: len(v) for k, v in S.tag_census(g, blocking).items()}
     rep.info("blocking-census", counts)
     if g.n <= 100:
         # no smaller blocking sets exist, so the minimal filter is inert
@@ -172,10 +172,8 @@ def _recipe_bshex(rep: RunReport, budget: Optional[int], q: int = 2) -> None:
                   {"traces": len(traces)})
         rep.check("no-trace-blocking", counts.get("Distance3Trace", 0) == 0)
     # every (s)-set admits a common opposite (small-set guarantee)
-    import itertools
     if s == 2:
-        ok = all(o.common_opposite_bits(p) != 0
-                 for p in itertools.combinations(range(g.n), 2))
+        ok = all(o.common_opposite_bits(p) != 0 for p in combinations(range(g.n), 2))
         rep.check("s-sets-admit-opposite", ok)
     hyp = S.all_hyperbolic_lines(g, budget=budget)
     rep.check("hyperbolic-size", all(len(h) == q + 1 for h in hyp), {"count": len(hyp)})
@@ -216,7 +214,7 @@ def _rut_lemma_witness(g: Geometry, traces, t) -> Optional[str]:
     return None
 
 
-def _recipe_geomlines_hex(rep: RunReport, budget: Optional[int], q: int = 2) -> None:
+def _recipe_geomlines_hex(rep: RunReport, q: int = 2, budget: Optional[int] = None) -> None:
     g = model_geometry(f"hexagon-{q}")
     rep.params, rep.geometries = {"q": q}, {"hexagon": g.fingerprint()}
     ruts = S.enumerate_round_up_triples(g, budget=budget)
@@ -245,15 +243,13 @@ def _recipe_geomlines_hex(rep: RunReport, budget: Optional[int], q: int = 2) -> 
 # -- type B small-rank Grassmannian ---------------------------------------------
 
 
-def _recipe_typeb(rep: RunReport, budget: Optional[int]) -> None:
+def _recipe_typeb(rep: RunReport, budget: Optional[int] = None) -> None:
     base = model_geometry("w52")
     g = model_geometry("gr-w52")
     rep.geometries = {"base": base.fingerprint(), "grassmannian": g.fingerprint()}
     gls = S.enumerate_geometric_lines(g, budget=budget)
-    tags = {}
-    for gl in gls:
-        tags.setdefault(S.classify_blocking_set(g, gl), []).append(gl)
-    counts = {k: len(v) for k, v in sorted(tags.items())}
+    tags = S.tag_census(g, gls)
+    counts = {k: len(v) for k, v in tags.items()}
     rep.info("geometric-line-census", counts)
     rep.check("only-pencil-types", set(counts) <= {"PlanarPencil", "HyperbolicPencil"},
               {"unexpected": sorted(set(counts) - {"PlanarPencil", "HyperbolicPencil"})})
@@ -293,7 +289,7 @@ def grassmannian_census(budget: Optional[int] = None):
     return g.cached("position-census", lambda: position_census(grassmannian_model()))
 
 
-def _recipe_positions(rep: RunReport, budget: Optional[int]) -> None:
+def _recipe_positions(rep: RunReport, budget: Optional[int] = None) -> None:
     model = grassmannian_model()
     g = model.geometry
     rep.geometries = {"grassmannian": g.fingerprint()}
@@ -325,8 +321,8 @@ def _recipe_positions(rep: RunReport, budget: Optional[int]) -> None:
 # -- combing table and algorithms ---------------------------------------------------
 
 
-def _recipe_table1(rep: RunReport, budget: Optional[int], instances: int = 100,
-                   trials: int = 500) -> None:
+def _recipe_table1(rep: RunReport, instances: int = 100, trials: int = 500,
+                   budget: Optional[int] = None) -> None:
     model = grassmannian_model()
     g = model.geometry
     rep.params = {"instances": instances, "trials": trials}
@@ -400,7 +396,7 @@ def _recipe_table1(rep: RunReport, budget: Optional[int], instances: int = 100,
 # -- corolTits residue round-up triples ----------------------------------------------
 
 
-def _recipe_coroltits(rep: RunReport, budget: Optional[int], points: int = 50) -> None:
+def _recipe_coroltits(rep: RunReport, points: int = 50) -> None:
     base = model_geometry("w52")
     g = model_geometry("gr-w52")
     rep.params = {"points": points}
@@ -409,7 +405,6 @@ def _recipe_coroltits(rep: RunReport, budget: Optional[int], points: int = 50) -
     sample = rng.sample(range(base.n), min(points, base.n))
     rep.info("sampled-points", sample)
     mismatches = []
-    from itertools import combinations
     for p in sample:
         res = residual(base, p)
         res_gq = Geometry(res.n, res.lines, Kind("polar", 2), name=res.name)
@@ -426,16 +421,13 @@ def _recipe_coroltits(rep: RunReport, budget: Optional[int], points: int = 50) -
 # -- Feit-Higman ---------------------------------------------------------------------
 
 
-def _recipe_nonex(rep: RunReport, budget: Optional[int], tmax: int = 100) -> None:
+def _recipe_nonex(rep: RunReport, tmax: int = 100) -> None:
     rep.params = {"tmax": tmax}
     res = verify_nonex(tmax)
     rep.check("all-orders-excluded", res.all_excluded,
               {"feasible": res.failures})
     rep.info("excluded-count", len(res.excluded))
-    by_cond = {}
-    for t, s, cond in res.excluded:
-        by_cond[cond] = by_cond.get(cond, 0) + 1
-    rep.info("exclusions-by-condition", by_cond)
+    rep.info("exclusions-by-condition", dict(Counter(cond for _, _, cond in res.excluded)))
     if tmax >= 15:
         t15 = next((c for t, s, c in res.excluded if t == 15), None)
         rep.check("t15-minus-integrality", t15 == "minus-integrality", t15)
@@ -449,14 +441,13 @@ def _recipe_nonex(rep: RunReport, budget: Optional[int], tmax: int = 100) -> Non
 # -- ovoidal blocking kernel ----------------------------------------------------------
 
 
-def _recipe_obsgq(rep: RunReport, budget: Optional[int]) -> None:
+def _recipe_obsgq(rep: RunReport, budget: Optional[int] = None) -> None:
     g = model_geometry("h34")
     sub = g.meta["subgq"]
     rep.geometries = {"hermitian": g.fingerprint(), "subgq": sub.fingerprint()}
     ovoids = S.enumerate_ovoids(sub, budget=budget)
     rep.check("subgq-ovoid-count", len(ovoids) == 6, len(ovoids))
     parent = sub.meta["parent_points"]
-    from itertools import combinations
     ok_dom = ok_min = True
     for ov in ovoids:
         lifted = [parent[p] for p in ov]
@@ -469,6 +460,5 @@ def _recipe_obsgq(rep: RunReport, budget: Optional[int]) -> None:
     rep.check("proper-subsets-fail", ok_min)
     rep.check("ovoid-size-is-s-plus-one",
               all(len(ov) == g.order[0] + 1 for ov in ovoids))
-    tags = {S.classify_blocking_set(g, tuple(sorted(parent[p] for p in ov)))
-            for ov in ovoids}
-    rep.check("classified-as-subgq-ovoid", tags == {"OvoidOfSubGQ"}, sorted(tags))
+    tags = list(S.tag_census(g, (tuple(sorted(parent[p] for p in ov)) for ov in ovoids)))
+    rep.check("classified-as-subgq-ovoid", tags == ["OvoidOfSubGQ"], tags)

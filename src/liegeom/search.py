@@ -465,6 +465,15 @@ def classify_blocking_set(g: Geometry, pts: Sequence[int]) -> str:
     return "Unclassified"
 
 
+def tag_census(g: Geometry, sets: Iterable[Sequence[int]]) -> dict[str, list]:
+    """Tag -> the sets classify_blocking_set gives that tag, in the order
+    given; tags ascending."""
+    tags: dict[str, list] = {}
+    for pts in sets:
+        tags.setdefault(classify_blocking_set(g, pts), []).append(pts)
+    return dict(sorted(tags.items()))
+
+
 def _is_polar_hyperbolic(g: Geometry, pts: Sequence[int]) -> bool:
     if len(pts) < 3 or g.collinear(pts[0], pts[1]):
         return False

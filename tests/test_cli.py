@@ -1,6 +1,8 @@
 import argparse
 import inspect
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -100,8 +102,6 @@ def test_fh_cli(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["st_square"] and doc["plus_integral"] and not doc["minus_integral"]
-    code, out = run(capsys, "fh", "--verify-nonex", "--tmax", "50")
-    assert code == 0 and json.loads(out)["all-excluded"] is True
 
 
 def test_verify_recipe_cli(capsys):
@@ -182,12 +182,54 @@ def w32_file(tmp_path_factory):
     ("fh", "--s", "3"),
     ("fh", "--s", "3", "--t", "3", "--tmax", "5"),
     ("fh", "--verify-nonex", "--s", "3"),
+    ("fh", "--verify-nonex"),
+    ("verify", "nonex", "--budget", "5"),
+    ("verify", "coroltits", "--budget", "5"),
+    ("verify", "table1", "--instances", "-1"),
+    ("verify", "bshex", "--budget", "-1"),
 ], ids=" ".join)
 def test_ignored_or_crashing_options_are_usage_errors(w32_file, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([a.replace("{geom}", w32_file) for a in argv])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def h2_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "h2.json"
+    assert main(["build", "hexagon", "--q", "2", "--out", str(path)]) == 0
+    return str(path)
+
+
+# H(2) has 63 points and 63 lines
+@pytest.mark.parametrize("argv", [
+    ("check", "dominating", "--geometry", "{geom}", "--points", "0,63"),
+    ("check", "ovoid", "--geometry", "{geom}", "--points", "0,-1"),
+    ("search", "rut", "--geometry", "{geom}", "--base-point", "999"),
+    ("search", "rut", "--geometry", "{geom}", "--base-point", "-1"),
+    ("search", "geometric-lines", "--geometry", "{geom}", "--base-point", "63"),
+    ("search", "geometric-lines", "--geometry", "{geom}", "--base-point", "-1"),
+    ("search", "blocking", "--geometry", "{geom}", "--k", "0"),
+    ("positions", "--geometry", "{geom}", "--pair", "0", "999"),
+    ("positions", "--geometry", "{geom}", "--pair", "-1", "0"),
+    ("positions", "--geometry", "{geom}", "--comb", "-1", "5"),
+    ("positions", "--geometry", "{geom}", "--comb", "0", "63"),
+], ids=" ".join)
+def test_ids_outside_the_geometry_are_usage_errors(h2_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("{geom}", h2_file) for a in argv])
+    assert exc.value.code == 2
+    assert "is not in [" in capsys.readouterr().err
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("liegeom ")]
+    assert len(lines) >= 10
+    for argv in lines:
+        build_parser().parse_args(argv[1:])
 
 
 def _subparser(parser, *path):
@@ -203,7 +245,7 @@ def test_verify_options_are_the_recipe_parameters(name):
     want = {"--" + p.name.replace("_", "-"): p.default
             for p in inspect.signature(fn).parameters.values()
             if p.default is not inspect.Parameter.empty}
-    shared = {"--help", "--out", "--budget", "--seed", "--threads"}
+    shared = {"--help", "--out", "--seed", "--threads"}
     got = {a.option_strings[-1]: a.default
            for a in _subparser(build_parser(), "verify", name)._actions
            if a.option_strings and a.option_strings[-1] not in shared}
