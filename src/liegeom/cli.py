@@ -177,10 +177,9 @@ def _search_geometric_lines(args, g) -> dict:
 
 def _cmd_check(args) -> int:
     g = _load_geometry(args.geometry)
-    pts = [int(tok) for tok in args.points.replace(",", " ").split()]
-    _in_range(args, "--points", pts, g.n)
-    ok = args.test(g, pts)
-    _emit({"schema": 1, "check": args.what, "points": pts, "result": ok}, args.out)
+    _in_range(args, "--points", args.points, g.n)
+    ok = args.test(g, args.points)
+    _emit({"schema": 1, "check": args.what, "points": args.points, "result": ok}, args.out)
     return 0 if ok else 1
 
 
@@ -232,6 +231,13 @@ def _count(text: str) -> int:
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"{text} is negative")
     return int(text)
+
+
+def _point_ids(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of point IDs") from None
 
 
 def _recipe_parser(sub, name: str) -> None:
@@ -295,12 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
         s = _leaf(modes, name, "geometry", "budget", fn=_on_geometry, run=run)
         s.add_argument("--base-point", type=int, default=None)
     for s in modes.choices.values():
-        s.add_argument("--limit", type=int, default=200, help="cap on listed results")
+        s.add_argument("--limit", type=_count, default=200, help="cap on listed results")
 
     checks = group("check", "what", "point-set predicates")
     for name, test in (("dominating", S.gq_dominating_check), ("ovoid", S.is_ovoid)):
         c = _leaf(checks, name, "geometry", fn=_cmd_check, test=test)
-        c.add_argument("--points", required=True, help="comma separated point IDs")
+        c.add_argument("--points", type=_point_ids, required=True,
+                       help="comma separated point IDs")
 
     f = _leaf(sub, "fh", help="hexagon order feasibility", fn=_cmd_fh)
     f.add_argument("--s", type=int, required=True)

@@ -10,7 +10,7 @@ to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +34,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 def _factor_order(q: int) -> tuple[int, int]:
     """Split q into (p, k) with p prime, or raise."""
+    if q < 2:
+        raise FieldError(f"field order {q} is below 2")
     for p in _SMALL_PRIMES:
         if q % p == 0:
             k = 0

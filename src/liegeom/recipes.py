@@ -40,7 +40,7 @@ from .positions import (
     position_census,
     seeded_instances,
 )
-from .relations import COLLINEAR, SPECIAL, classify_pair, opposition_sets
+from .relations import opposition_sets
 
 #: recipe name -> the function of this module that runs it.  The function
 #: is looked up by name when the recipe runs, so a function patched onto the
@@ -185,28 +185,23 @@ def _recipe_bshex(rep: RunReport, q: int = 2, budget: Optional[int] = None) -> N
 
 def _rut_lemma_witness(g: Geometry, traces, t) -> Optional[str]:
     """Check the applicable round-up-triple containment; None when fine."""
-    rels = {classify_pair(g, a, b) for a, b in
-            ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))}
-    if COLLINEAR in rels:
-        pairs = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-        li = next((lid for a, b in pairs
-                   if (lid := g.line_through(a, b)) is not None), None)
-        if li is None or any(not (g.line_bits[li] >> p & 1) for p in t):
+    pairs = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
+    li = next((lid for a, b in pairs if (lid := g.line_through(a, b)) is not None), None)
+    if li is not None:
+        if any(not (g.line_bits[li] >> p & 1) for p in t):
             return "collinear pair not inside a common line"
         return None
-    if SPECIAL in rels:
-        pair = next((a, b) for a, b in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-                    if classify_pair(g, a, b) == SPECIAL)
+    notopp = opposition_sets(g).notopp
+    tb = bitset(t)
+    pair = next(((a, b) for a, b in pairs if (notopp[a] & ~g.adj[a]) >> b & 1), None)
+    if pair is not None:
         c = S.special_center(g, *pair)
         qs, cap = S._special_trace_cap(g, c, *pair)
-        tb = bitset(t)
         if qs and tb & ~cap:
-            notopp = opposition_sets(g).notopp
             y = next(y for y in bit_indices(qs) if tb & ~(g.adj[c] & notopp[y]))
             return f"not inside centre-perp cap special-trace of {y}"
         return None
     # pairwise opposite: containment in every trace meeting it twice
-    tb = bitset(t)
     for tr in traces:
         trb = bitset(tr)
         if (trb & tb).bit_count() >= 2 and tb & ~trb:
@@ -254,16 +249,7 @@ def _recipe_typeb(rep: RunReport, budget: Optional[int] = None) -> None:
     rep.check("only-pencil-types", set(counts) <= {"PlanarPencil", "HyperbolicPencil"},
               {"unexpected": sorted(set(counts) - {"PlanarPencil", "HyperbolicPencil"})})
     rep.check("all-pencils-found", counts.get("PlanarPencil", 0) == len(g.lines))
-    # independent recognizer enumeration of hyperbolic pencils
-    hyp = set()
-    for p in range(base.n):
-        res = residual(base, p)
-        lines = res.meta["lines_of_base"]
-        for x in range(res.n):
-            for y in range(x + 1, res.n):
-                if not res.collinear(x, y):
-                    h = S.polar_hyperbolic_line(res, x, y)
-                    hyp.add(tuple(sorted(lines[i] for i in h)))
+    hyp = set(S.all_hyperbolic_pencils(g))
     rep.check("hyperbolic-pencils-exact",
               set(map(tuple, tags.get("HyperbolicPencil", []))) == hyp,
               {"recognizer-count": len(hyp)})

@@ -9,8 +9,10 @@ row read as "the points opposite p" is also "the points p is opposite".
 In a hexagon notopp[x] is the ball of radius 2 about x, so the points
 special to x are notopp[x] & ~adj[x].  One table per hexagon holds per
 line the points close to it and the lines opposite it; the distance-3
-traces are read off it once per hexagon, and the classifier tags a set as
-a trace by membership in that one set.
+traces are read off it once per hexagon.  The classifier tags by
+membership: in the one hyperbolic-line set and the one trace set of a
+hexagon, and in the one hyperbolic-pencil set of the base point common
+to the lines of a Grassmannian set.
 
 The blocking-set enumerator uses witness-driven branching: every set it
 must find fails to cover the least uncovered point, so candidates can be
@@ -31,14 +33,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .geometry import Geometry, GeometryError, bit_indices, bitset, one_or_all, residual
-from .relations import (
-    OPPOSITE,
-    SPECIAL,
-    classify_pair,
-    geometry_family,
-    grassmannian_base,
-    opposition_sets,
-)
+from .relations import geometry_family, grassmannian_base, opposition_sets
 
 
 class BudgetExceeded(RuntimeError):
@@ -301,20 +296,28 @@ def hyperbolic_line(g: Geometry, a: int, b: int) -> tuple[int, ...]:
     return tuple(bit_indices(_hyperbolic_bits(g, a, b)))
 
 
+def _hyperbolic_lines(g: Geometry) -> frozenset[tuple[int, ...]]:
+    """The hyperbolic lines through every special pair of a hexagon, built
+    once per geometry."""
+    def build():
+        notopp = opposition_sets(g).notopp
+        return frozenset(tuple(bit_indices(_hyperbolic_bits(g, a, a + 1 + b)))
+                         for a in range(g.n)
+                         for b in bit_indices((notopp[a] & ~g.adj[a]) >> (a + 1)))
+    return g.cached("hyperbolic-lines", build)
+
+
 def all_hyperbolic_lines(g: Geometry, budget: Optional[int] = None) -> list[tuple[int, ...]]:
-    """Point sets of the hyperbolic lines through every special pair."""
+    """Point sets of the hyperbolic lines through every special pair, in
+    ascending order.  The budget counts one node per special pair and is
+    checked before the scan, so a cached set does not bypass it."""
     if geometry_family(g) != "hexagon":
         raise GeometryError("hyperbolic lines are defined here for hexagons")
-    notopp = opposition_sets(g).notopp
-    out = set()
-    nodes = 0
-    for a in range(g.n):
-        for b in bit_indices((notopp[a] & ~g.adj[a]) >> (a + 1)):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(f"hyperbolic-line scan exceeded {budget} pairs")
-            out.add(_hyperbolic_bits(g, a, a + 1 + b))
-    return sorted(tuple(bit_indices(h)) for h in out)
+    if budget is not None:
+        notopp = opposition_sets(g).notopp
+        if sum((notopp[a] & ~g.adj[a]).bit_count() for a in range(g.n)) // 2 > budget:
+            raise BudgetExceeded(f"hyperbolic-line scan exceeded {budget} pairs")
+    return sorted(_hyperbolic_lines(g))
 
 
 def _hexagon_line_table(g: Geometry) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -426,6 +429,31 @@ def residual_point_map(g: Geometry, res: Geometry) -> dict[int, int]:
     return {li: i for i, li in enumerate(res.meta["lines_of_base"])}
 
 
+def _pencils_at(base: Geometry, p: int) -> frozenset[tuple[int, ...]]:
+    """The sets of lines of base through p that form a hyperbolic line of 3
+    or more points in the residual at p, built once per base and point.
+    Each is kept from the pair of its two least points, the pair the
+    per-set recognizer _is_polar_hyperbolic tests."""
+    def build():
+        res = residual(base, p)
+        lines = res.meta["lines_of_base"]
+        out = set()
+        for x, y in combinations(range(res.n), 2):
+            if not res.collinear(x, y):
+                h = polar_hyperbolic_line(res, x, y)
+                if len(h) >= 3 and h[:2] == (x, y):
+                    out.add(tuple(lines[i] for i in h))
+        return frozenset(out)
+    return base.cached(("hyperbolic-pencils", p), build)
+
+
+def all_hyperbolic_pencils(g: Geometry) -> list[tuple[int, ...]]:
+    """The hyperbolic pencils of a Grassmannian, over every point of its
+    base, in ascending order."""
+    base = grassmannian_base(g)
+    return sorted(set().union(*(_pencils_at(base, p) for p in range(base.n))))
+
+
 # -- classification -----------------------------------------------------------------
 
 
@@ -436,18 +464,20 @@ def classify_blocking_set(g: Geometry, pts: Sequence[int]) -> str:
     if g.line_id(pts) is not None:
         return "PlanarPencil" if fam == "grassmannian" else "Line"
     if fam == "hexagon":
-        rels = {classify_pair(g, a, b) for a, b in combinations(pts, 2)}
-        if rels == {SPECIAL}:
-            try:
-                if hyperbolic_line(g, pts[0], pts[1]) == pts:
-                    return "HyperbolicLine"
-            except GeometryError:
-                pass
-        if rels == {OPPOSITE} and pts in _distance3_traces(g):
+        if pts in _hyperbolic_lines(g):
+            return "HyperbolicLine"
+        if pts in _distance3_traces(g):
             return "Distance3Trace"
         return "Unclassified"
     if fam == "grassmannian":
-        if _is_hyperbolic_pencil(g, pts):
+        try:
+            base = grassmannian_base(g)
+        except GeometryError:
+            return "Unclassified"
+        common = base.full_mask
+        for li in pts:
+            common &= base.line_bits[li]
+        if common.bit_count() == 1 and pts in _pencils_at(base, common.bit_length() - 1):
             return "HyperbolicPencil"
         return "Unclassified"
     if fam == "quadrangle":
@@ -481,20 +511,3 @@ def _is_polar_hyperbolic(g: Geometry, pts: Sequence[int]) -> bool:
         return set(polar_hyperbolic_line(g, pts[0], pts[1])) == set(pts)
     except GeometryError:
         return False
-
-
-def _is_hyperbolic_pencil(g: Geometry, pts: Sequence[int]) -> bool:
-    """Lines of the base through one point, hyperbolic in the point residual."""
-    try:
-        base = grassmannian_base(g)
-    except GeometryError:
-        return False
-    common = base.full_mask
-    for li in pts:
-        common &= base.line_bits[li]
-    if common.bit_count() != 1:
-        return False
-    p = common.bit_length() - 1
-    res = residual(base, p)
-    rmap = residual_point_map(base, res)
-    return _is_polar_hyperbolic(res, sorted(rmap[li] for li in pts))

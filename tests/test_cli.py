@@ -187,6 +187,10 @@ def w32_file(tmp_path_factory):
     ("verify", "coroltits", "--budget", "5"),
     ("verify", "table1", "--instances", "-1"),
     ("verify", "bshex", "--budget", "-1"),
+    ("search", "blocking", "--geometry", "{geom}", "--limit", "-1"),
+    ("search", "rut", "--geometry", "{geom}", "--limit", "-1"),
+    ("search", "geometric-lines", "--geometry", "{geom}", "--limit", "-1"),
+    ("check", "ovoid", "--geometry", "{geom}", "--points", "0,x"),
 ], ids=" ".join)
 def test_ignored_or_crashing_options_are_usage_errors(w32_file, capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -156,3 +156,10 @@ def test_frobenius_is_additive_and_multiplicative(q, data):
     fa, fb = F.frobenius(a, e), F.frobenius(b, e)
     assert F.frobenius(F.add(a, b), e) == F.add(fa, fb)
     assert F.frobenius(F.mul(a, b), e) == F.mul(fa, fb)
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_orders_below_two_raise(q):
+    # 0 is divisible by every prime, so it is refused before it is split
+    with pytest.raises(FieldError):
+        field(q)

@@ -606,6 +606,106 @@ def _perturbed(g, sets, rng):
     return out
 
 
+def _is_hyperbolic_line_by_scan(g, s):
+    # a pairwise special set that is the scanned hyperbolic line of its
+    # two least points
+    d2 = distance2_rows(g)
+    if not all(d2[a] >> b & 1 for a, b in combinations(s, 2)):
+        return False
+    try:
+        return hyperbolic_line_scan(g, s[0], s[1]).points == s
+    except GeometryError:
+        return False
+
+
+def test_classify_tags_exactly_the_hyperbolic_lines(h2, h3, h2_dual):
+    # the lists are compared with the scan in test_hyperbolic_lines_equal_scan;
+    # here the scan decides each set
+    rng = random.Random(17)
+    for g, sample in ((h2, None), (h2_dual, None), (h3, 200)):
+        hyps = S.all_hyperbolic_lines(g)
+        if sample is not None:
+            hyps = rng.sample(hyps, sample)
+        outcomes = set()
+        for s in [list(h) for h in hyps] + _perturbed(g, hyps, rng):
+            s = tuple(sorted(s))
+            want = _is_hyperbolic_line_by_scan(g, s)
+            assert (S.classify_blocking_set(g, s) == "HyperbolicLine") == want
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+
+def _is_hyperbolic_pencil(g, pts):
+    """Lines of the base through one point, hyperbolic in the point residual."""
+    from liegeom.geometry import residual
+    from liegeom.relations import grassmannian_base
+    try:
+        base = grassmannian_base(g)
+    except GeometryError:
+        return False
+    common = base.full_mask
+    for li in pts:
+        common &= base.line_bits[li]
+    if common.bit_count() != 1:
+        return False
+    p = common.bit_length() - 1
+    res = residual(base, p)
+    rmap = S.residual_point_map(base, res)
+    return S._is_polar_hyperbolic(res, sorted(rmap[li] for li in pts))
+
+
+def test_classify_tags_exactly_the_hyperbolic_pencils(w52, gr_w52):
+    rng = random.Random(18)
+    gls = S.enumerate_geometric_lines(gr_w52)
+    through = [rng.sample(w52.lines_through[rng.randrange(w52.n)], 3) for _ in range(300)]
+    sets = [list(gl) for gl in gls] + through + _perturbed(gr_w52, gls + through, rng)
+    # the oracle compares point sets and would tag a repeated line; the
+    # classifier does not, so the sets compared have no repeated member
+    sets = [tuple(sorted(s)) for s in sets if len(set(s)) == len(s)]
+    outcomes = set()
+    for s in sets:
+        want = _is_hyperbolic_pencil(gr_w52, s)
+        assert (S.classify_blocking_set(gr_w52, s) == "HyperbolicPencil") == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+    assert S.all_hyperbolic_pencils(gr_w52) == sorted(s for s in set(sets)
+                                                      if _is_hyperbolic_pencil(gr_w52, s))
+
+
+def test_hyperbolic_lines_budget_holds_once_cached(h2):
+    assert len(S.all_hyperbolic_lines(h2)) == 252
+    # 63 points with 24 special points each: 756 special pairs
+    with pytest.raises(S.BudgetExceeded, match="hyperbolic-line scan exceeded 755 pairs"):
+        S.all_hyperbolic_lines(h2, budget=755)
+    assert len(S.all_hyperbolic_lines(h2, budget=756)) == 252
+
+
+def test_hyperbolic_lines_fresh_list(h2):
+    first = S.all_hyperbolic_lines(h2)
+    want = list(first)
+    first[0] = (-1,)
+    first.pop()
+    assert S.all_hyperbolic_lines(h2) == want
+
+
+def test_hexagon_recognizers_build_no_relation_row():
+    # the classifier and the round-up-triple lemma check read opposition
+    # rows and adjacency only; a fresh H(2) keeps its relation matrix empty
+    from liegeom.constructors import split_cayley_hexagon
+    from liegeom.recipes import _rut_lemma_witness
+    from liegeom.relations import relation_matrix
+    g = split_cayley_hexagon(2)
+    traces = S.all_distance3_traces(g)
+    hyps = S.all_hyperbolic_lines(g)
+    tags = S.tag_census(g, list(g.lines) + hyps + traces)
+    assert {tag: len(sets) for tag, sets in tags.items()} == {
+        "Distance3Trace": len(traces), "HyperbolicLine": 252, "Line": 63}
+    ruts = S.enumerate_round_up_triples(g)
+    assert len(ruts) == 651
+    assert all(_rut_lemma_witness(g, traces, t) is None for t in ruts)
+    assert relation_matrix(g)._rows == {}
+
+
 def test_is_geometric_line_equals_counts(h2, h3, h2_dual, w32, gr_w52):
     rng = random.Random(6)
     for g in (h2, h3, h2_dual, w32, gr_w52):
