@@ -7,7 +7,8 @@ recipe has its own parser carrying only the options its handler reads,
 so an option given where it would be ignored, or a point or line ID
 outside the geometry, is a usage error (exit 2).  The options of
 ``verify <recipe>`` are the recipe function's keyword parameters, budget
-among them where it takes one, typed from their defaults; --seed fixes
+among them where it takes one, typed from their defaults, and a --q,
+there or on ``build``, must be a field order; --seed fixes
 all sampled choices.  verify's --threads is the one exception: it changes
 nothing, because the position census uses the CPUs the process may run
 on and every result is identical for any CPU count.
@@ -35,6 +36,7 @@ from .constructors import (
     twisted_triality_hexagon,
 )
 from .geometry import Geometry, line_grassmannian, validate
+from .gf import FieldError, _factor_order
 from .orders import HexOrder, multiplicity_integrality, st_square_check
 from .positions import CatalogueMiss, HexagonicModel, comb_to_opposite, position_census, to_display
 from .relations import NEAR_OPPOSITE, relation_matrix, opposition_sets
@@ -233,6 +235,14 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _field_order(text: str) -> int:
+    try:
+        _factor_order(int(text))
+    except FieldError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return int(text)
+
+
 def _point_ids(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.replace(",", " ").split()]
@@ -242,13 +252,14 @@ def _point_ids(text: str) -> list[int]:
 
 def _recipe_parser(sub, name: str) -> None:
     """verify <name>: one option per keyword parameter of the recipe; an int
-    or None (budget) default takes a count."""
+    or None (budget) default takes a count, and q a field order."""
     params = [p for p in inspect.signature(getattr(recipes, recipes._RECIPES[name]))
               .parameters.values() if p.default is not inspect.Parameter.empty]
     v = _leaf(sub, name, "seed", "threads", fn=_cmd_verify,
               params=tuple(p.name for p in params))
     for p in params:
-        kind = _count if p.default is None or type(p.default) is int else type(p.default)
+        kind = (_field_order if p.name == "q" else _count
+                if p.default is None or type(p.default) is int else type(p.default))
         v.add_argument("--" + p.name.replace("_", "-"), type=kind, default=p.default)
 
 
@@ -279,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
               if a.subgq else hermitian_quadrangle(a.q))
     b.add_argument("--subgq", action="store_true")
     for b in targets.choices.values():
-        b.add_argument("--q", type=int, default=2)
+        b.add_argument("--q", type=_field_order, default=2)
 
     r = _leaf(sub, "relations", "geometry", help="pair-relation census of a geometry",
               fn=_on_geometry, run=_relations)

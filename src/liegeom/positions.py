@@ -1,8 +1,9 @@
 """Mutual positions of line pairs in hexagonic models, and combing.
 
 A position is matched from the signature of a line pair, packed into
-one exact integer key that single-pair lookups and the vectorized census
-share (see "signature keys"); the 26 catalogue entries are generated
+one exact integer key (see "signature keys"), which each model memoizes
+per pair matrix for single-pair lookups and the vectorized census alike;
+the 26 catalogue entries are generated
 from shape templates (homogeneous, matching, pointed, row- and
 column-constant) whose keys are pairwise distinct, which is asserted
 when a catalogue is built.  The combing table maps every entry to its
@@ -12,7 +13,6 @@ successor position, with the terminal position being the opposite pair.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -81,19 +81,20 @@ def parse_display(s: str) -> tuple[int, ...]:
 # [0, _code_base(m)).  The signature key of (L, M) packs the sorted codes of
 # L's points with respect to M followed by the sorted codes of M's points
 # with respect to L, in base _code_base(m).  The key is exact, and the key of
-# (M, L) is the key of (L, M) with its two halves swapped.
+# (M, L) is the key of (L, M) with its two halves swapped.  matrix_key is the
+# only code that computes it; HexagonicModel.signature_key memoizes it per
+# pair matrix, and both position_of and position_census read that memo.
 
 
 def _rank(digits):
     """Rank of ascending digits among all ascending tuples of their length:
-    the sum of C(digits[i] + i, i + 1) (the combinatorial number system),
-    exact on Python ints and, one digit per lane, on integer arrays."""
+    the sum of C(digits[i] + i, i + 1) (the combinatorial number system)."""
     rank = 0
     for i, d in enumerate(digits):
         x, c = d + i, 1
         for j in range(i + 1):
             c = c * (x - j) // (j + 1)
-        rank = rank + c
+        rank += c
     return rank
 
 
@@ -301,6 +302,7 @@ class HexagonicModel:
         self.rel = relation_matrix(g)
         self.catalogue = PositionCatalogue(self.m)
         self._local_opp: dict[int, dict[int, tuple[int, ...]]] = {}
+        self._signatures: dict[bytes, int] = {}
 
     def pair_matrix(self, li: int, mi: int) -> list[list[int]]:
         """Relation codes from L's points (rows) to M's points, read from the
@@ -309,11 +311,22 @@ class HexagonicModel:
         rows = [self.rel.row(x) for x in lines[li]]
         return [[r[y] for y in lines[mi]] for r in rows]
 
+    def signature_key(self, mat: bytes) -> int:
+        """Signature key of the pair matrix ``mat`` (its m * m relation codes,
+        row by row), memoized: matrix_key runs once per distinct matrix."""
+        sig = self._signatures.get(mat)
+        if sig is None:
+            rows = range(0, len(mat), self.m)
+            sig = self._signatures[mat] = matrix_key([mat[i:i + self.m] for i in rows])
+        return sig
+
     def position_of(self, li: int, mi: int):
-        mat = self.pair_matrix(li, mi)
-        entry = self.catalogue.by_sig.get(matrix_key(mat))
+        lines = self.geometry.lines
+        rows = [self.rel.row(x) for x in lines[li]]
+        entry = self.catalogue.by_sig.get(
+            self.signature_key(bytes([r[y] for r in rows for y in lines[mi]])))
         if entry is None:
-            return CatalogueMiss(li, mi, mat)
+            return CatalogueMiss(li, mi, self.pair_matrix(li, mi))
         return entry.tuple4
 
     def free_points(self, li: int, mi: int) -> tuple[int, ...]:
@@ -381,16 +394,6 @@ class HexagonicModel:
 # -- census -----------------------------------------------------------------------
 
 
-def _sort_lanes(lanes: list) -> list:
-    """Sort equal-shape arrays entrywise, in place on the list (an odd-even
-    transposition network)."""
-    for p in range(len(lanes)):
-        for i in range(p % 2, len(lanes) - 1, 2):
-            a, b = lanes[i], lanes[i + 1]
-            lanes[i], lanes[i + 1] = np.minimum(a, b), np.maximum(a, b)
-    return lanes
-
-
 @dataclass
 class PositionCensus:
     counts: dict                      # display string -> ordered-pair count
@@ -434,96 +437,88 @@ def _over_runs(fn, end: int) -> list:
 
 def position_census(model: HexagonicModel, budget: Optional[int] = None) -> PositionCensus:
     """Exhaustive census of all ordered line pairs, vectorized for every line
-    size whose signature keys fit in int64 (3- and 4-point lines).
+    size whose pair keys fit in int64 (3- and 4-point lines).
 
-    The column code of every point with respect to every line is read from
-    a table indexed by the point's unsorted relation codes to the line,
-    and the k codes that occur are renumbered onto range(k).  Each block of
-    lines then packs its keys against all lines in base k, in int32 when
-    k**(2m) < 2**31, and each distinct packed key is translated once to
-    its signature key.  Instances are the first CENSUS_INSTANCES pairs of
-    each position in row-major order.  The inverse law is checked for every
-    realized key: the key of (M, L) is the half swap of the key of (L, M).
-    With a ``budget``, BudgetExceeded is raised after the first block that
-    takes the pairs done beyond it.
+    A pair (L, M) is keyed by its pair matrix, packed.  The column of a
+    point q with respect to L, q's relation codes to L's points, is packed
+    in base 6; a first pass renumbers the u columns that occur onto
+    range(u).  Each block of lines L packs the columns of M's points, for
+    every line M, in base u, and each distinct pair matrix gets its
+    signature key from the model's memo (HexagonicModel.signature_key),
+    which position_of reads too.  Instances are the first CENSUS_INSTANCES
+    pairs of each position in row-major order.  The inverse law is checked
+    for every realized key: the key of (M, L) is the half swap of the key
+    of (L, M).  With a ``budget``, BudgetExceeded is raised after the
+    first block that takes the pairs done beyond it.
 
-    Both passes over the line blocks, and the renumbering over blocks of
-    rows, are split into at most CENSUS_WORKERS contiguous runs, which
-    overlap on threads where numpy releases the GIL.  The runs are merged
-    in order, so the census is identical for every worker count.  Relation
-    rows and pair matrices are read on the calling thread only.
+    Both passes over the line blocks are split into at most CENSUS_WORKERS
+    contiguous runs, which overlap on threads where numpy releases the
+    GIL.  The runs are merged in order, so the census is identical for
+    every worker count.  Relation rows and pair matrices are read on the
+    calling thread only.
     """
     g = model.geometry
     nl, m = len(g.lines), model.m
-    base = _code_base(m)
-    if base ** (2 * m) > 1 << 63:
-        raise PositionError(f"signature keys of {m}-point lines reach {base}**{2 * m}, "
-                            "beyond the int64 bound 2**63")
-    R = model.rel.np()
-    lines_arr = np.array(g.lines, dtype=np.intp)
     nrel = len(REL_DISPLAY)
-    # code_of[t]: the column code of the relation codes t, packed in base nrel
-    code_of = np.array([_column_code(tuple(sorted(t)))
-                        for t in itertools.product(range(nrel), repeat=m)],
-                       dtype=np.min_scalar_type(base - 1))
-    # codes[p, L]: the column code of point p with respect to line L, read
-    # from code_of at p's relation codes to L's points
-    codes = np.empty((g.n, nl), dtype=code_of.dtype)
+    if nrel ** (m * m) > 1 << 63:
+        raise PositionError(f"pair keys of {m}-point lines reach {nrel}**{m * m}, "
+                            "beyond the int64 bound 2**63")
+    # codes are 0..5, so their unsigned view adds without casting
+    R = model.rel.np().view(np.uint8)
+    lines_arr = np.array(g.lines, dtype=np.intp)
+    col_type = np.min_scalar_type(nrel ** m - 1)
 
-    def fill(lo, hi):
-        seen = np.zeros(len(code_of), dtype=bool)
+    def columns(i0):
+        """[b, q]: q's relation codes to line i0 + b's points, in base nrel."""
+        pts = lines_arr[i0:i0 + CENSUS_BLOCK]
+        return _pack([R[pts[:, i]] for i in range(1, m)], nrel, R[pts[:, 0]].astype(col_type))
+
+    def mark(lo, hi):
+        seen = np.zeros(nrel ** m, dtype=bool)
         for i0 in range(lo, hi, CENSUS_BLOCK):
-            pts = lines_arr[i0:i0 + CENSUS_BLOCK]
-            tuples = _pack([R[pts[:, i]] for i in range(1, m)], nrel,
-                           R[pts[:, 0]].astype(np.int16))
-            seen[tuples] = True
-            codes[:, i0:i0 + CENSUS_BLOCK] = code_of[tuples].T
+            seen[columns(i0)] = True
         return seen
 
-    seen = np.logical_or.reduce(_over_runs(fill, nl))
-    # the k codes that occur, renumbered onto range(k) in ascending order,
-    # so that sorting renumbered codes sorts the codes
-    occurring = np.unique(code_of[seen])
-    k = len(occurring)
-    compact = np.zeros(base, dtype=codes.dtype)
-    compact[occurring] = np.arange(k)
-
-    def renumber(lo, hi):
-        for r0 in range(lo, hi, CENSUS_BLOCK):
-            codes[r0:r0 + CENSUS_BLOCK] = compact[codes[r0:r0 + CENSUS_BLOCK]]
-
-    _over_runs(renumber, g.n)
-    dtype = np.int32 if k ** (2 * m) < 1 << 31 else np.int64
+    occurring = np.flatnonzero(np.logical_or.reduce(_over_runs(mark, nl)))
+    u = len(occurring)
+    renumber = np.zeros(nrel ** m, dtype=np.min_scalar_type(u - 1))
+    renumber[occurring] = np.arange(u)
+    key_type = np.min_scalar_type(u ** m - 1)
     occurring = occurring.tolist()
     key_entry = model.catalogue.by_sig
+    # packed pair matrix -> signature key; runs that race store equal keys
+    signature: dict[int, int] = {}
 
     def quota(sig):
         return CENSUS_INSTANCES if sig in key_entry else 1
 
     def classify(lo, hi):
-        signature: dict[int, int] = {}    # packed key in base k -> signature key
         counts: dict[int, int] = {}
         found: dict[int, list] = {}       # signature key -> flat indices of its first pairs
         have: dict[int, int] = {}
         for i0 in range(lo, hi, CENSUS_BLOCK):
-            pts = lines_arr[i0:i0 + CENSUS_BLOCK]
-            wrt_block = np.ascontiguousarray(codes[:, i0:i0 + CENSUS_BLOCK].T)
-            # key[b, M]: sorted codes of the points of line i0 + b with respect
-            # to M, then sorted codes of M's points with respect to line i0 + b
-            lanes = (_sort_lanes([codes[pts[:, i]] for i in range(m)])
-                     + _sort_lanes([np.take(wrt_block, lines_arr[:, j], axis=1)
-                                    for j in range(m)]))
-            key = _pack(lanes[1:], k, lanes[0].astype(dtype))
+            tau = np.ascontiguousarray(renumber[columns(i0)].T)
+            # key[M, b]: the columns of M's points with respect to line
+            # i0 + b, packed in base u
+            key = _pack([np.take(tau, lines_arr[:, j], axis=0) for j in range(1, m)], u,
+                        np.take(tau, lines_arr[:, 0], axis=0).astype(key_type))
+            nb = key.shape[1]
             vals, cnts = np.unique(key, return_counts=True)
+            keys_of: dict[int, list] = {}
             for v, c in zip(vals.tolist(), cnts.tolist()):
                 sig = signature.get(v)
                 if sig is None:
-                    digits = [occurring[v // k ** i % k] for i in reversed(range(2 * m))]
-                    sig = signature[v] = _pack(digits, base)
+                    cols = [occurring[v // u ** (m - 1 - j) % u] for j in range(m)]
+                    sig = signature[v] = model.signature_key(
+                        bytes(x // nrel ** (m - 1 - i) % nrel for i in range(m) for x in cols))
                 counts[sig] = counts.get(sig, 0) + c
+                keys_of.setdefault(sig, []).append(v)
+            for sig, vs in keys_of.items():
                 take = quota(sig) - have.get(sig, 0)
                 if take > 0:
-                    at = np.flatnonzero(key == v)[:take] + i0 * nl
+                    # flat indices M * nb + b, turned into row-major pair order
+                    at = np.flatnonzero(np.logical_or.reduce([key == v for v in vs]))
+                    at = np.sort(at % nb * nl + at // nb)[:take] + i0 * nl
                     found.setdefault(sig, []).append(at)
                     have[sig] = have.get(sig, 0) + len(at)
         return counts, found
@@ -546,9 +541,6 @@ def position_census(model: HexagonicModel, budget: Optional[int] = None) -> Posi
             take = quota(sig) - sum(map(len, kept))
             if take > 0:
                 kept.append(np.concatenate(chunks)[:take])
-    # pairs become tuples only once the code table is freed, so that the two
-    # are never in memory together
-    del codes
     inst = {}
     for sig, chunks in found.items():
         at = np.concatenate(chunks)
@@ -597,10 +589,6 @@ class CombTrace:
     target: int
     steps: list[CombStep]
     final: int
-
-    @property
-    def positions(self) -> list[str]:
-        return [to_display(s.position) for s in self.steps]
 
 
 def find_combing_line(model: HexagonicModel, li: int, mi: int, x: int) -> int:

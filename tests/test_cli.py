@@ -191,6 +191,9 @@ def w32_file(tmp_path_factory):
     ("search", "rut", "--geometry", "{geom}", "--limit", "-1"),
     ("search", "geometric-lines", "--geometry", "{geom}", "--limit", "-1"),
     ("check", "ovoid", "--geometry", "{geom}", "--points", "0,x"),
+    ("verify", "bshex", "--q", "6"),
+    ("verify", "geomlines-hex", "--q", "1"),
+    ("build", "hexagon", "--q", "0"),
 ], ids=" ".join)
 def test_ignored_or_crashing_options_are_usage_errors(w32_file, capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -23,9 +23,7 @@ from liegeom.positions import (
     PositionError,
     TERMINAL,
     _code_base,
-    _pack,
     _rank,
-    _sort_lanes,
     _swap_key,
     comb_to_opposite,
     combing_algorithm_1,
@@ -119,6 +117,20 @@ def coded_model(g: Geometry, codes: np.ndarray) -> HexagonicModel:
     out = HexagonicModel(g)
     out.rel = rel
     return out
+
+
+def random_codes(g: Geometry, alphabet, share: float, seed: int) -> np.ndarray:
+    """g's relation data with a share of its pairs given random symmetric
+    codes drawn from ``alphabet``."""
+    rng = np.random.default_rng(seed)
+    codes = dense_oracle(g)
+    noise = rng.choice(np.array(alphabet, dtype=codes.dtype), size=codes.shape)
+    codes = np.where(rng.random(codes.shape) < share, noise, codes)
+    return np.triu(codes) + np.triu(codes, 1).T
+
+
+_ALPHABETS = ((COLLINEAR, SPECIAL), (EQUAL, COLLINEAR, SPECIAL, OPPOSITE),
+              tuple(range(len(REL_DISPLAY))))
 
 
 def oracle_model(g: Geometry) -> HexagonicModel:
@@ -677,16 +689,71 @@ def test_key_of_transpose_is_half_swap(mats):
     assert matrix_key(transpose) == _swap_key(matrix_key(mat), len(mat))
 
 
-@given(st.sampled_from((3, 4)).flatmap(lambda m: _matrices(m, 8)))
-def test_key_scalar_and_array_agree(mats):
-    # _rank and _pack are exact lane by lane on integer arrays as well; the
-    # census sorts lanes of column codes and packs them (in a compact base)
-    arr = np.array(mats, dtype=np.int8)
-    m = arr.shape[1]
-    rows = [_rank(_sort_lanes([arr[:, i, j].astype(np.int64) for j in range(m)]))
-            for i in range(m)]
-    cols = [_rank(_sort_lanes([arr[:, i, j].astype(np.int64) for i in range(m)]))
-            for j in range(m)]
-    keys = _pack(_sort_lanes(rows) + _sort_lanes(cols), _code_base(m),
-                 np.zeros(len(mats), dtype=np.int64))
-    assert keys.tolist() == [matrix_key(mat) for mat in mats]
+# -- the signature memo ----------------------------------------------------------
+
+
+@settings(max_examples=15)
+@given(alphabet=st.sampled_from(_ALPHABETS),
+       share=st.sampled_from((0.0, 0.3, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       pairs=st.lists(st.tuples(st.integers(0, 62), st.integers(0, 62)), min_size=1,
+                      max_size=40))
+@example(alphabet=tuple(range(len(REL_DISPLAY))), share=1.0, seed=0, pairs=[(0, 1), (0, 0)])
+def test_memoized_position_matches_matrix_key(h2, alphabet, share, seed, pairs):
+    # each pair is looked up twice, the second time from the memo; with all
+    # six codes on every pair nearly every pair misses the catalogue
+    model = coded_model(h2, random_codes(h2, alphabet, share, seed))
+    for li, mi in pairs + pairs:
+        mat = model.pair_matrix(li, mi)
+        entry = model.catalogue.by_sig.get(matrix_key(mat))
+        pos = model.position_of(li, mi)
+        if entry is None:
+            assert isinstance(pos, CatalogueMiss)
+            assert (pos.line_a, pos.line_b, pos.matrix) == (li, mi, mat)
+        else:
+            assert pos == entry.tuple4
+    assert len(model._signatures) <= len(set(pairs))
+
+
+def test_census_fills_the_position_memo(h2):
+    # the census keys every distinct pair matrix through the model's memo,
+    # so position_of on any pair afterwards, instances and misses alike,
+    # never calls matrix_key
+    model = coded_model(h2, random_codes(h2, tuple(range(len(REL_DISPLAY))), 0.3, 0))
+    with mock.patch.object(positions, "matrix_key", wraps=matrix_key) as key:
+        model.position_of(0, 1)
+        assert key.call_count == 1
+        key.reset_mock()
+        census = position_census(model)
+        assert census.miss_count and census.misses
+        # once per distinct matrix, the one of (0, 1) read from the memo
+        assert key.call_count == len(model._signatures) - 1
+        key.reset_mock()
+        nl = len(h2.lines)
+        looked_up = [(li, mi) for pairs in census.instances.values() for li, mi in pairs]
+        looked_up += [(m.line_a, m.line_b) for m in census.misses]
+        looked_up += list(itertools.product(range(nl), repeat=2))
+        for li, mi in looked_up:
+            model.position_of(li, mi)
+    assert key.call_count == 0
+
+
+@settings(max_examples=10)
+@given(alphabet=st.sampled_from(_ALPHABETS),
+       share=st.sampled_from((0.0, 0.02, 0.3, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       quota=st.sampled_from((1, 7, 10000)))
+def test_census_does_not_depend_on_block_size(h2, alphabet, share, seed, quota):
+    # the block size and the worker count only split the work: counts,
+    # instances (the first ``quota`` pairs of each position in row-major
+    # order) and misses are those of the pair-by-pair census for each
+    model = coded_model(h2, random_codes(h2, alphabet, share, seed))
+    oracle = census_scalar(model, instance_cap=quota)
+    want = (oracle.counts, oracle.instances, oracle.miss_count,
+            [(m.line_a, m.line_b, m.matrix) for m in oracle.misses])
+    for block, workers in itertools.product((1, 5, 16, 64), (1, 3)):
+        with mock.patch.multiple(positions, CENSUS_BLOCK=block, CENSUS_WORKERS=workers,
+                                 CENSUS_INSTANCES=quota):
+            census = position_census(model)
+        assert (census.counts, census.instances, census.miss_count,
+                [(m.line_a, m.line_b, m.matrix) for m in census.misses]) == want
