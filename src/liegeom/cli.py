@@ -7,11 +7,12 @@ recipe has its own parser carrying only the options its handler reads,
 so an option given where it would be ignored, or a point or line ID
 outside the geometry, is a usage error (exit 2).  The options of
 ``verify <recipe>`` are the recipe function's keyword parameters, budget
-among them where it takes one, typed from their defaults, and a --q,
-there or on ``build``, must be a field order; --seed fixes
-all sampled choices.  verify's --threads is the one exception: it changes
-nothing, because the position census uses the CPUs the process may run
-on and every result is identical for any CPU count.
+among them where it takes one, typed from their defaults; a --q, there
+or on ``build``, must be the order of a field gf.field builds, and build
+options that name no constructible geometry are a usage error; --seed
+fixes all sampled choices.  verify's --threads is the one exception: it
+changes nothing, because the position census uses the CPUs the process
+may run on and every result is identical for any CPU count.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import recipes
 from . import search as S
 from .constructors import (
     POLAR_NAMES,
+    ConstructionError,
     PolarFormSpec,
     hermitian_quadrangle,
     hermitian_subquadrangle,
@@ -36,7 +38,7 @@ from .constructors import (
     twisted_triality_hexagon,
 )
 from .geometry import Geometry, line_grassmannian, validate
-from .gf import FieldError, _factor_order
+from .gf import FieldError, field
 from .orders import HexOrder, multiplicity_integrality, st_square_check
 from .positions import CatalogueMiss, HexagonicModel, comb_to_opposite, position_census, to_display
 from .relations import NEAR_OPPOSITE, relation_matrix, opposition_sets
@@ -65,7 +67,10 @@ def _in_range(args, option: str, values, stop: float, start: int = 0) -> None:
 
 
 def _cmd_build(args) -> int:
-    g = args.make(args)
+    try:
+        g = args.make(args)
+    except (ConstructionError, FieldError) as exc:
+        args.error(str(exc))
     if getattr(args, "grassmannian", False):
         g = line_grassmannian(g)
     rep = validate(g)
@@ -237,7 +242,7 @@ def _count(text: str) -> int:
 
 def _field_order(text: str) -> int:
     try:
-        _factor_order(int(text))
+        field(int(text))
     except FieldError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return int(text)
@@ -274,12 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     targets = group("build", "what", "construct a geometry and write its JSON")
     b = _leaf(targets, "pg", fn=_cmd_build, make=lambda a: pg(a.n, a.q))
-    b.add_argument("--n", type=int, default=3)
+    b.add_argument("--n", type=_count, default=3)
     b.add_argument("--grassmannian", action="store_true")
     b = _leaf(targets, "polar", fn=_cmd_build,
               make=lambda a: polar_space(PolarFormSpec(a.family, a.dim, a.q)))
     b.add_argument("--family", choices=tuple(POLAR_NAMES), default="sp")
-    b.add_argument("--dim", type=int, default=3)
+    b.add_argument("--dim", type=_count, default=3)
     b.add_argument("--grassmannian", action="store_true")
     b = _leaf(targets, "hexagon", fn=_cmd_build,
               make=lambda a: (split_cayley_hexagon if a.variant == "split"

@@ -1,10 +1,10 @@
 """Mutual positions of line pairs in hexagonic models, and combing.
 
-A position is matched from the signature of a line pair, packed into
-one exact integer key (see "signature keys"), which each model memoizes
-per pair matrix for single-pair lookups and the vectorized census alike;
-the 26 catalogue entries are generated
-from shape templates (homogeneous, matching, pointed, row- and
+A position is matched from the signature of a line pair, its relation
+matrix's sorted rows and sorted columns as one bytes key (see "signature
+keys"), which each model memoizes per pair matrix for single-pair
+lookups and the vectorized census alike; the 26 catalogue entries are
+generated from shape templates (homogeneous, matching, pointed, row- and
 column-constant) whose keys are pairwise distinct, which is asserted
 when a catalogue is built.  The combing table maps every entry to its
 successor position, with the terminal position being the opposite pair.
@@ -12,9 +12,8 @@ successor position, with the terminal position being the opposite pair.
 
 from __future__ import annotations
 
-import functools
-import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -75,60 +74,35 @@ def parse_display(s: str) -> tuple[int, ...]:
 
 # -- signature keys -------------------------------------------------------------
 #
-# The column code of a point p with respect to an m-point line is the rank
-# of the sorted relation codes from the line's points to p among all sorted
-# m-tuples of the six codes (NearOpposite included), so it lies in
-# [0, _code_base(m)).  The signature key of (L, M) packs the sorted codes of
-# L's points with respect to M followed by the sorted codes of M's points
-# with respect to L, in base _code_base(m).  The key is exact, and the key of
-# (M, L) is the key of (L, M) with its two halves swapped.  matrix_key is the
-# only code that computes it; HexagonicModel.signature_key memoizes it per
-# pair matrix, and both position_of and position_census read that memo.
+# The signature key of (L, M) is the bytes of the m rows of its relation
+# matrix, each sorted, in ascending order, followed by its m columns, each
+# sorted, in ascending order: one byte per relation code.  The key is exact
+# for a fixed m, and the key of (M, L) is the key of (L, M) with its two
+# halves swapped.  matrix_key is the only code that computes it;
+# HexagonicModel.signature_key memoizes it per pair matrix, and both
+# position_of and position_census read that memo.
 
 
-def _rank(digits):
-    """Rank of ascending digits among all ascending tuples of their length:
-    the sum of C(digits[i] + i, i + 1) (the combinatorial number system)."""
-    rank = 0
-    for i, d in enumerate(digits):
-        x, c = d + i, 1
-        for j in range(i + 1):
-            c = c * (x - j) // (j + 1)
-        rank += c
-    return rank
-
-
-#: the column code of one point, from its sorted relation codes as a tuple
-_column_code = functools.cache(_rank)
-
-
-def _pack(digits, base: int, key=0):
-    """The digits, most significant first, packed onto ``key`` in ``base``.
-    On integer arrays (one digit per lane) ``key`` is an accumulator array,
-    updated in place, whose dtype bounds the result."""
+def _pack(digits, base: int, key):
+    """The digit arrays, most significant first, packed onto the accumulator
+    array ``key`` in ``base``, in place; key's dtype bounds the result."""
     for d in digits:
         key *= base
         key += d
     return key
 
 
-def _code_base(m: int) -> int:
-    """Number of column codes of a point with respect to an m-point line."""
-    return math.comb(m + len(REL_DISPLAY) - 1, m)
-
-
-def matrix_key(mat: Sequence[Sequence[int]]) -> int:
+def matrix_key(mat: Sequence[Sequence[int]]) -> bytes:
     """Signature key of the pair with relation matrix ``mat`` (rows: L's points;
     the relation is symmetric, so row i also holds the codes from M to L's i-th point)."""
-    rows = sorted(_column_code(tuple(sorted(r))) for r in mat)
-    cols = sorted(_column_code(tuple(sorted(c))) for c in zip(*mat))
-    return _pack(rows + cols, _code_base(len(mat)))
+    rows = sorted(bytes(sorted(r)) for r in mat)
+    cols = sorted(bytes(sorted(c)) for c in zip(*mat))
+    return b"".join(rows + cols)
 
 
-def _swap_key(key: int, m: int) -> int:
+def _swap_key(key: bytes, m: int) -> bytes:
     """The key of (M, L), given the key of (L, M)."""
-    half = _code_base(m) ** m
-    return (key % half) * half + key // half
+    return key[m * m:] + key[:m * m]
 
 
 # -- catalogue ----------------------------------------------------------------
@@ -250,7 +224,7 @@ class PositionCatalogue:
         if len(self.entries) != 26:
             raise PositionError(f"catalogue has {len(self.entries)} entries, expected 26")
         self.by_tuple = {e.tuple4: e for e in self.entries}
-        self.by_sig: dict[int, CatalogueEntry] = {}
+        self.by_sig: dict[bytes, CatalogueEntry] = {}
         for e in self.entries:
             sig = matrix_key(e.template(m))
             if sig in self.by_sig:
@@ -302,7 +276,8 @@ class HexagonicModel:
         self.rel = relation_matrix(g)
         self.catalogue = PositionCatalogue(self.m)
         self._local_opp: dict[int, dict[int, tuple[int, ...]]] = {}
-        self._signatures: dict[bytes, int] = {}
+        self._signatures: dict[bytes, bytes] = {}
+        self._signature_lock = threading.Lock()
 
     def pair_matrix(self, li: int, mi: int) -> list[list[int]]:
         """Relation codes from L's points (rows) to M's points, read from the
@@ -311,39 +286,47 @@ class HexagonicModel:
         rows = [self.rel.row(x) for x in lines[li]]
         return [[r[y] for y in lines[mi]] for r in rows]
 
-    def signature_key(self, mat: bytes) -> int:
+    def signature_key(self, mat: bytes) -> bytes:
         """Signature key of the pair matrix ``mat`` (its m * m relation codes,
-        row by row), memoized: matrix_key runs once per distinct matrix."""
+        row by row), memoized: matrix_key runs once per distinct matrix, also
+        when census runs on several threads miss on the same matrix."""
         sig = self._signatures.get(mat)
         if sig is None:
-            rows = range(0, len(mat), self.m)
-            sig = self._signatures[mat] = matrix_key([mat[i:i + self.m] for i in rows])
+            with self._signature_lock:
+                sig = self._signatures.get(mat)
+                if sig is None:
+                    rows = range(0, len(mat), self.m)
+                    sig = self._signatures[mat] = matrix_key([mat[i:i + self.m] for i in rows])
         return sig
 
-    def position_of(self, li: int, mi: int):
+    def entry(self, li: int, mi: int) -> CatalogueEntry:
+        """The catalogue entry of the pair (li, mi); PositionError if it has none."""
         lines = self.geometry.lines
         rows = [self.rel.row(x) for x in lines[li]]
         entry = self.catalogue.by_sig.get(
             self.signature_key(bytes([r[y] for r in rows for y in lines[mi]])))
         if entry is None:
+            raise PositionError(f"pair ({li},{mi}) is not a catalogue position")
+        return entry
+
+    def position_of(self, li: int, mi: int):
+        """The position tuple of the pair (li, mi), or a CatalogueMiss."""
+        try:
+            return self.entry(li, mi).tuple4
+        except PositionError:
             return CatalogueMiss(li, mi, self.pair_matrix(li, mi))
-        return entry.tuple4
 
     def free_points(self, li: int, mi: int) -> tuple[int, ...]:
         """Points of L other than the projection point for (L, M)."""
         g = self.geometry
         if li == mi:
             return ()
-        pos = self.position_of(li, mi)
-        if isinstance(pos, CatalogueMiss):
-            raise PositionError(f"pair ({li},{mi}) is not a catalogue position")
-        entry = self.catalogue.entry(pos)
+        entry = self.entry(li, mi)
         pts = g.lines[li]
         if not entry.has_projection_row:
             return tuple(pts)
-        target = _column_code(tuple(sorted(entry.template(self.m)[0])))
-        hits = [p for p, row in zip(pts, self.pair_matrix(li, mi))
-                if _column_code(tuple(sorted(row))) == target]
+        target = sorted(entry.template(self.m)[0])
+        hits = [p for p, row in zip(pts, self.pair_matrix(li, mi)) if sorted(row) == target]
         if len(hits) != 1:
             raise PositionError(f"projection point not unique for pair ({li},{mi})")
         return tuple(p for p in pts if p != hits[0])
@@ -385,10 +368,7 @@ class HexagonicModel:
         return li in self.local_opposites(x)[ki]
 
     def level(self, li: int, mi: int) -> int:
-        pos = self.position_of(li, mi)
-        if isinstance(pos, CatalogueMiss):
-            raise PositionError(f"pair ({li},{mi}) is not a catalogue position")
-        return self.catalogue.level_of(pos)
+        return self.catalogue.level_of(self.entry(li, mi).tuple4)
 
 
 # -- census -----------------------------------------------------------------------
@@ -487,15 +467,15 @@ def position_census(model: HexagonicModel, budget: Optional[int] = None) -> Posi
     occurring = occurring.tolist()
     key_entry = model.catalogue.by_sig
     # packed pair matrix -> signature key; runs that race store equal keys
-    signature: dict[int, int] = {}
+    signature: dict[int, bytes] = {}
 
     def quota(sig):
         return CENSUS_INSTANCES if sig in key_entry else 1
 
     def classify(lo, hi):
-        counts: dict[int, int] = {}
-        found: dict[int, list] = {}       # signature key -> flat indices of its first pairs
-        have: dict[int, int] = {}
+        counts: dict[bytes, int] = {}
+        found: dict[bytes, list] = {}     # signature key -> flat indices of its first pairs
+        have: dict[bytes, int] = {}
         for i0 in range(lo, hi, CENSUS_BLOCK):
             tau = np.ascontiguousarray(renumber[columns(i0)].T)
             # key[M, b]: the columns of M's points with respect to line
@@ -504,7 +484,7 @@ def position_census(model: HexagonicModel, budget: Optional[int] = None) -> Posi
                         np.take(tau, lines_arr[:, 0], axis=0).astype(key_type))
             nb = key.shape[1]
             vals, cnts = np.unique(key, return_counts=True)
-            keys_of: dict[int, list] = {}
+            keys_of: dict[bytes, list] = {}
             for v, c in zip(vals.tolist(), cnts.tolist()):
                 sig = signature.get(v)
                 if sig is None:
@@ -531,8 +511,8 @@ def position_census(model: HexagonicModel, budget: Optional[int] = None) -> Posi
     if cut:
         raise BudgetExceeded(f"position census exceeded {budget} pairs")
     # runs in order: each position keeps the first pairs in row-major order
-    counts: dict[int, int] = {}
-    found: dict[int, list] = {}
+    counts: dict[bytes, int] = {}
+    found: dict[bytes, list] = {}
     for run_counts, run_found in runs:
         for sig, c in run_counts.items():
             counts[sig] = counts.get(sig, 0) + c
@@ -594,22 +574,19 @@ class CombTrace:
 def find_combing_line(model: HexagonicModel, li: int, mi: int, x: int) -> int:
     """A line K through x, not locally opposite L, every line through x
     locally opposite K landing on the table successor position with M."""
-    pos = model.position_of(li, mi)
-    if isinstance(pos, CatalogueMiss):
-        raise PositionError("combing requires a catalogue position")
-    if pos == TERMINAL:
+    entry = model.entry(li, mi)
+    if entry.tuple4 == TERMINAL:
         raise PositionError("pair already opposite")
     if x not in model.free_points(li, mi):
         raise PositionError(f"{x} is not a free point for ({li},{mi})")
-    succ = model.catalogue.entry(pos).successor
     for ki, mates in model.local_opposites(x).items():
         if not mates or li in mates:
             continue
-        if all(model.position_of(l2, mi) == succ for l2 in mates):
+        if all(model.position_of(l2, mi) == entry.successor for l2 in mates):
             return ki
     raise NoCombingLine(
         f"no combing line for pair ({li},{mi}) at point {x} "
-        f"(position {to_display(pos)})")
+        f"(position {entry.display})")
 
 
 #: combing steps after which comb_to_opposite gives up; a catalogue
@@ -623,10 +600,8 @@ def comb_to_opposite(model: HexagonicModel, li: int, mi: int) -> CombTrace:
     steps: list[CombStep] = []
     cur = li
     for _ in range(COMB_STEPS):
-        pos = model.position_of(cur, mi)
-        if isinstance(pos, CatalogueMiss):
-            raise PositionError("combing requires catalogue positions")
-        if pos == TERMINAL:
+        entry = model.entry(cur, mi)
+        if entry.tuple4 == TERMINAL:
             return CombTrace(li, mi, steps, cur)
         if cur == mi:
             # degenerate equal pair: comb with K = L at the least point
@@ -636,13 +611,11 @@ def comb_to_opposite(model: HexagonicModel, li: int, mi: int) -> CombTrace:
             x = min(model.free_points(cur, mi))
             ki = find_combing_line(model, cur, mi, x)
         repl = min(model.local_opposites(x)[ki])
-        steps.append(CombStep(cur, pos, x, ki, repl))
-        nxt = model.position_of(repl, mi)
-        if nxt != model.catalogue.entry(pos).successor:
+        steps.append(CombStep(cur, entry.tuple4, x, ki, repl))
+        nxt = model.entry(repl, mi)
+        if nxt.tuple4 != entry.successor:
             raise PositionError(
-                f"transition {to_display(pos)} -> "
-                f"{nxt if isinstance(nxt, CatalogueMiss) else to_display(nxt)} "
-                f"does not match the combing table")
+                f"transition {entry.display} -> {nxt.display} does not match the combing table")
         cur = repl
     raise NonterminatingComb(f"comb of ({li},{mi}) exceeded {COMB_STEPS} steps")
 

@@ -194,6 +194,16 @@ def w32_file(tmp_path_factory):
     ("verify", "bshex", "--q", "6"),
     ("verify", "geomlines-hex", "--q", "1"),
     ("build", "hexagon", "--q", "0"),
+    ("build", "hermitian-gq", "--q", "5"),
+    ("build", "hermitian-gq", "--q", "16"),
+    ("build", "polar", "--family", "hermitian", "--dim", "3", "--q", "3"),
+    ("build", "pg", "--q", "25"),
+    ("build", "hexagon", "--q", "27"),
+    ("verify", "bshex", "--q", "32"),
+    ("verify", "geomlines-hex", "--q", "49"),
+    ("build", "pg", "--n", "1"),
+    ("build", "polar", "--dim", "4"),
+    ("build", "polar", "--dim", "-1"),
 ], ids=" ".join)
 def test_ignored_or_crashing_options_are_usage_errors(w32_file, capsys, argv):
     with pytest.raises(SystemExit) as exc:

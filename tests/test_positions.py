@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import threading
+import time
 from collections import Counter
 from unittest import mock
 
@@ -22,8 +23,6 @@ from liegeom.positions import (
     PositionCensus,
     PositionError,
     TERMINAL,
-    _code_base,
-    _rank,
     _swap_key,
     comb_to_opposite,
     combing_algorithm_1,
@@ -340,6 +339,12 @@ def test_catalogue_miss_is_value(gr_model):
     assert isinstance(pos, CatalogueMiss)
     assert pos.display.startswith("miss:")
     assert gr_model.position_of(1, 2) != pos
+    # what needs the pair's catalogue entry refuses the miss, naming the pair
+    x = gr_model.geometry.lines[1][0]
+    for call in (doc.level, doc.free_points, lambda li, mi: find_combing_line(doc, li, mi, x),
+                 lambda li, mi: comb_to_opposite(doc, li, mi)):
+        with pytest.raises(PositionError, match=r"^pair \(1,2\) is not a catalogue position$"):
+            call(1, 2)
 
 
 def test_census_counts_misses(h2):
@@ -545,14 +550,12 @@ def test_golden_census_instances(gr_census):
 @example(alphabet=tuple(range(len(REL_DISPLAY))), share=1.0, seed=0, workers=3)
 def test_census_matches_scalar_on_random_codes(h2, alphabet, share, seed, workers):
     # H(2) relation data with a share of its pairs given random symmetric
-    # codes: few column codes occur for small alphabets (int32 keys), and
-    # with all six codes everywhere at least 36 do, so 36**6 > 2**31 forces
-    # int64 keys; 3 workers split H(2)'s 4 blocks into uneven runs
-    rng = np.random.default_rng(seed)
-    codes = dense_oracle(h2)
-    noise = rng.choice(np.array(alphabet, dtype=codes.dtype), size=codes.shape)
-    codes = np.where(rng.random(codes.shape) < share, noise, codes)
-    codes = np.triu(codes) + np.triu(codes, 1).T
+    # codes.  The census packs the u columns that occur in base u: small
+    # alphabets keep u**3 within uint16 keys, and all six codes everywhere
+    # make u close to 6**3 (at least 36 sorted columns occur, checked
+    # below), so keys need uint32; 3 workers split H(2)'s 4 blocks into
+    # uneven runs
+    codes = random_codes(h2, alphabet, share, seed)
     model = coded_model(h2, codes)
     with mock.patch.object(positions, "CENSUS_WORKERS", workers):
         census = position_census(model)
@@ -630,14 +633,6 @@ def test_census_budget_in_recipes(monkeypatch, gr_model, gr_census):
     rep = run_recipe("positions-catalogue", budget=len(g.lines) ** 2)
     assert rep.status == "PASS"
     assert rep.payload() == run_recipe("positions-catalogue").payload()
-
-
-def test_column_codes_are_ranks():
-    # the column code is a bijection from sorted m-tuples of the six
-    # relation codes onto range(_code_base(m))
-    for m in (1, 2, 3, 4, 5):
-        tuples = list(itertools.combinations_with_replacement(range(len(REL_DISPLAY)), m))
-        assert sorted(_rank(t) for t in tuples) == list(range(_code_base(m)))
 
 
 def test_lazy_model_reads_few_rows(h2):
@@ -736,6 +731,28 @@ def test_census_fills_the_position_memo(h2):
         for li, mi in looked_up:
             model.position_of(li, mi)
     assert key.call_count == 0
+
+
+def test_signature_memo_keys_a_matrix_once_across_threads(h2):
+    # a second thread that looks up a matrix while the first is keying it
+    # waits for that key instead of computing its own
+    model = HexagonicModel(h2)
+    mat = bytes(c for row in model.pair_matrix(0, 1) for c in row)
+    entered = threading.Event()
+
+    def slow(rows):
+        entered.set()
+        time.sleep(0.05)
+        return matrix_key(rows)
+
+    with mock.patch.object(positions, "matrix_key", side_effect=slow) as key:
+        first = threading.Thread(target=model.signature_key, args=(mat,))
+        first.start()
+        entered.wait()
+        second = model.signature_key(mat)
+        first.join()
+    assert key.call_count == 1
+    assert second == model.signature_key(mat) == matrix_key(model.pair_matrix(0, 1))
 
 
 @settings(max_examples=10)
