@@ -4,15 +4,16 @@ Subcommands: build, relations, positions, search, check, fh, verify.
 Every command reads/writes the JSON geometry interchange format and
 emits JSON reports.  Each command, build target, search mode and verify
 recipe has its own parser carrying only the options its handler reads,
-so an option given where it would be ignored, or a point or line ID
-outside the geometry, is a usage error (exit 2).  The options of
-``verify <recipe>`` are the recipe function's keyword parameters, budget
-among them where it takes one, typed from their defaults; a --q, there
-or on ``build``, must be the order of a field gf.field builds, and build
-options that name no constructible geometry are a usage error; --seed
-fixes all sampled choices.  verify's --threads is the one exception: it
-changes nothing, because the position census uses the CPUs the process
-may run on and every result is identical for any CPU count.
+so an option given where it would be ignored, a point or line ID
+outside the geometry, or a loaded geometry the command cannot run on,
+is a usage error (exit 2).  The options of ``verify <recipe>`` are the
+recipe function's keyword parameters, budget among them where it takes
+one, typed from their defaults; a --q, there or on ``build``, must be
+the order of a field gf.field builds, and build options that name no
+constructible geometry are a usage error; --seed fixes all sampled
+choices.  verify's --threads is the one exception: it changes nothing,
+because the position census uses the CPUs the process may run on and
+every result is identical for any CPU count.
 """
 
 from __future__ import annotations
@@ -40,8 +41,21 @@ from .constructors import (
 from .geometry import Geometry, line_grassmannian, validate
 from .gf import FieldError, field
 from .orders import HexOrder, multiplicity_integrality, st_square_check
-from .positions import CatalogueMiss, HexagonicModel, comb_to_opposite, position_census, to_display
-from .relations import NEAR_OPPOSITE, relation_matrix, opposition_sets
+from .positions import (
+    CatalogueMiss,
+    HexagonicModel,
+    PositionError,
+    comb_to_opposite,
+    position_census,
+    to_display,
+)
+from .relations import (
+    NEAR_OPPOSITE,
+    RelationError,
+    geometry_family,
+    opposition_sets,
+    relation_matrix,
+)
 
 
 def _emit(doc, out: Optional[str]):
@@ -86,11 +100,18 @@ def _cmd_build(args) -> int:
 
 
 def _on_geometry(args) -> int:
-    """Load --geometry, emit the report args.run makes of it; a run cut
-    short by its budget reports PARTIAL and exits 1."""
+    """Load --geometry, emit the report args.run makes of it, or of the
+    model args.load makes of it; a geometry the command does not support
+    is a usage error, and a run cut short by its budget reports PARTIAL
+    and exits 1."""
     g = _load_geometry(args.geometry)
     try:
-        doc, code = args.run(args, g), 0
+        geometry_family(g)
+        subject = args.load(g) if "load" in args else g
+    except (RelationError, PositionError) as exc:
+        args.error(f"{args.geometry}: {exc}")
+    try:
+        doc, code = args.run(args, subject), 0
     except S.BudgetExceeded as exc:
         doc, code = {"schema": 1, "geometry": g.fingerprint(), "status": "PARTIAL",
                      "error": str(exc)}, 1
@@ -118,12 +139,12 @@ def _relations(args, g) -> dict:
     return doc
 
 
-def _positions(args, g) -> dict:
+def _positions(args, model: HexagonicModel) -> dict:
+    g = model.geometry
     if args.budget is not None and not args.census:
         args.error("--budget applies to --census only")
     _in_range(args, "--pair" if args.pair else "--comb", args.pair or args.comb or (),
               len(g.lines))
-    model = HexagonicModel(g)
     if args.pair:
         li, mi = args.pair
         pos = model.position_of(li, mi)
@@ -302,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--census", action="store_true")
 
     p = _leaf(sub, "positions", "geometry", "budget", help="line-pair position census "
-              "and combing", fn=_on_geometry, run=_positions)
+              "and combing", fn=_on_geometry, run=_positions, load=HexagonicModel)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--census", action="store_true")
     mode.add_argument("--pair", type=int, nargs=2, metavar=("L", "M"))

@@ -9,10 +9,12 @@ row read as "the points opposite p" is also "the points p is opposite".
 In a hexagon notopp[x] is the ball of radius 2 about x, so the points
 special to x are notopp[x] & ~adj[x].  One table per hexagon holds per
 line the points close to it and the lines opposite it; the distance-3
-traces are read off it once per hexagon.  The classifier tags by
-membership: in the one hyperbolic-line set and the one trace set of a
-hexagon, and in the one hyperbolic-pencil set of the base point common
-to the lines of a Grassmannian set.
+traces are read off it once per hexagon.  The hyperbolic lines are
+built one centre at a time, from the distinct traces on the centre's
+perp of the points opposite it.  The classifier tags by membership: in
+the one hyperbolic-line set and the one trace set of a hexagon, and in
+the one hyperbolic-pencil set of the base point common to the lines of
+a Grassmannian set.
 
 The blocking-set enumerator uses witness-driven branching: every set it
 must find fails to cover the least uncovered point, so candidates can be
@@ -259,29 +261,28 @@ def special_center(g: Geometry, a: int, b: int) -> int:
     return common.bit_length() - 1
 
 
+def _centre_caps(g: Geometry, c: int, qs: int) -> dict[tuple[int, int], int]:
+    """The hyperbolic caps at centre c from the points in qs, all opposite
+    c: per pair a < b on the trace of some q in qs, the AND of the
+    distinct traces holding both.  The trace of q is notopp[q] cut to the
+    perp of c without c: notopp[x] is the ball of radius 2 about x, and q
+    is collinear with no point of c's perp, so q is special to both a and
+    b exactly when its trace holds both."""
+    notopp = opposition_sets(g).notopp
+    perp = g.adj[c] & ~(1 << c)
+    caps: dict[tuple[int, int], int] = {}
+    for t in {notopp[q] & perp for q in bit_indices(qs)}:
+        for pair in combinations(bit_indices(t), 2):
+            caps[pair] = caps.get(pair, t) & t
+    return caps
+
+
 def _special_trace_cap(g: Geometry, c: int, a: int, b: int) -> tuple[int, int]:
     """For a special pair a, b with centre c: the points q opposite c and
-    special to both, and the perp of c (without c) cut by the special
-    traces of all those q.  notopp[x] is the ball of radius 2 about x, and
-    a point opposite c is collinear with no point of c's perp, so the
-    points q are opp[c] & notopp[a] & notopp[b] and each trace on the perp
-    is notopp[q]."""
+    special to both, and their cap (the perp of c without c if none)."""
     o = opposition_sets(g)
     qs = o.opp[c] & o.notopp[a] & o.notopp[b]
-    h = g.adj[c] & ~(1 << c)
-    for q in bit_indices(qs):
-        h &= o.notopp[q]
-    return qs, h
-
-
-def _hyperbolic_bits(g: Geometry, a: int, b: int) -> int:
-    """Point bitset of the hyperbolic line through a special pair."""
-    qs, h = _special_trace_cap(g, special_center(g, a, b), a, b)
-    if not qs:
-        raise GeometryError("no point opposite the centre is special to both")
-    if not (h >> a & 1) or not (h >> b & 1):
-        raise GeometryError("hyperbolic line does not contain its defining pair")
-    return h
+    return qs, _centre_caps(g, c, qs).get((min(a, b), max(a, b)), g.adj[c] & ~(1 << c))
 
 
 def hyperbolic_line(g: Geometry, a: int, b: int) -> tuple[int, ...]:
@@ -293,17 +294,33 @@ def hyperbolic_line(g: Geometry, a: int, b: int) -> tuple[int, ...]:
     """
     if geometry_family(g) != "hexagon":
         raise GeometryError("hyperbolic lines are defined here for hexagons")
-    return tuple(bit_indices(_hyperbolic_bits(g, a, b)))
+    c = special_center(g, a, b)
+    h = _centre_caps(g, c, opposition_sets(g).opp[c]).get((min(a, b), max(a, b)))
+    if h is None:
+        raise GeometryError("no point opposite the centre is special to both")
+    return tuple(bit_indices(h))
 
 
 def _hyperbolic_lines(g: Geometry) -> frozenset[tuple[int, ...]]:
     """The hyperbolic lines through every special pair of a hexagon, built
-    once per geometry."""
+    once per geometry from the caps at each centre c.  Each pair capped at
+    c must have centre c, and the capped pairs must be the special pairs,
+    compared as per-point bitsets of the partners b > a."""
     def build():
-        notopp = opposition_sets(g).notopp
-        return frozenset(tuple(bit_indices(_hyperbolic_bits(g, a, a + 1 + b)))
-                         for a in range(g.n)
-                         for b in bit_indices((notopp[a] & ~g.adj[a]) >> (a + 1)))
+        o = opposition_sets(g)
+        capped = [0] * g.n
+        out = set()
+        for c in range(g.n):
+            for (a, b), h in _centre_caps(g, c, o.opp[c]).items():
+                special_center(g, a, b)
+                capped[a] |= 1 << b
+                out.add(h)
+        special = [(o.notopp[a] & ~g.adj[a]) >> a + 1 << a + 1 for a in range(g.n)]
+        if any(s & ~cap for s, cap in zip(special, capped)):
+            raise GeometryError("no point opposite the centre is special to both")
+        if capped != special:
+            raise GeometryError("a point trace holds a pair that is not special")
+        return frozenset(tuple(bit_indices(h)) for h in out)
     return g.cached("hyperbolic-lines", build)
 
 

@@ -170,6 +170,18 @@ def w32_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def unsupported_files(tmp_path_factory):
+    # PG(3,2) has kind other, and the line Grassmannian of the conic Q(2,2)
+    # has no points
+    d = tmp_path_factory.mktemp("cli")
+    for name, argv in (("pg", ("pg", "--n", "3")),
+                       ("empty", ("polar", "--family", "parabolic", "--dim", "2",
+                                  "--grassmannian"))):
+        assert main(["build", *argv, "--q", "2", "--out", str(d / f"{name}.json")]) == 0
+    return {"{pg}": str(d / "pg.json"), "{empty}": str(d / "empty.json")}
+
+
 @pytest.mark.parametrize("argv", [
     ("build", "pg", "--seed", "1"),
     ("build", "hexagon", "--grassmannian"),
@@ -204,10 +216,15 @@ def w32_file(tmp_path_factory):
     ("build", "pg", "--n", "1"),
     ("build", "polar", "--dim", "4"),
     ("build", "polar", "--dim", "-1"),
+    ("relations", "--geometry", "{pg}", "--census"),
+    ("positions", "--geometry", "{empty}", "--census"),
+    ("search", "blocking", "--geometry", "{pg}"),
 ], ids=" ".join)
-def test_ignored_or_crashing_options_are_usage_errors(w32_file, capsys, argv):
+def test_ignored_or_crashing_options_are_usage_errors(w32_file, unsupported_files, capsys,
+                                                      argv):
+    files = {"{geom}": w32_file, **unsupported_files}
     with pytest.raises(SystemExit) as exc:
-        main([a.replace("{geom}", w32_file) for a in argv])
+        main([files.get(a, a) for a in argv])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
 

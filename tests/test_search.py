@@ -558,6 +558,52 @@ def test_hyperbolic_lines_only_in_hexagons(w32, gr_w52):
                 fn(g)
 
 
+@settings(max_examples=40)
+@given(data=st.data())
+def test_hyperbolic_cap_equals_scan(h3, h2_dual, data):
+    # the per-centre cap, read by hyperbolic_line and by the lemma witness,
+    # on a regular hexagon and on one whose hyperbolic lines are not regular
+    for g in (h3, h2_dual):
+        a, b = data.draw(st.sampled_from(_special_pairs(g)))
+        if data.draw(st.booleans()):
+            a, b = b, a
+        line = hyperbolic_line_scan(g, a, b).points
+        assert S.hyperbolic_line(g, a, b) == line
+        assert S._special_trace_cap(g, S.special_center(g, a, b), a, b)[1] == bitset(line)
+
+
+def test_centre_without_opposite_points_is_refused():
+    # centre 0 with its opposition row emptied has no point trace, so the
+    # special pairs it is the centre of get no cap: the build must refuse
+    # them, not return a shorter set
+    from liegeom.constructors import split_cayley_hexagon
+    from liegeom.relations import OppositionSets, _opposition_sets
+    g = split_cayley_hexagon(2)
+    o = _opposition_sets(g)
+    g.cached("opposition-sets", lambda: OppositionSets(g, (0,) + o.opp[1:], o.notopp))
+    with pytest.raises(GeometryError, match="no point opposite the centre"):
+        S.all_hyperbolic_lines(g)
+
+
+def test_trace_with_a_collinear_pair_is_refused():
+    # the trace on centre 0 of a point q opposite it gains x, the other
+    # point of the line through 0 and a trace point y; x < q, so the rows
+    # still give the same special pairs, and the capped pair (x, y) is
+    # collinear, not special
+    from liegeom.constructors import split_cayley_hexagon
+    from liegeom.relations import OppositionSets, _opposition_sets
+    g = split_cayley_hexagon(2)
+    o = _opposition_sets(g)
+    q = o.opp[0].bit_length() - 1
+    y = bit_indices(o.notopp[q] & g.adj[0])[0]
+    x = (g.adj[0] & g.adj[y] & ~(1 | 1 << y)).bit_length() - 1
+    assert y != 0 and x < q
+    notopp = o.notopp[:q] + (o.notopp[q] | 1 << x,) + o.notopp[q + 1:]
+    g.cached("opposition-sets", lambda: OppositionSets(g, o.opp, notopp))
+    with pytest.raises(GeometryError, match="not special"):
+        S.all_hyperbolic_lines(g)
+
+
 def test_distance3_traces_equal_pairwise(h2, h3, h2_dual, w32):
     for g in (h2, h3, h2_dual):
         assert S.all_distance3_traces(g) == all_distance3_traces_pairwise(g)
