@@ -87,8 +87,9 @@ def _cmd_build(args) -> int:
         args.error(str(exc))
     if getattr(args, "grassmannian", False):
         g = line_grassmannian(g)
-    rep = validate(g)
-    if not rep.partial_linear:
+    if not g.n:
+        args.error(f"{g.name or 'the geometry'} has no points")
+    if not validate(g).partial_linear:
         raise SystemExit("construction failed partial-linearity validation")
     if args.out:
         with open(args.out, "w") as fh:
@@ -101,17 +102,20 @@ def _cmd_build(args) -> int:
 
 def _on_geometry(args) -> int:
     """Load --geometry, emit the report args.run makes of it, or of the
-    model args.load makes of it; a geometry the command does not support
-    is a usage error, and a run cut short by its budget reports PARTIAL
-    and exits 1."""
+    model args.load makes of it, under the --budget given; a geometry with
+    no points or one the command does not support is a usage error, and a
+    run cut short by its budget reports PARTIAL and exits 1."""
     g = _load_geometry(args.geometry)
+    if not g.n:
+        args.error(f"{args.geometry}: the geometry has no points")
     try:
         geometry_family(g)
         subject = args.load(g) if "load" in args else g
     except (RelationError, PositionError) as exc:
         args.error(f"{args.geometry}: {exc}")
     try:
-        doc, code = args.run(args, subject), 0
+        with S.budget(vars(args).get("budget")):
+            doc, code = args.run(args, subject), 0
     except S.BudgetExceeded as exc:
         doc, code = {"schema": 1, "geometry": g.fingerprint(), "status": "PARTIAL",
                      "error": str(exc)}, 1
@@ -161,7 +165,7 @@ def _positions(args, model: HexagonicModel) -> dict:
                 "steps": [{"line": s.line, "position": to_display(s.position),
                            "x": s.x, "k": s.k, "replacement": s.replacement}
                           for s in tr.steps]}
-    census = position_census(model, budget=args.budget)
+    census = position_census(model)
     return {
         "schema": 1,
         "geometry": g.fingerprint(),
@@ -174,8 +178,7 @@ def _positions(args, model: HexagonicModel) -> dict:
 
 def _search_blocking(args, g) -> dict:
     _in_range(args, "--k", [args.k], float("inf"), start=1)
-    found = S.enumerate_blocking_sets(g, args.k, minimal_only=args.minimal_only,
-                                      budget=args.budget)
+    found = S.enumerate_blocking_sets(g, args.k, minimal_only=args.minimal_only)
     doc = {"schema": 1, "geometry": g.fingerprint(), "k": args.k, "count": len(found)}
     if args.classify:
         tags = S.tag_census(g, found)
@@ -189,7 +192,7 @@ def _search_blocking(args, g) -> dict:
 
 def _search_rut(args, g) -> dict:
     _in_range(args, "--base-point", [args.base_point], g.n)
-    ruts = S.enumerate_round_up_triples(g, base_point=args.base_point, budget=args.budget)
+    ruts = S.enumerate_round_up_triples(g, base_point=args.base_point)
     return {"schema": 1, "geometry": g.fingerprint(), "count": len(ruts),
             "partial": args.base_point is not None,
             "triples": [list(t) for t in ruts[:args.limit]]}
@@ -197,7 +200,7 @@ def _search_rut(args, g) -> dict:
 
 def _search_geometric_lines(args, g) -> dict:
     _in_range(args, "--base-point", [args.base_point], g.n)
-    gls = S.enumerate_geometric_lines(g, base_point=args.base_point, budget=args.budget)
+    gls = S.enumerate_geometric_lines(g, base_point=args.base_point)
     census = {tag: len(sets) for tag, sets in S.tag_census(g, gls).items()}
     return {"schema": 1, "geometry": g.fingerprint(), "count": len(gls),
             "census": census, "sets": [list(x) for x in gls[:args.limit]]}

@@ -29,7 +29,7 @@ from .relations import (
     SYMPLECTIC,
     relation_matrix,
 )
-from .search import BudgetExceeded, special_center
+from .search import Meter, special_center
 
 
 class PositionError(GeometryError):
@@ -415,7 +415,7 @@ def _over_runs(fn, end: int) -> list:
         return [fn(*runs[0])] + [f.result() for f in rest]
 
 
-def position_census(model: HexagonicModel, budget: Optional[int] = None) -> PositionCensus:
+def position_census(model: HexagonicModel) -> PositionCensus:
     """Exhaustive census of all ordered line pairs, vectorized for every line
     size whose pair keys fit in int64 (3- and 4-point lines).
 
@@ -428,8 +428,8 @@ def position_census(model: HexagonicModel, budget: Optional[int] = None) -> Posi
     which position_of reads too.  Instances are the first CENSUS_INSTANCES
     pairs of each position in row-major order.  The inverse law is checked
     for every realized key: the key of (M, L) is the half swap of the key
-    of (L, M).  With a ``budget``, BudgetExceeded is raised after the
-    first block that takes the pairs done beyond it.
+    of (L, M).  All the pairs are charged to the budget, on the calling
+    thread, before any work.
 
     Both passes over the line blocks are split into at most CENSUS_WORKERS
     contiguous runs, which overlap on threads where numpy releases the
@@ -439,6 +439,7 @@ def position_census(model: HexagonicModel, budget: Optional[int] = None) -> Posi
     """
     g = model.geometry
     nl, m = len(g.lines), model.m
+    Meter("position census", "pairs").tick(nl * nl)
     nrel = len(REL_DISPLAY)
     if nrel ** (m * m) > 1 << 63:
         raise PositionError(f"pair keys of {m}-point lines reach {nrel}**{m * m}, "
@@ -503,13 +504,7 @@ def position_census(model: HexagonicModel, budget: Optional[int] = None) -> Posi
                     have[sig] = have.get(sig, 0) + len(at)
         return counts, found
 
-    # a budget below the nl * nl pairs ends the census with the first block
-    # whose end takes the pairs done beyond it
-    cut = budget is not None and nl * nl > budget
-    end = min((budget // nl // CENSUS_BLOCK + 1) * CENSUS_BLOCK, nl) if cut else nl
-    runs = _over_runs(classify, end)
-    if cut:
-        raise BudgetExceeded(f"position census exceeded {budget} pairs")
+    runs = _over_runs(classify, nl)
     # runs in order: each position keeps the first pairs in row-major order
     counts: dict[bytes, int] = {}
     found: dict[bytes, list] = {}

@@ -3,8 +3,9 @@
 run_recipe builds the RunReport (recipe name and seed) and hands it, with
 the options, to the recipe, which records its parameters and geometry
 fingerprints and runs a list of assertions against constructed
-geometries.  A recipe that runs a search takes ``budget``; a search cut
-short by it ends the recipe in run_recipe, the one budget policy.
+geometries.  A recipe that runs a search declares ``budget`` but never
+reads it: run_recipe sets it for the run (search.budget), and a search
+cut short by it ends the recipe there, the one budget policy.
 Reports are deterministic for a fixed seed (wall time is excluded from
 the comparable payload).
 """
@@ -135,7 +136,8 @@ def run_recipe(name: str, seed: int = 0, **params) -> RunReport:
     rep = RunReport(name, seed)
     t0 = time.perf_counter()
     try:
-        globals()[_RECIPES[name]](rep, **params)
+        with S.budget(params.get("budget")):
+            globals()[_RECIPES[name]](rep, **params)
     except S.BudgetExceeded as exc:
         if rep.status == "PASS":
             rep.status = "PARTIAL"
@@ -151,7 +153,7 @@ def _recipe_bshex(rep: RunReport, q: int = 2, budget: Optional[int] = None) -> N
     g = model_geometry(f"hexagon-{q}")
     rep.params, rep.geometries = {"q": q}, {"hexagon": g.fingerprint()}
     s = g.order[0]
-    blocking = S.enumerate_blocking_sets(g, s + 1, minimal_only=True, budget=budget)
+    blocking = S.enumerate_blocking_sets(g, s + 1, minimal_only=True)
     counts = {k: len(v) for k, v in S.tag_census(g, blocking).items()}
     rep.info("blocking-census", counts)
     if g.n <= 100:
@@ -175,7 +177,7 @@ def _recipe_bshex(rep: RunReport, q: int = 2, budget: Optional[int] = None) -> N
     if s == 2:
         ok = all(o.common_opposite_bits(p) != 0 for p in combinations(range(g.n), 2))
         rep.check("s-sets-admit-opposite", ok)
-    hyp = S.all_hyperbolic_lines(g, budget=budget)
+    hyp = S.all_hyperbolic_lines(g)
     rep.check("hyperbolic-size", all(len(h) == q + 1 for h in hyp), {"count": len(hyp)})
     rep.check("hyperbolic-count-matches", counts.get("HyperbolicLine", 0) == len(hyp))
 
@@ -212,7 +214,7 @@ def _rut_lemma_witness(g: Geometry, traces, t) -> Optional[str]:
 def _recipe_geomlines_hex(rep: RunReport, q: int = 2, budget: Optional[int] = None) -> None:
     g = model_geometry(f"hexagon-{q}")
     rep.params, rep.geometries = {"q": q}, {"hexagon": g.fingerprint()}
-    ruts = S.enumerate_round_up_triples(g, budget=budget)
+    ruts = S.enumerate_round_up_triples(g)
     rep.info("rut-count", len(ruts))
     traces = S.all_distance3_traces(g)
     bad = None
@@ -224,7 +226,7 @@ def _recipe_geomlines_hex(rep: RunReport, q: int = 2, budget: Optional[int] = No
     rep.check("rut-lemmas", bad is None, bad)
     gls = {gl for t in ruts if (gl := S.geometric_line_closure(g, t)) is not None}
     lines = set(map(tuple, g.lines))
-    hyp = set(S.all_hyperbolic_lines(g, budget=budget))
+    hyp = set(S.all_hyperbolic_lines(g))
     expect = lines | hyp | (set(traces) if q % 2 == 0 else set())
     rep.info("geometric-lines", len(gls))
     rep.check("equals-recognizers", gls == expect,
@@ -242,7 +244,7 @@ def _recipe_typeb(rep: RunReport, budget: Optional[int] = None) -> None:
     base = model_geometry("w52")
     g = model_geometry("gr-w52")
     rep.geometries = {"base": base.fingerprint(), "grassmannian": g.fingerprint()}
-    gls = S.enumerate_geometric_lines(g, budget=budget)
+    gls = S.enumerate_geometric_lines(g)
     tags = S.tag_census(g, gls)
     counts = {k: len(v) for k, v in tags.items()}
     rep.info("geometric-line-census", counts)
@@ -265,13 +267,11 @@ def grassmannian_model() -> HexagonicModel:
     return g.cached("hexagonic-model", lambda: HexagonicModel(g))
 
 
-def grassmannian_census(budget: Optional[int] = None):
-    """The Gr(Q+(7,2)) census, built once per process.  A budget below the
-    number of line pairs cuts the census short whether or not one is
-    cached, so such a run bypasses the cache and never fills it."""
+def grassmannian_census():
+    """The Gr(Q+(7,2)) census, built once per process.  Every read is charged
+    its line pairs, so a budget cuts it short even when one is cached."""
     g = model_geometry("gr-q72")
-    if budget is not None and budget < len(g.lines) ** 2:
-        return position_census(grassmannian_model(), budget=budget)
+    S.Meter("position census", "pairs").tick(len(g.lines) ** 2)
     return g.cached("position-census", lambda: position_census(grassmannian_model()))
 
 
@@ -279,7 +279,7 @@ def _recipe_positions(rep: RunReport, budget: Optional[int] = None) -> None:
     model = grassmannian_model()
     g = model.geometry
     rep.geometries = {"grassmannian": g.fingerprint()}
-    census = grassmannian_census(budget)
+    census = grassmannian_census()
     rep.info("realized-positions", {d: census.counts[d] for d in census.realized()})
     rep.check("census-partition", sum(census.counts.values()) + census.miss_count
               == census.total, {"total": census.total})
@@ -313,7 +313,7 @@ def _recipe_table1(rep: RunReport, instances: int = 100, trials: int = 500,
     g = model.geometry
     rep.params = {"instances": instances, "trials": trials}
     rep.geometries = {"grassmannian": g.fingerprint()}
-    census = grassmannian_census(budget)
+    census = grassmannian_census()
     # criterion: every realized non-terminal position combs per the table
     fails = []
     comb_steps = {}
@@ -431,7 +431,7 @@ def _recipe_obsgq(rep: RunReport, budget: Optional[int] = None) -> None:
     g = model_geometry("h34")
     sub = g.meta["subgq"]
     rep.geometries = {"hermitian": g.fingerprint(), "subgq": sub.fingerprint()}
-    ovoids = S.enumerate_ovoids(sub, budget=budget)
+    ovoids = S.enumerate_ovoids(sub)
     rep.check("subgq-ovoid-count", len(ovoids) == 6, len(ovoids))
     parent = sub.meta["parent_points"]
     ok_dom = ok_min = True

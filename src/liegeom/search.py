@@ -31,6 +31,8 @@ line is met iff it holds a chosen point: no per-line flags are kept.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -40,6 +42,31 @@ from .relations import geometry_family, grassmannian_base, opposition_sets
 
 class BudgetExceeded(RuntimeError):
     pass
+
+
+_BUDGET: ContextVar[Optional[int]] = ContextVar("budget", default=None)
+
+
+@contextmanager
+def budget(nodes: Optional[int]):
+    """Each metered search started in the block may do nodes units (None: no limit)."""
+    token = _BUDGET.set(nodes)
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
+
+
+class Meter:
+    """One search's count of work against the budget in force where it is made."""
+
+    def __init__(self, what: str, unit: str = "nodes"):
+        self.what, self.unit, self.count, self.limit = what, unit, 0, _BUDGET.get()
+
+    def tick(self, n: int = 1) -> None:
+        self.count += n
+        if self.limit is not None and self.count > self.limit:
+            raise BudgetExceeded(f"{self.what} exceeded {self.limit} {self.unit}")
 
 
 # -- common opposite / blocking sets -----------------------------------------
@@ -53,8 +80,8 @@ def common_opposite(g: Geometry, pts: Sequence[int]) -> Optional[int]:
     return (bits & -bits).bit_length() - 1
 
 
-def enumerate_blocking_sets(g: Geometry, k: int, minimal_only: bool = False,
-                            budget: Optional[int] = None) -> list[tuple[int, ...]]:
+def enumerate_blocking_sets(g: Geometry, k: int,
+                            minimal_only: bool = False) -> list[tuple[int, ...]]:
     """All k-subsets admitting no common opposite point.
 
     With minimal_only=True, only sets none of whose proper subsets block
@@ -64,7 +91,7 @@ def enumerate_blocking_sets(g: Geometry, k: int, minimal_only: bool = False,
     o = opposition_sets(g)
     opp, notopp = o.opp, o.notopp
     results: list[tuple[int, ...]] = []
-    nodes = 0
+    tick = Meter("blocking-set search").tick
 
     def minimal(pts: tuple[int, ...]) -> bool:
         for drop in range(len(pts)):
@@ -77,10 +104,7 @@ def enumerate_blocking_sets(g: Geometry, k: int, minimal_only: bool = False,
         return True
 
     def dfs(chosen: list[int], inter: int, excluded: int):
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceeded(f"blocking-set search exceeded {budget} nodes")
+        tick()
         if inter == 0:
             if len(chosen) == k:
                 got = tuple(sorted(chosen))
@@ -148,8 +172,8 @@ def is_round_up_triple(g: Geometry, v1: int, v2: int, v3: int) -> bool:
     return exactly_one_opposite(g, (v1, v2, v3)) == 0
 
 
-def enumerate_round_up_triples(g: Geometry, base_point: Optional[int] = None,
-                               budget: Optional[int] = None) -> list[tuple[int, int, int]]:
+def enumerate_round_up_triples(g: Geometry,
+                               base_point: Optional[int] = None) -> list[tuple[int, int, int]]:
     """All round-up triples; with base_point set, only triples through it.
 
     (i, j, k) is round-up iff opp[j] and opp[k] agree on notopp[i] and
@@ -161,15 +185,13 @@ def enumerate_round_up_triples(g: Geometry, base_point: Optional[int] = None,
     o = opposition_sets(g)
     opp, notopp = o.opp, o.notopp
     out = []
-    nodes = 0
+    meter = Meter("triple scan")
     for i in range(g.n) if base_point is None else (base_point,):
         cands = range(i + 1, g.n) if base_point is None else [j for j in range(g.n) if j != i]
         groups: dict[int, list[int]] = {}
         for j in cands:
             groups.setdefault(opp[j] & notopp[i], []).append(j)
-        nodes += len(cands) + sum(len(grp) * (len(grp) - 1) // 2 for grp in groups.values())
-        if budget is not None and nodes > budget:
-            raise BudgetExceeded(f"triple scan exceeded {budget} nodes")
+        meter.tick(len(cands) + sum(len(grp) * (len(grp) - 1) // 2 for grp in groups.values()))
         for grp in groups.values():
             for a, j in enumerate(grp):
                 missed = opp[i] & notopp[j]
@@ -239,11 +261,11 @@ def geometric_line_closure(g: Geometry, triple: Sequence[int]) -> Optional[tuple
     return pts if is_geometric_line(g, pts) else None
 
 
-def enumerate_geometric_lines(g: Geometry, base_point: Optional[int] = None,
-                              budget: Optional[int] = None) -> list[tuple[int, ...]]:
+def enumerate_geometric_lines(g: Geometry,
+                              base_point: Optional[int] = None) -> list[tuple[int, ...]]:
     """Deduplicated validated closures of all round-up triples."""
     seen = set()
-    for t in enumerate_round_up_triples(g, base_point=base_point, budget=budget):
+    for t in enumerate_round_up_triples(g, base_point=base_point):
         gl = geometric_line_closure(g, t)
         if gl is not None:
             seen.add(gl)
@@ -305,9 +327,13 @@ def _hyperbolic_lines(g: Geometry) -> frozenset[tuple[int, ...]]:
     """The hyperbolic lines through every special pair of a hexagon, built
     once per geometry from the caps at each centre c.  Each pair capped at
     c must have centre c, and the capped pairs must be the special pairs,
-    compared as per-point bitsets of the partners b > a."""
+    compared as per-point bitsets of the partners b > a.  Every read, built
+    or cached, is charged the special pairs, counted once per geometry."""
+    o = opposition_sets(g)
+    Meter("hyperbolic-line scan", "pairs").tick(g.cached("special-pairs", lambda: sum(
+        (o.notopp[a] & ~g.adj[a]).bit_count() for a in range(g.n)) // 2))
+
     def build():
-        o = opposition_sets(g)
         capped = [0] * g.n
         out = set()
         for c in range(g.n):
@@ -324,16 +350,11 @@ def _hyperbolic_lines(g: Geometry) -> frozenset[tuple[int, ...]]:
     return g.cached("hyperbolic-lines", build)
 
 
-def all_hyperbolic_lines(g: Geometry, budget: Optional[int] = None) -> list[tuple[int, ...]]:
+def all_hyperbolic_lines(g: Geometry) -> list[tuple[int, ...]]:
     """Point sets of the hyperbolic lines through every special pair, in
-    ascending order.  The budget counts one node per special pair and is
-    checked before the scan, so a cached set does not bypass it."""
+    ascending order."""
     if geometry_family(g) != "hexagon":
         raise GeometryError("hyperbolic lines are defined here for hexagons")
-    if budget is not None:
-        notopp = opposition_sets(g).notopp
-        if sum((notopp[a] & ~g.adj[a]).bit_count() for a in range(g.n)) // 2 > budget:
-            raise BudgetExceeded(f"hyperbolic-line scan exceeded {budget} pairs")
     return sorted(_hyperbolic_lines(g))
 
 
@@ -402,18 +423,15 @@ def is_ovoid(g: Geometry, pts: Sequence[int]) -> bool:
     return all((lb & bits).bit_count() == 1 for lb in g.line_bits)
 
 
-def enumerate_ovoids(g: Geometry, budget: Optional[int] = None) -> list[tuple[int, ...]]:
+def enumerate_ovoids(g: Geometry) -> list[tuple[int, ...]]:
     """All ovoids, by covering the least unmet line at each step.  The
     chosen points are pairwise non-collinear, so a line is met iff it holds
     one, and a point collinear with none of them lies on no met line."""
     out = []
-    nodes = 0
+    tick = Meter("ovoid search").tick
 
     def dfs(chosen: int):
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceeded(f"ovoid search exceeded {budget} nodes")
+        tick()
         li = next((i for i, lb in enumerate(g.line_bits) if not lb & chosen), None)
         if li is None:
             pts = tuple(bit_indices(chosen))

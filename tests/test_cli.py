@@ -9,7 +9,7 @@ import pytest
 from liegeom import recipes
 from liegeom.cli import build_parser, main
 from liegeom.constructors import PolarFormSpec, polar_space
-from liegeom.geometry import line_grassmannian
+from liegeom.geometry import Geometry, Kind, line_grassmannian
 
 
 def run(capsys, *argv):
@@ -136,8 +136,20 @@ def test_search_budget_partial(tmp_path, capsys):
     assert json.loads(out)["status"] == "PARTIAL"
 
 
+def test_classifier_build_is_budgeted(h2_file, capsys):
+    # 720 nodes cover the 700 of the minimal blocking search; the first set
+    # the classifier tests against the hyperbolic lines is charged H(2)'s
+    # 756 special pairs
+    code, out = run(capsys, "search", "blocking", "--geometry", h2_file, "--k", "3",
+                    "--minimal-only", "--classify", "--budget", "720")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "PARTIAL"
+    assert doc["error"] == "hyperbolic-line scan exceeded 720 pairs"
+
+
 def test_positions_census_budget(tmp_path, capsys):
-    # H(2) has 63 lines: the first block of 16 lines already passes 10 pairs
+    # H(2) has 63 lines: the census is charged its 63 * 63 pairs before it starts
     geom = tmp_path / "h2.json"
     run(capsys, "build", "hexagon", "--q", "2", "--out", str(geom))
     code, out = run(capsys, "positions", "--geometry", str(geom), "--census",
@@ -173,12 +185,11 @@ def w32_file(tmp_path_factory):
 @pytest.fixture(scope="module")
 def unsupported_files(tmp_path_factory):
     # PG(3,2) has kind other, and the line Grassmannian of the conic Q(2,2)
-    # has no points
+    # has no points; build refuses to write the latter, so it is written here
     d = tmp_path_factory.mktemp("cli")
-    for name, argv in (("pg", ("pg", "--n", "3")),
-                       ("empty", ("polar", "--family", "parabolic", "--dim", "2",
-                                  "--grassmannian"))):
-        assert main(["build", *argv, "--q", "2", "--out", str(d / f"{name}.json")]) == 0
+    assert main(["build", "pg", "--n", "3", "--q", "2", "--out", str(d / "pg.json")]) == 0
+    empty = Geometry(0, [], Kind("grassmannian", of="Q(2,2)"))
+    (d / "empty.json").write_text(empty.to_json() + "\n")
     return {"{pg}": str(d / "pg.json"), "{empty}": str(d / "empty.json")}
 
 
@@ -219,6 +230,10 @@ def unsupported_files(tmp_path_factory):
     ("relations", "--geometry", "{pg}", "--census"),
     ("positions", "--geometry", "{empty}", "--census"),
     ("search", "blocking", "--geometry", "{pg}"),
+    ("build", "polar", "--family", "parabolic", "--dim", "2", "--grassmannian"),
+    ("relations", "--geometry", "{empty}"),
+    ("search", "rut", "--geometry", "{empty}"),
+    ("search", "blocking", "--geometry", "{empty}"),
 ], ids=" ".join)
 def test_ignored_or_crashing_options_are_usage_errors(w32_file, unsupported_files, capsys,
                                                       argv):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liegeom import positions
+from liegeom import positions, search as S
 from liegeom.geometry import Geometry, GeometryError
 from liegeom.positions import (
     AlgorithmViolation,
@@ -572,17 +572,20 @@ def test_census_matches_scalar_on_random_codes(h2, alphabet, share, seed, worker
 
 
 def test_census_budget(monkeypatch, h2):
-    # blocks of 16 of the 63 lines: 1008 pairs are done after the first;
+    # all 63 * 63 pairs are charged before the first block of 16 lines;
     # on the machine's worker count, then in one run and in three
     model = HexagonicModel(h2)
     full = position_census(model)
     for workers in (positions.CENSUS_WORKERS, 1, 3):
         monkeypatch.setattr(positions, "CENSUS_WORKERS", workers)
         for budget in (0, 10, 32 * 63, 63 * 63 - 1):
-            with pytest.raises(BudgetExceeded, match=f"^position census exceeded {budget} pairs$"):
-                position_census(model, budget=budget)
-        assert position_census(model, budget=63 * 63) == full
-        assert position_census(model, budget=None) == full
+            with S.budget(budget), pytest.raises(
+                    BudgetExceeded, match=f"^position census exceeded {budget} pairs$"):
+                position_census(model)
+        with S.budget(63 * 63):
+            assert position_census(model) == full
+        with S.budget(None):
+            assert position_census(model) == full
 
 
 def test_census_reads_relations_on_calling_thread(monkeypatch, h2):

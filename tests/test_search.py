@@ -8,8 +8,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liegeom import search as S
+from liegeom import recipes, search as S
 from liegeom.geometry import GeometryError, bit_indices, bitset
+from liegeom.positions import HexagonicModel, position_census
 from liegeom.recipes import run_recipe
 from liegeom.relations import geometry_family, opposition_sets
 
@@ -291,8 +292,8 @@ def test_blocking_3sets_w32_classify(w32):
 
 
 def test_blocking_budget(h2):
-    with pytest.raises(S.BudgetExceeded):
-        S.enumerate_blocking_sets(h2, 3, budget=10)
+    with S.budget(10), pytest.raises(S.BudgetExceeded):
+        S.enumerate_blocking_sets(h2, 3)
 
 
 def test_soundness_sample(h2):
@@ -721,9 +722,11 @@ def test_classify_tags_exactly_the_hyperbolic_pencils(w52, gr_w52):
 def test_hyperbolic_lines_budget_holds_once_cached(h2):
     assert len(S.all_hyperbolic_lines(h2)) == 252
     # 63 points with 24 special points each: 756 special pairs
-    with pytest.raises(S.BudgetExceeded, match="hyperbolic-line scan exceeded 755 pairs"):
-        S.all_hyperbolic_lines(h2, budget=755)
-    assert len(S.all_hyperbolic_lines(h2, budget=756)) == 252
+    with S.budget(755), pytest.raises(S.BudgetExceeded,
+                                      match="hyperbolic-line scan exceeded 755 pairs"):
+        S.all_hyperbolic_lines(h2)
+    with S.budget(756):
+        assert len(S.all_hyperbolic_lines(h2)) == 252
 
 
 def test_hyperbolic_lines_fresh_list(h2):
@@ -847,15 +850,16 @@ def test_rut_witness_special_pair_equals_scan(h2):
 
 
 def test_hyperbolic_lines_budget(h2):
-    with pytest.raises(S.BudgetExceeded):
-        S.all_hyperbolic_lines(h2, budget=10)
+    with S.budget(10), pytest.raises(S.BudgetExceeded):
+        S.all_hyperbolic_lines(h2)
     # one node per special pair: 63 points with 24 special points each
-    assert len(S.all_hyperbolic_lines(h2, budget=63 * 24 // 2)) == 252
+    with S.budget(63 * 24 // 2):
+        assert len(S.all_hyperbolic_lines(h2)) == 252
 
 
 def test_ovoids_budget(w32):
-    with pytest.raises(S.BudgetExceeded):
-        S.enumerate_ovoids(w32, budget=3)
+    with S.budget(3), pytest.raises(S.BudgetExceeded):
+        S.enumerate_ovoids(w32)
 
 
 def test_blocking_search_node_counts(h2, w32):
@@ -864,34 +868,109 @@ def test_blocking_search_node_counts(h2, w32):
     # blocking set with arbitrary points
     for g, k, minimal_only, nodes in ((h2, 3, True, 700), (w32, 3, True, 44),
                                       (w32, 4, False, 207)):
-        assert (S.enumerate_blocking_sets(g, k, minimal_only=minimal_only, budget=nodes)
-                == S.enumerate_blocking_sets(g, k, minimal_only=minimal_only))
-        with pytest.raises(S.BudgetExceeded):
-            S.enumerate_blocking_sets(g, k, minimal_only=minimal_only, budget=nodes - 1)
+        full = S.enumerate_blocking_sets(g, k, minimal_only=minimal_only)
+        with S.budget(nodes):
+            assert S.enumerate_blocking_sets(g, k, minimal_only=minimal_only) == full
+        with S.budget(nodes - 1), pytest.raises(S.BudgetExceeded):
+            S.enumerate_blocking_sets(g, k, minimal_only=minimal_only)
 
 
 def test_ovoid_search_node_counts(w32, h34):
     for g, nodes in ((w32, 33), (h34.meta["subgq"], 34)):
-        assert S.enumerate_ovoids(g, budget=nodes) == S.enumerate_ovoids(g)
-        with pytest.raises(S.BudgetExceeded):
-            S.enumerate_ovoids(g, budget=nodes - 1)
+        full = S.enumerate_ovoids(g)
+        with S.budget(nodes):
+            assert S.enumerate_ovoids(g) == full
+        with S.budget(nodes - 1), pytest.raises(S.BudgetExceeded):
+            S.enumerate_ovoids(g)
+
+
+def _triple_scan_nodes(g):
+    # one node per point bucketed and one per in-bucket pair tested
+    opp, notopp = opposition_sets(g).opp, opposition_sets(g).notopp
+    total = 0
+    for i in range(g.n):
+        sizes = Counter(opp[j] & notopp[i] for j in range(i + 1, g.n))
+        total += g.n - 1 - i + sum(m * (m - 1) // 2 for m in sizes.values())
+    return total
 
 
 def test_round_up_triples_budget(h2):
     # one node per point bucketed and one per in-bucket pair tested: the
     # first point alone buckets the other n - 1 points
-    with pytest.raises(S.BudgetExceeded, match="triple scan exceeded"):
-        S.enumerate_round_up_triples(h2, budget=h2.n - 2)
-    opp, notopp = opposition_sets(h2).opp, opposition_sets(h2).notopp
-    total = 0
-    for i in range(h2.n):
-        sizes = Counter(opp[j] & notopp[i] for j in range(i + 1, h2.n))
-        total += h2.n - 1 - i + sum(m * (m - 1) // 2 for m in sizes.values())
+    with S.budget(h2.n - 2), pytest.raises(S.BudgetExceeded, match="triple scan exceeded"):
+        S.enumerate_round_up_triples(h2)
+    total = _triple_scan_nodes(h2)
     ruts = S.enumerate_round_up_triples(h2)
     assert len(ruts) == 651
-    assert S.enumerate_round_up_triples(h2, budget=total) == ruts
-    with pytest.raises(S.BudgetExceeded):
-        S.enumerate_round_up_triples(h2, budget=total - 1)
+    with S.budget(total):
+        assert S.enumerate_round_up_triples(h2) == ruts
+    with S.budget(total - 1), pytest.raises(S.BudgetExceeded):
+        S.enumerate_round_up_triples(h2)
+
+
+@functools.cache
+def _metered(h2, w32):
+    """name -> (message prefix, unit, least budget that completes, search)
+    for each metered search on a small geometry."""
+    model = HexagonicModel(h2)
+    return {
+        "blocking": ("blocking-set search", "nodes", 700,
+                     lambda: S.enumerate_blocking_sets(h2, 3, minimal_only=True)),
+        "ovoids": ("ovoid search", "nodes", 33, lambda: S.enumerate_ovoids(w32)),
+        "hyperbolic": ("hyperbolic-line scan", "pairs", 756,
+                       lambda: S.all_hyperbolic_lines(h2)),
+        "census": ("position census", "pairs", 63 * 63, lambda: position_census(model)),
+        "triples": ("triple scan", "nodes", _triple_scan_nodes(h2),
+                    lambda: S.enumerate_round_up_triples(h2)),
+    }
+
+
+@functools.cache
+def _unbudgeted(h2, w32, name):
+    return _metered(h2, w32)[name][3]()
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_budget_cuts_exactly_below_the_need(h2, w32, data):
+    name = data.draw(st.sampled_from(sorted(_metered(h2, w32))))
+    what, unit, need, search = _metered(h2, w32)[name]
+    b = data.draw(st.integers(0, need + 50))
+    with S.budget(b):
+        if b >= need:
+            assert search() == _unbudgeted(h2, w32, name)
+        else:
+            with pytest.raises(S.BudgetExceeded, match=f"^{what} exceeded {b} {unit}$"):
+                search()
+
+
+def test_budget_is_scoped(h2):
+    with S.budget(10):
+        with S.budget(1000):
+            assert len(S.all_hyperbolic_lines(h2)) == 252
+        with pytest.raises(S.BudgetExceeded, match="exceeded 10 pairs"):
+            S.all_hyperbolic_lines(h2)
+        with pytest.raises(S.BudgetExceeded, match="exceeded 5 nodes"):
+            with S.budget(5):
+                S.enumerate_blocking_sets(h2, 3)
+        with pytest.raises(S.BudgetExceeded, match="exceeded 10 pairs"):
+            S.all_hyperbolic_lines(h2)
+    assert len(S.all_hyperbolic_lines(h2)) == 252
+    rep = run_recipe("bshex", q=2, budget=5)
+    assert rep.status == "PARTIAL"
+    assert len(S.enumerate_blocking_sets(h2, 3, minimal_only=True)) == 651
+
+
+def test_budgeted_bshex_stops_before_the_classifier_builds(monkeypatch):
+    # on a fresh H(2), 720 nodes cover the 700 of the blocking search; the
+    # first set tested against the hyperbolic lines is charged the 756
+    # special pairs before the set is built
+    monkeypatch.setattr(recipes, "_GEOMETRIES", {})
+    rep = run_recipe("bshex", q=2, budget=720)
+    assert rep.status == "PARTIAL"
+    assert [a["name"] for a in rep.assertions] == ["budget"]
+    assert rep.assertions[0]["witness"] == "hyperbolic-line scan exceeded 720 pairs"
+    assert "hyperbolic-lines" not in recipes.model_geometry("hexagon-2")._derived
 
 
 def test_geomlines_recipe_scans_the_triples_once(monkeypatch):
