@@ -340,24 +340,25 @@ class HexagonicModel:
         position iff x is collinear to every point of K - x and of L - x and
         every point of K - x is special to every point of L - x.  Built once
         per point from the relation rows of x and of the points on lines
-        through x only.
+        through x only: those rows, at those points, are read as one block.
         """
         table = self._local_opp.get(x)
         if table is None:
-            g, rel = self.geometry, self.rel
+            g, rel, m = self.geometry, self.rel, self.m
             row_x = rel.row(x)
             through = g.lines_through[x]
-            rest = {k: [p for p in g.lines[k] if p != x] for k in through}
-            near = [k for k in through if all(row_x[p] == COLLINEAR for p in rest[k])]
-            pts = [p for k in near for p in rest[k]]
-            special = {}
-            for p in pts:
-                row = rel.row(p)
-                special[p] = {q for q in pts if row[q] == SPECIAL}
-            table = self._local_opp[x] = dict.fromkeys(through, ())
-            for k in near:
-                common = set.intersection(*(special[p] for p in rest[k]))
-                table[k] = tuple(l for l in near if l != k and common.issuperset(rest[l]))
+            near = [k for k in through
+                    if all(row_x[p] == COLLINEAR for p in g.lines[k] if p != x)]
+            pts = [p for k in near for p in g.lines[k] if p != x]
+            block = np.frombuffer(b"".join(rel.row(p) for p in pts), dtype=np.int8)
+            special = block.reshape(len(pts), g.n)[:, pts] == SPECIAL
+            # opp[i, j]: every point of near[i] - x special to every point of near[j] - x
+            opp = special.reshape(len(near), m - 1, len(near), m - 1).all(axis=(1, 3))
+            np.fill_diagonal(opp, False)
+            table = dict.fromkeys(through, ())
+            for k, mates in zip(near, opp.tolist()):
+                table[k] = tuple(l for l, yes in zip(near, mates) if yes)
+            self._local_opp[x] = table
         return table
 
     def locally_opposite_at(self, x: int, ki: int, li: int) -> bool:

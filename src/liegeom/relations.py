@@ -95,22 +95,31 @@ def polar_line_opposition(p: Geometry, li: int) -> int:
 # -- full matrices ----------------------------------------------------------
 
 
-def _mask(bits: int, n: int) -> np.ndarray:
-    """Boolean array of length n with True at the set bits of `bits`."""
+def _indices(bits: int, n: int) -> list[int]:
+    """The set bits of `bits` (below n), ascending; on wide sets numpy finds
+    them faster than bit_indices."""
     packed = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(packed, count=n, bitorder="little").view(bool)
+    return np.flatnonzero(np.unpackbits(packed, count=n, bitorder="little")).tolist()
 
 
-def _row_bytes(n: int, classes: dict[int, int]) -> bytes:
-    """An n-byte row holding each code at the bits of its class; 0 elsewhere."""
-    row = np.zeros(n, dtype=np.int8)
-    for code, bits in classes.items():
-        row[_mask(bits, n)] = code
-    return row.tobytes()
+def _codes(rows: Sequence[dict[int, int]], n: int) -> np.ndarray:
+    """len(rows) x n int8 array: row i holds each code at the bits of its
+    class in rows[i], 0 elsewhere; one np.unpackbits per code."""
+    width = (n + 7) // 8
+    out = np.zeros((len(rows), n), dtype=np.uint8)
+    for code in (rows[0] if rows else ()):
+        packed = np.frombuffer(b"".join(r[code].to_bytes(width, "little") for r in rows),
+                               dtype=np.uint8)
+        bits = np.unpackbits(packed.reshape(len(rows), width), axis=1, count=n,
+                             bitorder="little")
+        bits *= code
+        out += bits         # the classes of a row are disjoint
+    return out.view(np.int8)
 
 
 class RelationMatrix:
-    """n x n table of relation codes, built row by row on demand."""
+    """n x n table of relation codes, built row by row on demand, or for
+    all rows at once by np()."""
 
     # eager_threshold is ignored; it is still accepted because the
     # benchmark's reference builder (perfbench's prepare_grq63) passes it
@@ -121,40 +130,82 @@ class RelationMatrix:
         self._rows: dict[int, bytes] = {}
         self._np: Optional[np.ndarray] = None
 
-    def classes(self, x: int) -> dict[int, int]:
-        """Bitset of the points holding each relation code to x (EQUAL, x
-        itself, left out).  The one place relation codes are decided.
+    def _neighbours(self, x: int) -> list[int]:
+        """The points collinear with x, x left out, ascending."""
+        return _indices(self.geometry.adj[x] & ~(1 << x), self.n)
 
-        Common neighbours are counted by z in adj[x] - x: a point outside
-        adj[x] in exactly one adj[z] is special, in two or more symplectic.
+    def _kernel(self, x: int, neighbours: list[int]) -> dict[int, int]:
+        """Bitset of the points holding each relation code to x (EQUAL, x
+        itself, left out), with every point beyond distance 2 under
+        OPPOSITE and distances beyond 3 not checked.  The one place
+        relation codes are decided.
+
+        Common neighbours are counted by z in `neighbours`, adj[x] - x: a
+        point outside adj[x] in exactly one adj[z] is special, in two or
+        more symplectic.
         """
-        g, fam = self.geometry, self.family
-        adj = g.adj
+        adj = self.geometry.adj
         near = adj[x] & ~(1 << x)
-        rest = g.full_mask & ~adj[x]
-        if fam in ("quadrangle", "polar"):
+        rest = self.geometry.full_mask & ~adj[x]
+        if self.family in ("quadrangle", "polar"):
             return {COLLINEAR: near, SYMPLECTIC: rest}
         ge1 = ge2 = 0
-        for z in bit_indices(near):
+        for z in neighbours:
             ge2 |= ge1 & adj[z]
             ge1 |= adj[z]
         dist2 = rest & ge1
-        far = rest & ~ge1
-        # every far point must have a neighbour at distance 2 (diameter <= 3)
-        reach3 = 0
-        for y in np.flatnonzero(_mask(dist2, self.n)).tolist():
-            reach3 |= adj[y]
-        unreached = far & ~reach3
+        return {COLLINEAR: near, SPECIAL: dist2 & ~ge2, SYMPLECTIC: dist2 & ge2,
+                OPPOSITE: rest & ~ge1}
+
+    def _refuse_unreached(self, x: int, unreached: int) -> None:
+        """RelationError naming the least point of `unreached`, the points
+        at distance > 3 from x, if there is one."""
         if unreached:
             raise RelationError(f"point {(unreached & -unreached).bit_length() - 1} "
-                                f"is at distance > 3 from point {x} in the {fam}")
-        out = {COLLINEAR: near, SPECIAL: dist2 & ~ge2, SYMPLECTIC: dist2 & ge2}
-        if fam == "hexagon":
-            out[OPPOSITE] = far
-        else:
-            opp = polar_line_opposition(grassmannian_base(g), x)
+                                f"is at distance > 3 from point {x} in the {self.family}")
+
+    def _reach_scan(self, x: int, out: dict[int, int]) -> None:
+        """Check one row of the kernel for diameter <= 3: every far point must
+        have a neighbour at distance 2 from x."""
+        adj = self.geometry.adj
+        reach3 = 0
+        for y in _indices(out[SPECIAL] | out[SYMPLECTIC], self.n):
+            reach3 |= adj[y]
+        self._refuse_unreached(x, out[OPPOSITE] & ~reach3)
+
+    def _split_far(self, x: int, out: dict[int, int]) -> dict[int, int]:
+        """Split a Grassmannian row's far points by the building opposition
+        of its base: OPPOSITE where the lines are opposite, else NEAR_OPPOSITE."""
+        if self.family == "grassmannian":
+            far = out[OPPOSITE]
+            opp = polar_line_opposition(grassmannian_base(self.geometry), x)
             out[OPPOSITE], out[NEAR_OPPOSITE] = far & opp, far & ~opp
         return out
+
+    def classes(self, x: int) -> dict[int, int]:
+        """The classes of row x, checked for diameter <= 3 by this row alone."""
+        out = self._kernel(x, self._neighbours(x))
+        if self.family in ("hexagon", "grassmannian"):
+            self._reach_scan(x, out)
+        return self._split_far(x, out)
+
+    def all_classes(self) -> list[dict[int, int]]:
+        """The classes of every row, checked for diameter <= 3 once for the
+        geometry: y is at distance > 3 from x iff y is far from x and from
+        every neighbour of x.  The first failing row is reported, as row()
+        would report it."""
+        neighbours = [self._neighbours(x) for x in range(self.n)]
+        rows = [self._kernel(x, neighbours[x]) for x in range(self.n)]
+        if self.family in ("hexagon", "grassmannian"):
+            far = [out[OPPOSITE] for out in rows]
+            for x, out in enumerate(rows):
+                unreached = far[x]
+                for z in neighbours[x]:
+                    if not unreached:
+                        break
+                    unreached &= far[z]
+                self._refuse_unreached(x, unreached)
+        return [self._split_far(x, out) for x, out in enumerate(rows)]
 
     # access
 
@@ -166,24 +217,20 @@ class RelationMatrix:
         row = self._rows.get(x)
         if row is None:
             row = self._rows[x] = (self._np[x].tobytes() if self._np is not None
-                                   else _row_bytes(self.n, self.classes(x)))
+                                   else _codes([self.classes(x)], self.n)[0].tobytes())
         return row
 
     def np(self) -> np.ndarray:
+        """The n x n matrix, from all_classes()."""
         if self._np is None:
-            self._np = np.frombuffer(b"".join(self.row(x) for x in range(self.n)),
-                                     dtype=np.int8).reshape(self.n, self.n).copy()
+            self._np = _codes(self.all_classes(), self.n)
             # later rows are read from the matrix, so edits to it show in row()
             self._rows.clear()
         return self._np
 
     def census(self) -> dict[str, int]:
-        counts = {}
-        m = self.np()
-        vals, cnts = np.unique(m, return_counts=True)
-        for v, c in zip(vals, cnts):
-            counts[REL_DISPLAY[int(v)]] = int(c)
-        return counts
+        counts = np.bincount(self.np().ravel(), minlength=len(REL_DISPLAY))
+        return {REL_DISPLAY[v]: int(c) for v, c in enumerate(counts) if c}
 
 
 def relation_matrix(g: Geometry) -> RelationMatrix:
@@ -226,6 +273,8 @@ def _opposition_sets(g: Geometry) -> OppositionSets:
         # opposite is non-collinear here; the relation codes call it symplectic
         opp = tuple(full & ~a for a in g.adj)
     else:
-        m = relation_matrix(g)
-        opp = tuple(m.classes(x)[OPPOSITE] for x in range(g.n))
+        # read from the matrix, so the relation and the opposition sets
+        # share one pass over all rows
+        packed = np.packbits(relation_matrix(g).np() == OPPOSITE, axis=1, bitorder="little")
+        opp = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
     return OppositionSets(g, opp, tuple(full & ~b for b in opp))

@@ -46,7 +46,7 @@ from liegeom.relations import (
     RelationMatrix,
 )
 from liegeom.search import BudgetExceeded
-from test_relations import dense_oracle
+from test_relations import dense_oracle, fresh_copy
 
 
 # -- brute-force oracles ------------------------------------------------------
@@ -95,6 +95,26 @@ def local_opposites_oracle(model: HexagonicModel, x: int) -> dict:
     through = model.geometry.lines_through[x]
     return {k: tuple(l for l in through if l != k and model.position_of(k, l)
                      == (EQUAL, COLLINEAR, COLLINEAR, SPECIAL)) for k in through}
+
+
+def local_opposites_sets(model: HexagonicModel, x: int) -> dict:
+    """Lines through x locally opposite each line through x, from Python
+    sets over the relation rows of the points on lines through x."""
+    g, rel = model.geometry, model.rel
+    row_x = rel.row(x)
+    through = g.lines_through[x]
+    rest = {k: [p for p in g.lines[k] if p != x] for k in through}
+    near = [k for k in through if all(row_x[p] == COLLINEAR for p in rest[k])]
+    pts = [p for k in near for p in rest[k]]
+    special = {}
+    for p in pts:
+        row = rel.row(p)
+        special[p] = {q for q in pts if row[q] == SPECIAL}
+    table = dict.fromkeys(through, ())
+    for k in near:
+        common = set.intersection(*(special[p] for p in rest[k]))
+        table[k] = tuple(l for l in near if l != k and common.issuperset(rest[l]))
+    return table
 
 
 def doctored(model: HexagonicModel, pairs, code: int) -> HexagonicModel:
@@ -237,6 +257,49 @@ def test_local_opposites_on_lazy_model(h2):
     assert any(table.values())
     assert set(lazy.rel._rows) <= {p for k in h2.lines_through[x] for p in h2.lines[k]}
     assert table == local_opposites_oracle(oracle_model(h2), x)
+    assert lazy.rel._np is None
+
+
+def lazy_coded_model(g: Geometry, codes: np.ndarray) -> HexagonicModel:
+    """A model on g whose relation rows are the rows of ``codes``, held in
+    the row memo of a matrix that has no dense table."""
+    rel = RelationMatrix(g)
+    rel._rows = {x: codes[x].tobytes() for x in range(g.n)}
+    out = HexagonicModel(g)
+    out.rel = rel
+    return out
+
+
+@settings(max_examples=12)
+@given(alphabet=st.sampled_from(_ALPHABETS),
+       share=st.sampled_from((0.0, 0.02, 0.3, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       lazy=st.booleans())
+@example(alphabet=(COLLINEAR, SPECIAL), share=1.0, seed=0, lazy=False)
+@example(alphabet=tuple(range(len(REL_DISPLAY))), share=0.3, seed=1, lazy=True)
+def test_local_opposites_block_matches_sets_on_random_codes(h2, alphabet, share, seed, lazy):
+    # the numpy block read equals the set-based one at every point of H(2)
+    # relation data with a share of its pairs given random symmetric codes
+    codes = random_codes(h2, alphabet, share, seed)
+    model = (lazy_coded_model if lazy else coded_model)(h2, codes)
+    for x in range(h2.n):
+        assert model.local_opposites(x) == local_opposites_sets(model, x), x
+    assert (model.rel._np is None) == lazy
+
+
+@pytest.mark.parametrize("name", ["h2", "gr_q72"])
+def test_local_opposites_block_matches_sets_on_models(name, request):
+    # every point of H(2), 20 seeded points of Gr(Q+(7,2)); on a lazy model
+    # (a fresh copy of the geometry) and on a dense one
+    g = request.getfixturevalue(name)
+    points = range(g.n) if name == "h2" else random.Random(7).sample(range(g.n), 20)
+    dense = HexagonicModel(g)
+    dense.rel.np()
+    lazy = HexagonicModel(fresh_copy(g))
+    for x in points:
+        want = local_opposites_sets(dense, x)
+        assert lazy.local_opposites(x) == dense.local_opposites(x) == want, x
+        assert want == local_opposites_sets(lazy, x)
     assert lazy.rel._np is None
 
 

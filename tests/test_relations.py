@@ -1,6 +1,8 @@
 import copy
 import itertools
 import random
+from argparse import Namespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -207,6 +209,67 @@ def test_lazy_rows_on_disconnected_geometries(w32, w52, h2):
     gr = line_grassmannian(_two_copies(w52, kind=Kind("polar", 3)))
     with pytest.raises(RelationError, match="distance > 3"):
         RelationMatrix(gr).row(5)
+
+
+def fresh_copy(g: Geometry) -> Geometry:
+    """g with no cached relation data (a Grassmannian keeps its base)."""
+    meta = {"base": grassmannian_base(g)} if g.kind.family == "grassmannian" else {}
+    return Geometry(g.n, g.lines, g.kind, name=g.name, order=g.order, meta=meta)
+
+
+def test_connected_diameter_beyond_3_refused_alike():
+    # a connected chain of four 3-point lines claimed as a hexagon: rows
+    # 0, 1 and 2 reach every point within distance 3, row 3 does not reach
+    # 7 and 8.  The all-rows check (far from x and from every neighbour of
+    # x) and the per-row reach scan name the same pair
+    g = Geometry(9, [(1, 3, 4), (0, 1, 2), (2, 5, 6), (6, 7, 8)], Kind("polygon", 6))
+    want = "point 7 is at distance > 3 from point 3 in the hexagon"
+    for x in range(3):
+        RelationMatrix(g).row(x)
+    for read in (lambda: RelationMatrix(g).row(3), lambda: RelationMatrix(g).np(),
+                 lambda: opposition_sets(g)):
+        with pytest.raises(RelationError) as exc:
+            read()
+        assert str(exc.value) == want
+    # a chain from point 0 fails at row 0, at the least unreached point
+    g = Geometry(11, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(5)], Kind("polygon", 6))
+    texts = set()
+    for read in (lambda: RelationMatrix(g).row(0), lambda: RelationMatrix(g).np(),
+                 lambda: opposition_sets(g)):
+        with pytest.raises(RelationError) as exc:
+            read()
+        texts.add(str(exc.value))
+    assert texts == {"point 7 is at distance > 3 from point 0 in the hexagon"}
+
+
+def test_all_rows_reads_skip_the_per_row_reach_scan(h2, h3, gr_q72):
+    # np() and opposition_sets check the diameter once per geometry; the
+    # per-row scan (an OR per distance-2 point) is for lazy rows only
+    def refuse(self, x, out):
+        raise AssertionError(f"per-row reach scan of row {x} in an all-rows read")
+
+    with mock.patch.object(RelationMatrix, "_reach_scan", refuse):
+        for g in (h2, h3, gr_q72):
+            fresh = fresh_copy(g)
+            assert (RelationMatrix(fresh).np() == relation_matrix(g).np()).all()
+            assert opposition_sets(fresh).opp == opposition_sets(g).opp
+        with pytest.raises(AssertionError, match="reach scan of row 0"):
+            RelationMatrix(fresh_copy(h2)).row(0)
+
+
+def test_relations_command_runs_the_kernel_once_per_row(h2):
+    # the relations command reads the census and the opposition sets; they
+    # share one pass over the rows, in either order
+    from liegeom.cli import _relations
+    for first in (lambda g: relation_matrix(g).census(), opposition_sets):
+        g = fresh_copy(h2)
+        with mock.patch.object(RelationMatrix, "_kernel", autospec=True,
+                               side_effect=RelationMatrix._kernel) as kernel:
+            first(g)
+            doc = _relations(Namespace(census=True), g)
+        assert kernel.call_count == g.n
+        assert doc["census"] == {"0": 63, "1": 378, "2": 1512, "3": 2016}
+        assert doc["opposite-set-sizes"] == {32: 63}
 
 
 def _doctored_grassmannian(gr):
