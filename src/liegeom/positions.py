@@ -279,12 +279,20 @@ class HexagonicModel:
         self._signatures: dict[bytes, bytes] = {}
         self._signature_lock = threading.Lock()
 
+    def _codes(self, li: int, mi: int) -> bytes:
+        """The m * m relation codes from L's points (rows) to M's points, row
+        by row, read from the relation rows of L's points only."""
+        lines = self.geometry.lines
+        return bytes([r[y] for r in map(self.rel.row, lines[li]) for y in lines[mi]])
+
+    def _rows(self, codes: bytes) -> list[list[int]]:
+        """The pair matrix whose m * m codes, row by row, are ``codes``."""
+        return [list(codes[i:i + self.m]) for i in range(0, len(codes), self.m)]
+
     def pair_matrix(self, li: int, mi: int) -> list[list[int]]:
         """Relation codes from L's points (rows) to M's points, read from the
         relation rows of L's points only."""
-        lines = self.geometry.lines
-        rows = [self.rel.row(x) for x in lines[li]]
-        return [[r[y] for y in lines[mi]] for r in rows]
+        return self._rows(self._codes(li, mi))
 
     def signature_key(self, mat: bytes) -> bytes:
         """Signature key of the pair matrix ``mat`` (its m * m relation codes,
@@ -295,41 +303,44 @@ class HexagonicModel:
             with self._signature_lock:
                 sig = self._signatures.get(mat)
                 if sig is None:
-                    rows = range(0, len(mat), self.m)
-                    sig = self._signatures[mat] = matrix_key([mat[i:i + self.m] for i in rows])
+                    sig = self._signatures[mat] = matrix_key(self._rows(mat))
         return sig
 
-    def entry(self, li: int, mi: int) -> CatalogueEntry:
-        """The catalogue entry of the pair (li, mi); PositionError if it has none."""
-        lines = self.geometry.lines
-        rows = [self.rel.row(x) for x in lines[li]]
-        entry = self.catalogue.by_sig.get(
-            self.signature_key(bytes([r[y] for r in rows for y in lines[mi]])))
+    def _entry(self, li: int, mi: int, codes: bytes) -> CatalogueEntry:
+        entry = self.catalogue.by_sig.get(self.signature_key(codes))
         if entry is None:
             raise PositionError(f"pair ({li},{mi}) is not a catalogue position")
         return entry
 
+    def entry(self, li: int, mi: int) -> CatalogueEntry:
+        """The catalogue entry of the pair (li, mi); PositionError if it has none."""
+        return self._entry(li, mi, self._codes(li, mi))
+
     def position_of(self, li: int, mi: int):
         """The position tuple of the pair (li, mi), or a CatalogueMiss."""
-        try:
-            return self.entry(li, mi).tuple4
-        except PositionError:
-            return CatalogueMiss(li, mi, self.pair_matrix(li, mi))
+        codes = self._codes(li, mi)
+        entry = self.catalogue.by_sig.get(self.signature_key(codes))
+        return entry.tuple4 if entry else CatalogueMiss(li, mi, self._rows(codes))
 
-    def free_points(self, li: int, mi: int) -> tuple[int, ...]:
-        """Points of L other than the projection point for (L, M)."""
-        g = self.geometry
+    def _free(self, li: int, mi: int, entry: CatalogueEntry, codes: bytes) -> tuple[int, ...]:
+        """free_points of (li, mi), given its entry and codes."""
+        pts = self.geometry.lines[li]
         if li == mi:
             return ()
-        entry = self.entry(li, mi)
-        pts = g.lines[li]
         if not entry.has_projection_row:
             return tuple(pts)
         target = sorted(entry.template(self.m)[0])
-        hits = [p for p, row in zip(pts, self.pair_matrix(li, mi)) if sorted(row) == target]
+        hits = [p for p, row in zip(pts, self._rows(codes)) if sorted(row) == target]
         if len(hits) != 1:
             raise PositionError(f"projection point not unique for pair ({li},{mi})")
         return tuple(p for p in pts if p != hits[0])
+
+    def free_points(self, li: int, mi: int) -> tuple[int, ...]:
+        """Points of L other than the projection point for (L, M)."""
+        if li == mi:
+            return ()
+        codes = self._codes(li, mi)
+        return self._free(li, mi, self._entry(li, mi, codes), codes)
 
     def local_opposites(self, x: int) -> dict[int, tuple[int, ...]]:
         """Map each line K through x to the ascending lines through x locally
@@ -397,16 +408,25 @@ CENSUS_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
                   else os.cpu_count() or 1)
 
 
-def _over_runs(fn, end: int) -> list:
-    """fn(lo, hi) on each run (lo, hi) of range(end) cut into at most
-    CENSUS_WORKERS contiguous runs of whole blocks of CENSUS_BLOCK, as even
-    as the blocks allow, with the results in run order.  The first run goes
-    on the calling thread and the others on a thread pool, so a single run
-    starts no thread."""
-    nb = -(-end // CENSUS_BLOCK)
-    stops = sorted({min(nb * i // CENSUS_WORKERS * CENSUS_BLOCK, end)
-                    for i in range(CENSUS_WORKERS + 1)})
-    runs = list(zip(stops, stops[1:]))
+def _runs(nl: int) -> list[tuple[int, int]]:
+    """range(nl) cut into at most CENSUS_WORKERS contiguous runs of whole
+    blocks of CENSUS_BLOCK lines with about equal numbers of pairs in the
+    upper triangle: the block from i0 holds its lines times nl - i0 of
+    them, so runs of equal block counts would give the first run three
+    quarters of the triangle."""
+    cost = np.cumsum([0] + [min(CENSUS_BLOCK, nl - i0) * (nl - i0)
+                            for i0 in range(0, nl, CENSUS_BLOCK)])
+    # each cut at the block boundary nearest its even share
+    cuts = {int(np.abs(cost - cost[-1] * i / CENSUS_WORKERS).argmin())
+            for i in range(CENSUS_WORKERS + 1)}
+    stops = sorted(min(c * CENSUS_BLOCK, nl) for c in cuts)
+    return list(zip(stops, stops[1:]))
+
+
+def _over_runs(fn, runs: list) -> list:
+    """fn(lo, hi) on each run, with the results in run order.  The first
+    run goes on the calling thread and the others on a thread pool, so a
+    single run starts no thread."""
     if len(runs) == 1:
         return [fn(*runs[0])]
     # imported here, so that programs that run no census never load it
@@ -416,6 +436,40 @@ def _over_runs(fn, end: int) -> list:
         return [fn(*runs[0])] + [f.result() for f in rest]
 
 
+def _pair_keys(digits: list, lines: np.ndarray) -> np.ndarray:
+    """key[M, b]: the sum over j of digits[j][q, b] at the j-th point q of
+    line M (row M of ``lines``).  With digits[j] the columns of the points
+    with respect to the lines b, renumbered onto range(u) and scaled by
+    u**(m - 1 - j), that is the pair matrix of (b, M) packed in base u: one
+    key per line pair."""
+    key = np.take(digits[0], lines[:, 0], axis=0)
+    for j in range(1, len(digits)):
+        key += np.take(digits[j], lines[:, j], axis=0)
+    return key
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, ascending.  With no counts asked for,
+    np.unique (and np.union1d) would import numpy.ma, about a megabyte, for
+    its masked-array check."""
+    return np.unique(x, return_counts=True)[0]
+
+
+def _least(n: int, *arrays) -> np.ndarray:
+    """The n least values of the arrays, ascending, as an array of their own
+    (a slice would keep the whole sorted array alive)."""
+    out = np.concatenate(arrays)
+    out.sort()
+    return out[:n].copy()
+
+
+def _counts(ordered: np.ndarray, known: np.ndarray) -> Optional[np.ndarray]:
+    """How often each of the ascending values ``known`` occurs in the
+    ascending array ``ordered``, or None if ordered holds another value."""
+    counts = np.searchsorted(ordered, known, "right") - np.searchsorted(ordered, known)
+    return counts if counts.sum() == ordered.size else None
+
+
 def position_census(model: HexagonicModel) -> PositionCensus:
     """Exhaustive census of all ordered line pairs, vectorized for every line
     size whose pair keys fit in int64 (3- and 4-point lines).
@@ -423,20 +477,33 @@ def position_census(model: HexagonicModel) -> PositionCensus:
     A pair (L, M) is keyed by its pair matrix, packed.  The column of a
     point q with respect to L, q's relation codes to L's points, is packed
     in base 6; a first pass renumbers the u columns that occur onto
-    range(u).  Each block of lines L packs the columns of M's points, for
-    every line M, in base u, and each distinct pair matrix gets its
-    signature key from the model's memo (HexagonicModel.signature_key),
-    which position_of reads too.  Instances are the first CENSUS_INSTANCES
-    pairs of each position in row-major order.  The inverse law is checked
-    for every realized key: the key of (M, L) is the half swap of the key
-    of (L, M).  All the pairs are charged to the budget, on the calling
-    thread, before any work.
+    range(u).  Each distinct pair matrix gets its signature key from the
+    model's memo (HexagonicModel.signature_key), which position_of reads
+    too.  Instances are the first CENSUS_INSTANCES pairs of each position
+    in row-major order, and the first pair of each miss.  All the pairs
+    are charged to the budget, on the calling thread, before any work.
 
-    Both passes over the line blocks are split into at most CENSUS_WORKERS
-    contiguous runs, which overlap on threads where numpy releases the
-    GIL.  The runs are merged in order, so the census is identical for
-    every worker count.  Relation rows and pair matrices are read on the
-    calling thread only.
+    The relation matrix must be symmetric (PositionError if it is not).
+    Then the pair matrix of (M, L) is the transpose of that of (L, M), and
+    the census packs at most nl**2 pair keys, in two passes:
+
+    - counting: each block of lines L is packed against the lines M from
+      the block's first line on, and the block's own square is counted
+      apart from the part beyond it.  The lower triangle's counts are those
+      of the parts beyond under the transpose: each distinct matrix there
+      has its transpose keyed through the memo too, and that key must be
+      the half swap of its own (the inverse law, exhaustively).  This pass
+      also keeps the first instances of each position in the upper
+      triangle.  It is split into at most CENSUS_WORKERS contiguous runs of
+      blocks with about equal pair counts, which overlap on threads where
+      numpy releases the GIL, and the runs are merged in order;
+    - instances: on the calling thread, in row order, a block's pairs with
+      the earlier lines are packed only while some position that occurs
+      below the diagonal is still open: its instances so far fall short of
+      its quota or reach into the block's rows.
+
+    The census is identical for every block size and worker count.
+    Relation rows and pair matrices are read on the calling thread only.
     """
     g = model.geometry
     nl, m = len(g.lines), model.m
@@ -447,89 +514,208 @@ def position_census(model: HexagonicModel) -> PositionCensus:
                             "beyond the int64 bound 2**63")
     # codes are 0..5, so their unsigned view adds without casting
     R = model.rel.np().view(np.uint8)
+    if not np.array_equal(R, R.T):
+        raise PositionError("census is not symmetric under pair reversal")
     lines_arr = np.array(g.lines, dtype=np.intp)
     col_type = np.min_scalar_type(nrel ** m - 1)
 
     def columns(i0):
         """[b, q]: q's relation codes to line i0 + b's points, in base nrel."""
-        pts = lines_arr[i0:i0 + CENSUS_BLOCK]
-        return _pack([R[pts[:, i]] for i in range(1, m)], nrel, R[pts[:, 0]].astype(col_type))
+        rows = np.take(R, lines_arr[i0:i0 + CENSUS_BLOCK].T, axis=0)   # [i, b, q]
+        return _pack(rows[1:], nrel, rows[0].astype(col_type))
 
-    def mark(lo, hi):
-        seen = np.zeros(nrel ** m, dtype=bool)
-        for i0 in range(lo, hi, CENSUS_BLOCK):
-            seen[columns(i0)] = True
-        return seen
-
-    occurring = np.flatnonzero(np.logical_or.reduce(_over_runs(mark, nl)))
+    # the columns that occur, on the calling thread: their count is
+    # bound by the GIL, so threads would only slow it down
+    seen = np.zeros(nrel ** m, dtype=np.intp)
+    for i0 in range(0, nl, CENSUS_BLOCK):
+        seen += np.bincount(columns(i0).ravel(), minlength=nrel ** m)
+    occurring = np.flatnonzero(seen)
     u = len(occurring)
     renumber = np.zeros(nrel ** m, dtype=np.min_scalar_type(u - 1))
     renumber[occurring] = np.arange(u)
     key_type = np.min_scalar_type(u ** m - 1)
+    place = [key_type.type(u ** (m - 1 - j)) for j in range(m)]
     occurring = occurring.tolist()
     key_entry = model.catalogue.by_sig
+
+    def block_keys(i0, lo, hi):
+        """key[M - lo, b]: the packed matrix of the pair (i0 + b, M), for the
+        lines M in [lo, hi)."""
+        tau = np.take(renumber, np.ascontiguousarray(columns(i0).T))
+        return _pair_keys([tau * p for p in place], lines_arr[lo:hi])
+
+    def codes(v):
+        """The pair matrix packed as v: codes(v)[i][j] from L's i-th point to M's j-th."""
+        cols = [occurring[v // u ** (m - 1 - j) % u] for j in range(m)]
+        return [[x // nrel ** (m - 1 - i) % nrel for x in cols] for i in range(m)]
+
     # packed pair matrix -> signature key; runs that race store equal keys
     signature: dict[int, bytes] = {}
+
+    def sig_of(v):
+        sig = signature.get(v)
+        if sig is None:
+            sig = signature[v] = model.signature_key(bytes(d for row in codes(v) for d in row))
+        return sig
 
     def quota(sig):
         return CENSUS_INSTANCES if sig in key_entry else 1
 
-    def classify(lo, hi):
-        counts: dict[bytes, int] = {}
-        found: dict[bytes, list] = {}     # signature key -> flat indices of its first pairs
-        have: dict[bytes, int] = {}
-        for i0 in range(lo, hi, CENSUS_BLOCK):
-            tau = np.ascontiguousarray(renumber[columns(i0)].T)
-            # key[M, b]: the columns of M's points with respect to line
-            # i0 + b, packed in base u
-            key = _pack([np.take(tau, lines_arr[:, j], axis=0) for j in range(1, m)], u,
-                        np.take(tau, lines_arr[:, 0], axis=0).astype(key_type))
-            nb = key.shape[1]
-            vals, cnts = np.unique(key, return_counts=True)
-            keys_of: dict[bytes, list] = {}
-            for v, c in zip(vals.tolist(), cnts.tolist()):
-                sig = signature.get(v)
-                if sig is None:
-                    cols = [occurring[v // u ** (m - 1 - j) % u] for j in range(m)]
-                    sig = signature[v] = model.signature_key(
-                        bytes(x // nrel ** (m - 1 - i) % nrel for i in range(m) for x in cols))
-                counts[sig] = counts.get(sig, 0) + c
-                keys_of.setdefault(sig, []).append(v)
-            for sig, vs in keys_of.items():
-                take = quota(sig) - have.get(sig, 0)
-                if take > 0:
-                    # flat indices M * nb + b, turned into row-major pair order
-                    at = np.flatnonzero(np.logical_or.reduce([key == v for v in vs]))
-                    at = np.sort(at % nb * nl + at // nb)[:take] + i0 * nl
-                    found.setdefault(sig, []).append(at)
-                    have[sig] = have.get(sig, 0) + len(at)
-        return counts, found
+    def groups(vals, wanted):
+        """For the ascending values vals: their distinct signatures, the
+        index of each value's signature among them, and whether
+        wanted(signature) holds for each value."""
+        sigs = [sig_of(v) for v in vals.tolist()]
+        names = list(dict.fromkeys(sigs))
+        index = {sig: i for i, sig in enumerate(names)}
+        group = np.array([index[sig] for sig in sigs], dtype=np.intp)
+        return names, group, np.array([wanted(sig) for sig in names], dtype=bool)[group]
 
-    runs = _over_runs(classify, nl)
-    # runs in order: each position keeps the first pairs in row-major order
-    counts: dict[bytes, int] = {}
-    found: dict[bytes, list] = {}
-    for run_counts, run_found in runs:
-        for sig, c in run_counts.items():
-            counts[sig] = counts.get(sig, 0) + c
-        for sig, chunks in run_found.items():
-            kept = found.setdefault(sig, [])
-            take = quota(sig) - sum(map(len, kept))
-            if take > 0:
-                kept.append(np.concatenate(chunks)[:take])
-    inst = {}
-    for sig, chunks in found.items():
-        at = np.concatenate(chunks)
-        inst[sig] = list(zip((at // nl).tolist(), (at % nl).tolist()))
+    def member(key, vals):
+        """Whether each key is one of the values vals, read from a table over
+        all keys when they have at most 16 bits (np.isin takes about ten
+        bytes per key)."""
+        if key_type.itemsize > 2:
+            return np.isin(key, vals)
+        table = np.zeros(u ** m, dtype=bool)
+        table[vals] = True
+        return table[key]
+
+    def first_hits(at, vals, known, names, group, take):
+        """{sig: the first take(sig) of the ascending flat indices ``at``
+        whose value in vals has signature sig}, where every value is in
+        known (ascending) and names, group come from groups(known, ...)."""
+        hit = group[np.searchsorted(known, vals)]
+        return {names[w]: at[np.flatnonzero(hit == w)[:take(names[w])]]
+                for w in _distinct(hit).tolist()}
+
+    def scan(part, row0, col0, known, names, group, wanted, take):
+        """Yield (sig, its next instances) for the pairs in ``part`` whose
+        value is wanted, where part[M, b] holds the pair (row0 + b, col0 +
+        M), its values are in known and wanted() masks known.  Where the
+        wanted pairs are many, the rows go a few at a time, about 2**13
+        pairs each, to keep temporaries small, and wanted() is read again
+        for each batch of rows."""
+        r, width = 0, part.shape[1]
+        while r < width and (want := wanted()).any():
+            hits = member(part[:, r:], known[want])
+            count = np.count_nonzero(hits)
+            if not count:
+                return
+            rows = max(1, min(width - r, (1 << 13) * (width - r) // count))
+            mi, b = np.divmod(np.flatnonzero(hits[:, :rows]), rows)
+            at = (row0 + r + b) * nl + col0 + mi
+            order = np.argsort(at)
+            yield from first_hits(at[order], part[mi, r + b][order], known, names, group,
+                                  take).items()
+            r += rows
+
+    def upper(lo, hi):
+        """The counting pass on the rows [lo, hi): how often each value
+        occurs in the blocks' own squares, (value, count) beyond them, and
+        the first instances of each signature in the squares and beyond."""
+        squares, square_counts, square_first = [], {}, {}
+        found: dict[bytes, list] = {}
+        have: dict[bytes, int] = {}
+
+        def open_here(sig):
+            return have.get(sig, 0) < quota(sig)
+
+        def take_squares():
+            """Count and search the squares kept so far, as one array."""
+            keys = np.concatenate([s.T.ravel() for _, s in squares])
+            at = np.concatenate([np.add.outer((i0 + np.arange(len(s))) * nl,
+                                              i0 + np.arange(len(s))).ravel()
+                                 for i0, s in squares])
+            vals, cnts = np.unique(keys, return_counts=True)
+            for v, c in zip(vals.tolist(), cnts.tolist()):
+                square_counts[v] = square_counts.get(v, 0) + c
+            names, group, _ = groups(vals, bool)
+            for sig, hits in first_hits(
+                    at, keys, vals, names, group,
+                    lambda sig: quota(sig) - len(square_first.get(sig, ()))).items():
+                square_first[sig] = np.concatenate([square_first.get(sig, hits[:0]), hits])
+            squares.clear()
+
+        known = np.empty(0, dtype=key_type)     # the values met beyond the squares,
+        total = np.empty(0, dtype=np.int64)     # how often each occurs there
+        names, group, want = groups(known, open_here)
+        for i0 in range(lo, hi, CENSUS_BLOCK):
+            nb = min(CENSUS_BLOCK, nl - i0)
+            key = block_keys(i0, i0, nl)
+            # the squares are small: they are searched 64 blocks at a time
+            squares.append((i0, key[:nb].copy()))
+            if len(squares) == 64 or i0 + CENSUS_BLOCK >= hi:
+                take_squares()
+            ordered = np.sort(key[nb:], axis=None)
+            cnts = _counts(ordered, known)
+            if cnts is None:
+                vals = _distinct(np.concatenate((known, ordered)))
+                grown = np.zeros(len(vals), dtype=np.int64)
+                grown[np.searchsorted(vals, known)] = total
+                known, total = vals, grown
+                names, group, want = groups(known, open_here)
+                cnts = _counts(ordered, known)
+            total += cnts
+            for sig, at in scan(key[nb:], i0, i0 + nb, known, names, group,
+                                lambda: want & (cnts > 0),
+                                lambda sig: quota(sig) - have.get(sig, 0)):
+                found.setdefault(sig, []).append(at)
+                have[sig] = have.get(sig, 0) + len(at)
+                if not open_here(sig):
+                    want[group == names.index(sig)] = False
+        return square_counts, zip(known.tolist(), total.tolist()), square_first, found
+
+    def merge(runs):
+        """The counts of every signature, its pairs below the diagonal, and
+        its first pairs in the upper triangle, from the counting runs."""
+        counts: dict[bytes, int] = {}
+        below: dict[bytes, int] = {}
+        first: dict[bytes, np.ndarray] = {}
+        for square_counts, beyond, square_first, found in runs:
+            for v, c in square_counts.items():
+                counts[sig_of(v)] = counts.get(sig_of(v), 0) + c
+            for v, c in beyond:
+                sig = sig_of(v)
+                inv = model.signature_key(bytes(d for col in zip(*codes(v)) for d in col))
+                if inv != _swap_key(sig, m):
+                    raise PositionError("key of a transposed pair matrix is not the half swap")
+                counts[sig] = counts.get(sig, 0) + c
+                counts[inv] = counts.get(inv, 0) + c
+                below[inv] = below.get(inv, 0) + c
+            # the runs in order, each with its first pairs in row-major order
+            for sig, chunks in found.items():
+                square_first[sig] = np.concatenate([square_first.get(sig, chunks[0][:0])]
+                                                   + chunks)
+            for sig, at in square_first.items():
+                first[sig] = _least(quota(sig), first.get(sig, at[:0]), at)
+        return counts, below, first
+
+    counts, below, first = merge(_over_runs(upper, _runs(nl)))
+
+    def settled(sig, start):
+        """No pair from flat index ``start`` on is among sig's instances."""
+        got = len(first.get(sig, ()))
+        return got == counts[sig] or got == quota(sig) and first[sig][-1] < start
+
+    pending = set(below)
+    for i0 in range(CENSUS_BLOCK, nl, CENSUS_BLOCK):
+        pending = {sig for sig in pending if not settled(sig, i0 * nl)}
+        if not pending:
+            break
+        key = block_keys(i0, 0, i0)
+        known = _distinct(key)
+        names, group, want = groups(known, pending.__contains__)
+        for sig, at in scan(key, i0, 0, known, names, group, lambda: want, quota):
+            first[sig] = _least(quota(sig), first.get(sig, at[:0]), at)
+    inst = {sig: list(zip((at // nl).tolist(), (at % nl).tolist())) for sig, at in first.items()}
     misses = sorted(pairs[0] for v, pairs in inst.items() if v not in key_entry)
     miss_examples = [CatalogueMiss(li, mi, model.pair_matrix(li, mi))
                      for li, mi in misses[:100]]
     miss_count = sum(c for v, c in counts.items() if v not in key_entry)
-    # inverse law, exhaustively at the signature-key level
-    for v, c in counts.items():
+    # inverse law for the catalogue positions, at the signature-key level
+    for v in counts:
         w = _swap_key(v, m)
-        if counts.get(w) != c:
-            raise PositionError("census is not symmetric under pair reversal")
         if v in key_entry and (w not in key_entry
                                or key_entry[w].tuple4 != key_entry[v].inverse_tuple()):
             raise PositionError(f"inverse law fails for {key_entry[v].display}")
@@ -570,10 +756,11 @@ class CombTrace:
 def find_combing_line(model: HexagonicModel, li: int, mi: int, x: int) -> int:
     """A line K through x, not locally opposite L, every line through x
     locally opposite K landing on the table successor position with M."""
-    entry = model.entry(li, mi)
+    codes = model._codes(li, mi)
+    entry = model._entry(li, mi, codes)
     if entry.tuple4 == TERMINAL:
         raise PositionError("pair already opposite")
-    if x not in model.free_points(li, mi):
+    if x not in model._free(li, mi, entry, codes):
         raise PositionError(f"{x} is not a free point for ({li},{mi})")
     for ki, mates in model.local_opposites(x).items():
         if not mates or li in mates:

@@ -185,7 +185,7 @@ def _recipe_bshex(rep: RunReport, q: int = 2, budget: Optional[int] = None) -> N
 # -- geometric lines and round-up triples in hexagons ----------------------------
 
 
-def _rut_lemma_witness(g: Geometry, traces, t) -> Optional[str]:
+def _rut_lemma_witness(g: Geometry, t) -> Optional[str]:
     """Check the applicable round-up-triple containment; None when fine."""
     pairs = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
     li = next((lid for a, b in pairs if (lid := g.line_through(a, b)) is not None), None)
@@ -203,8 +203,12 @@ def _rut_lemma_witness(g: Geometry, traces, t) -> Optional[str]:
             y = next(y for y in bit_indices(qs) if tb & ~(g.adj[c] & notopp[y]))
             return f"not inside centre-perp cap special-trace of {y}"
         return None
-    # pairwise opposite: containment in every trace meeting it twice
-    for tr in traces:
+    # pairwise opposite: containment in every trace meeting it twice, and
+    # such a trace holds t[0] or t[1]
+    through = S._traces_through(g)
+    tick = S.Meter("trace scan", "traces").tick
+    for tr in sorted(set(through[t[0]] + through[t[1]])):
+        tick()
         trb = bitset(tr)
         if (trb & tb).bit_count() >= 2 and tb & ~trb:
             return f"meets trace {tr} twice without containment"
@@ -216,10 +220,9 @@ def _recipe_geomlines_hex(rep: RunReport, q: int = 2, budget: Optional[int] = No
     rep.params, rep.geometries = {"q": q}, {"hexagon": g.fingerprint()}
     ruts = S.enumerate_round_up_triples(g)
     rep.info("rut-count", len(ruts))
-    traces = S.all_distance3_traces(g)
     bad = None
     for t in ruts:
-        w = _rut_lemma_witness(g, traces, t)
+        w = _rut_lemma_witness(g, t)
         if w is not None:
             bad = {"triple": t, "witness": w}
             break
@@ -227,7 +230,7 @@ def _recipe_geomlines_hex(rep: RunReport, q: int = 2, budget: Optional[int] = No
     gls = {gl for t in ruts if (gl := S.geometric_line_closure(g, t)) is not None}
     lines = set(map(tuple, g.lines))
     hyp = set(S.all_hyperbolic_lines(g))
-    expect = lines | hyp | (set(traces) if q % 2 == 0 else set())
+    expect = lines | hyp | (set(S.all_distance3_traces(g)) if q % 2 == 0 else set())
     rep.info("geometric-lines", len(gls))
     rep.check("equals-recognizers", gls == expect,
               {"missing": len(expect - gls), "extra": len(gls - expect)})

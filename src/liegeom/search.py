@@ -395,6 +395,18 @@ def _distance3_traces(g: Geometry) -> frozenset[tuple[int, ...]]:
     return g.cached("distance3-traces", build)
 
 
+def _traces_through(g: Geometry) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The distance-3 traces through each point of a hexagon, ascending,
+    indexed once per geometry from _distance3_traces."""
+    def build():
+        through: list[list] = [[] for _ in range(g.n)]
+        for tr in sorted(_distance3_traces(g)):
+            for p in tr:
+                through[p].append(tr)
+        return tuple(map(tuple, through))
+    return g.cached("traces-through", build)
+
+
 def all_distance3_traces(g: Geometry) -> list[tuple[int, ...]]:
     """Distinct traces of all opposite line pairs, in ascending order."""
     if geometry_family(g) != "hexagon":

@@ -682,6 +682,70 @@ def test_census_starts_no_thread_for_one_worker(monkeypatch, h2):
     assert position_census(model) == full
 
 
+@pytest.mark.parametrize("workers", (1, 3))
+def test_census_refuses_an_asymmetric_relation_matrix(h2, workers):
+    # the census reads the lower triangle as the transpose of the upper
+    # one, so one point pair coded differently both ways round is refused
+    codes = dense_oracle(h2)
+    codes[0, 1] = NEAR_OPPOSITE if codes[1, 0] != NEAR_OPPOSITE else OPPOSITE
+    with mock.patch.object(positions, "CENSUS_WORKERS", workers), pytest.raises(
+            PositionError, match=r"^census is not symmetric under pair reversal$"):
+        position_census(coded_model(h2, codes))
+
+
+def packed_pairs(model: HexagonicModel) -> int:
+    """The pair keys the census of model packs."""
+    sizes = []
+
+    def counted(*args):
+        key = pair_keys(*args)
+        sizes.append(key.size)
+        return key
+
+    pair_keys = positions._pair_keys
+    with mock.patch.object(positions, "_pair_keys", counted):
+        position_census(model)
+    return sum(sizes)
+
+
+@settings(max_examples=10)
+@given(alphabet=st.sampled_from(_ALPHABETS),
+       share=st.sampled_from((0.0, 0.02, 0.3, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       block=st.sampled_from((1, 5, 16, 64)),
+       quota=st.sampled_from((1, 7, 10000)))
+@example(alphabet=tuple(range(len(REL_DISPLAY))), share=1.0, seed=0, block=5, quota=10000)
+def test_census_packs_no_pair_twice(h2, alphabet, share, seed, block, quota):
+    # the upper triangle is packed once, and the lower triangle at most
+    # once, even when every position is rarer than its quota
+    model = coded_model(h2, random_codes(h2, alphabet, share, seed))
+    with mock.patch.multiple(positions, CENSUS_BLOCK=block, CENSUS_INSTANCES=quota):
+        assert packed_pairs(model) <= len(h2.lines) ** 2
+
+
+def test_census_reads_little_of_the_lower_triangle(monkeypatch, gr_w52):
+    # with one instance per position every position is settled by the
+    # first rows, so little beyond the upper triangle is packed
+    monkeypatch.setattr(positions, "CENSUS_INSTANCES", 1)
+    nl = len(gr_w52.lines)
+    assert packed_pairs(HexagonicModel(gr_w52)) <= 0.6 * nl * nl
+
+
+@pytest.mark.parametrize("nl", (63, 14175))
+@pytest.mark.parametrize("workers", (2, 3))
+def test_census_runs_share_the_triangle_evenly(monkeypatch, nl, workers):
+    # the counting pass packs nb * (nl - i0) pairs for the block of nb
+    # lines from i0; its runs differ by at most one block's worth of them
+    monkeypatch.setattr(positions, "CENSUS_WORKERS", workers)
+    runs = positions._runs(nl)
+    assert runs[0][0] == 0 and runs[-1][1] == nl
+    assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+    pairs = [sum(min(positions.CENSUS_BLOCK, nl - i0) * (nl - i0)
+                 for i0 in range(lo, hi, positions.CENSUS_BLOCK)) for lo, hi in runs]
+    assert len(pairs) == workers
+    assert max(pairs) - min(pairs) <= positions.CENSUS_BLOCK * nl
+
+
 def test_census_budget_in_recipes(monkeypatch, gr_model, gr_census):
     # a budget below the 14175**2 pairs cuts the census short whether or
     # not a full census is kept; a census cut short is not kept

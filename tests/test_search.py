@@ -751,7 +751,7 @@ def test_hexagon_recognizers_build_no_relation_row():
         "Distance3Trace": len(traces), "HyperbolicLine": 252, "Line": 63}
     ruts = S.enumerate_round_up_triples(g)
     assert len(ruts) == 651
-    assert all(_rut_lemma_witness(g, traces, t) is None for t in ruts)
+    assert all(_rut_lemma_witness(g, t) is None for t in ruts)
     assert relation_matrix(g)._rows == {}
 
 
@@ -841,9 +841,55 @@ def test_rut_witness_special_pair_equals_scan(h2):
                 if all(d2[y] >> p & 1 for p in (a, b)) and tb & ~(h2.adj[c] & d2[y]):
                     want = f"not inside centre-perp cap special-trace of {y}"
                     break
-            assert _rut_lemma_witness(h2, [], (a, b, z)) == want
+            assert _rut_lemma_witness(h2, (a, b, z)) == want
             outcomes.add(want is None)
     assert outcomes == {True, False}
+
+
+def _opposite_triples(g, seed, count):
+    """count random triples of pairwise opposite points, each with two
+    points of some distance-3 trace among them, ascending."""
+    opp = opposition_sets(g).opp
+    rng = random.Random(seed)
+    traces = S.all_distance3_traces(g)
+    out = []
+    while len(out) < count:
+        tr = rng.choice(traces)
+        a, b = rng.sample(tr, 2)
+        if opp[a] >> b & 1 and (cands := bit_indices(opp[a] & opp[b])):
+            out.append(tuple(sorted((a, b, rng.choice(cands)))))
+    return out
+
+
+def test_rut_witness_trace_scan_equals_full_scan(h2, h3):
+    # the pairwise-opposite branch reads only the traces through t[0] or
+    # t[1] and names the same first failing trace as a scan of all traces
+    # in ascending order
+    from liegeom.recipes import _rut_lemma_witness
+    outcomes = set()
+    for g in (h2, h3):
+        traces = S.all_distance3_traces(g)
+        for t in _opposite_triples(g, 9, 150):
+            tb = bitset(t)
+            want = next((f"meets trace {tr} twice without containment" for tr in traces
+                         if (bitset(tr) & tb).bit_count() >= 2 and tb & ~bitset(tr)), None)
+            assert _rut_lemma_witness(g, t) == want
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_rut_witness_trace_scan_budget(h2):
+    # one node per trace examined, all of them through t[0] or t[1]
+    from liegeom.recipes import _rut_lemma_witness
+    t = next(t for t in _opposite_triples(h2, 10, 50) if _rut_lemma_witness(h2, t) is None)
+    through = S._traces_through(h2)
+    scanned = len(set(through[t[0]]) | set(through[t[1]]))
+    assert 0 < scanned < len(S.all_distance3_traces(h2))
+    with S.budget(scanned):
+        assert _rut_lemma_witness(h2, t) is None
+    with S.budget(scanned - 1), pytest.raises(
+            S.BudgetExceeded, match=f"^trace scan exceeded {scanned - 1} traces$"):
+        _rut_lemma_witness(h2, t)
 
 
 # -- budgets ------------------------------------------------------------------------
