@@ -12,8 +12,8 @@ one, typed from their defaults; a --q, there or on ``build``, must be
 the order of a field gf.field builds, and build options that name no
 constructible geometry are a usage error; --seed fixes all sampled
 choices.  verify's --threads is the one exception: it changes nothing,
-because the position census uses the CPUs the process may run on and
-every result is identical for any CPU count.
+because every recipe, the position census included, runs on the calling
+thread, and no result depends on --threads.
 """
 
 from __future__ import annotations
@@ -241,8 +241,8 @@ _SHARED = {
                                                 "line pairs for the position census"),
     "seed": dict(type=int, default=0),
     "threads": dict(type=int, default=1,
-                    help="ignored: the position census uses the CPUs the process "
-                         "may run on, and results are identical for any CPU count"),
+                    help="ignored: every recipe, the position census included, runs "
+                         "on the calling thread, and no result depends on it"),
 }
 
 

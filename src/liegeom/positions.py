@@ -12,8 +12,7 @@ successor position, with the terminal position being the opposite pair.
 
 from __future__ import annotations
 
-import os
-import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -277,7 +276,6 @@ class HexagonicModel:
         self.catalogue = PositionCatalogue(self.m)
         self._local_opp: dict[int, dict[int, tuple[int, ...]]] = {}
         self._signatures: dict[bytes, bytes] = {}
-        self._signature_lock = threading.Lock()
 
     def _codes(self, li: int, mi: int) -> bytes:
         """The m * m relation codes from L's points (rows) to M's points, row
@@ -296,14 +294,10 @@ class HexagonicModel:
 
     def signature_key(self, mat: bytes) -> bytes:
         """Signature key of the pair matrix ``mat`` (its m * m relation codes,
-        row by row), memoized: matrix_key runs once per distinct matrix, also
-        when census runs on several threads miss on the same matrix."""
+        row by row), memoized: matrix_key runs once per distinct matrix."""
         sig = self._signatures.get(mat)
         if sig is None:
-            with self._signature_lock:
-                sig = self._signatures.get(mat)
-                if sig is None:
-                    sig = self._signatures[mat] = matrix_key(self._rows(mat))
+            sig = self._signatures[mat] = matrix_key(self._rows(mat))
         return sig
 
     def _entry(self, li: int, mi: int, codes: bytes) -> CatalogueEntry:
@@ -402,38 +396,6 @@ class PositionCensus:
 CENSUS_INSTANCES = 10000
 #: lines per block of position_census
 CENSUS_BLOCK = 16
-#: runs of blocks position_census splits its work into: one per CPU the
-#: process may use
-CENSUS_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count() or 1)
-
-
-def _runs(nl: int) -> list[tuple[int, int]]:
-    """range(nl) cut into at most CENSUS_WORKERS contiguous runs of whole
-    blocks of CENSUS_BLOCK lines with about equal numbers of pairs in the
-    upper triangle: the block from i0 holds its lines times nl - i0 of
-    them, so runs of equal block counts would give the first run three
-    quarters of the triangle."""
-    cost = np.cumsum([0] + [min(CENSUS_BLOCK, nl - i0) * (nl - i0)
-                            for i0 in range(0, nl, CENSUS_BLOCK)])
-    # each cut at the block boundary nearest its even share
-    cuts = {int(np.abs(cost - cost[-1] * i / CENSUS_WORKERS).argmin())
-            for i in range(CENSUS_WORKERS + 1)}
-    stops = sorted(min(c * CENSUS_BLOCK, nl) for c in cuts)
-    return list(zip(stops, stops[1:]))
-
-
-def _over_runs(fn, runs: list) -> list:
-    """fn(lo, hi) on each run, with the results in run order.  The first
-    run goes on the calling thread and the others on a thread pool, so a
-    single run starts no thread."""
-    if len(runs) == 1:
-        return [fn(*runs[0])]
-    # imported here, so that programs that run no census never load it
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(len(runs) - 1) as pool:
-        rest = [pool.submit(fn, *run) for run in runs[1:]]
-        return [fn(*runs[0])] + [f.result() for f in rest]
 
 
 def _pair_keys(digits: list, lines: np.ndarray) -> np.ndarray:
@@ -481,7 +443,7 @@ def position_census(model: HexagonicModel) -> PositionCensus:
     model's memo (HexagonicModel.signature_key), which position_of reads
     too.  Instances are the first CENSUS_INSTANCES pairs of each position
     in row-major order, and the first pair of each miss.  All the pairs
-    are charged to the budget, on the calling thread, before any work.
+    are charged to the budget before any work.
 
     The relation matrix must be symmetric (PositionError if it is not).
     Then the pair matrix of (M, L) is the transpose of that of (L, M), and
@@ -494,16 +456,14 @@ def position_census(model: HexagonicModel) -> PositionCensus:
       has its transpose keyed through the memo too, and that key must be
       the half swap of its own (the inverse law, exhaustively).  This pass
       also keeps the first instances of each position in the upper
-      triangle.  It is split into at most CENSUS_WORKERS contiguous runs of
-      blocks with about equal pair counts, which overlap on threads where
-      numpy releases the GIL, and the runs are merged in order;
-    - instances: on the calling thread, in row order, a block's pairs with
-      the earlier lines are packed only while some position that occurs
-      below the diagonal is still open: its instances so far fall short of
-      its quota or reach into the block's rows.
+      triangle;
+    - instances: in row order, a block's pairs with the earlier lines are
+      packed only while some position that occurs below the diagonal is
+      still open: its instances so far fall short of its quota or reach
+      into the block's rows.
 
-    The census is identical for every block size and worker count.
-    Relation rows and pair matrices are read on the calling thread only.
+    The census is identical for every block size, and runs on the calling
+    thread only.
     """
     g = model.geometry
     nl, m = len(g.lines), model.m
@@ -524,8 +484,7 @@ def position_census(model: HexagonicModel) -> PositionCensus:
         rows = np.take(R, lines_arr[i0:i0 + CENSUS_BLOCK].T, axis=0)   # [i, b, q]
         return _pack(rows[1:], nrel, rows[0].astype(col_type))
 
-    # the columns that occur, on the calling thread: their count is
-    # bound by the GIL, so threads would only slow it down
+    # the columns that occur
     seen = np.zeros(nrel ** m, dtype=np.intp)
     for i0 in range(0, nl, CENSUS_BLOCK):
         seen += np.bincount(columns(i0).ravel(), minlength=nrel ** m)
@@ -549,7 +508,7 @@ def position_census(model: HexagonicModel) -> PositionCensus:
         cols = [occurring[v // u ** (m - 1 - j) % u] for j in range(m)]
         return [[x // nrel ** (m - 1 - i) % nrel for x in cols] for i in range(m)]
 
-    # packed pair matrix -> signature key; runs that race store equal keys
+    # packed pair matrix -> signature key
     signature: dict[int, bytes] = {}
 
     def sig_of(v):
@@ -610,16 +569,20 @@ def position_census(model: HexagonicModel) -> PositionCensus:
                                   take).items()
             r += rows
 
-    def upper(lo, hi):
-        """The counting pass on the rows [lo, hi): how often each value
-        occurs in the blocks' own squares, (value, count) beyond them, and
-        the first instances of each signature in the squares and beyond."""
-        squares, square_counts, square_first = [], {}, {}
-        found: dict[bytes, list] = {}
-        have: dict[bytes, int] = {}
+    def upper():
+        """The counting pass: the counts of every signature, its pairs below
+        the diagonal, and its first pairs in the upper triangle."""
+        counts, below = Counter(), Counter()
+        found: dict[bytes, list] = {}       # sig -> chunks of its first pairs
+        in_squares, have = Counter(), Counter()   # their sizes, in and beyond the squares
+        squares = []
+
+        def keep(sig, at, tally):
+            found.setdefault(sig, []).append(at)
+            tally[sig] += len(at)
 
         def open_here(sig):
-            return have.get(sig, 0) < quota(sig)
+            return have[sig] < quota(sig)
 
         def take_squares():
             """Count and search the squares kept so far, as one array."""
@@ -629,23 +592,22 @@ def position_census(model: HexagonicModel) -> PositionCensus:
                                  for i0, s in squares])
             vals, cnts = np.unique(keys, return_counts=True)
             for v, c in zip(vals.tolist(), cnts.tolist()):
-                square_counts[v] = square_counts.get(v, 0) + c
+                counts[sig_of(v)] += c
             names, group, _ = groups(vals, bool)
-            for sig, hits in first_hits(
-                    at, keys, vals, names, group,
-                    lambda sig: quota(sig) - len(square_first.get(sig, ()))).items():
-                square_first[sig] = np.concatenate([square_first.get(sig, hits[:0]), hits])
+            for sig, hits in first_hits(at, keys, vals, names, group,
+                                        lambda sig: quota(sig) - in_squares[sig]).items():
+                keep(sig, hits, in_squares)
             squares.clear()
 
         known = np.empty(0, dtype=key_type)     # the values met beyond the squares,
         total = np.empty(0, dtype=np.int64)     # how often each occurs there
         names, group, want = groups(known, open_here)
-        for i0 in range(lo, hi, CENSUS_BLOCK):
+        for i0 in range(0, nl, CENSUS_BLOCK):
             nb = min(CENSUS_BLOCK, nl - i0)
             key = block_keys(i0, i0, nl)
             # the squares are small: they are searched 64 blocks at a time
             squares.append((i0, key[:nb].copy()))
-            if len(squares) == 64 or i0 + CENSUS_BLOCK >= hi:
+            if len(squares) == 64 or i0 + CENSUS_BLOCK >= nl:
                 take_squares()
             ordered = np.sort(key[nb:], axis=None)
             cnts = _counts(ordered, known)
@@ -659,39 +621,22 @@ def position_census(model: HexagonicModel) -> PositionCensus:
             total += cnts
             for sig, at in scan(key[nb:], i0, i0 + nb, known, names, group,
                                 lambda: want & (cnts > 0),
-                                lambda sig: quota(sig) - have.get(sig, 0)):
-                found.setdefault(sig, []).append(at)
-                have[sig] = have.get(sig, 0) + len(at)
+                                lambda sig: quota(sig) - have[sig]):
+                keep(sig, at, have)
                 if not open_here(sig):
                     want[group == names.index(sig)] = False
-        return square_counts, zip(known.tolist(), total.tolist()), square_first, found
+        # the lower triangle: each value beyond the squares, transposed
+        for v, c in zip(known.tolist(), total.tolist()):
+            sig = sig_of(v)
+            inv = model.signature_key(bytes(d for col in zip(*codes(v)) for d in col))
+            if inv != _swap_key(sig, m):
+                raise PositionError("key of a transposed pair matrix is not the half swap")
+            counts[sig] += c
+            counts[inv] += c
+            below[inv] += c
+        return counts, below, {sig: _least(quota(sig), *chunks) for sig, chunks in found.items()}
 
-    def merge(runs):
-        """The counts of every signature, its pairs below the diagonal, and
-        its first pairs in the upper triangle, from the counting runs."""
-        counts: dict[bytes, int] = {}
-        below: dict[bytes, int] = {}
-        first: dict[bytes, np.ndarray] = {}
-        for square_counts, beyond, square_first, found in runs:
-            for v, c in square_counts.items():
-                counts[sig_of(v)] = counts.get(sig_of(v), 0) + c
-            for v, c in beyond:
-                sig = sig_of(v)
-                inv = model.signature_key(bytes(d for col in zip(*codes(v)) for d in col))
-                if inv != _swap_key(sig, m):
-                    raise PositionError("key of a transposed pair matrix is not the half swap")
-                counts[sig] = counts.get(sig, 0) + c
-                counts[inv] = counts.get(inv, 0) + c
-                below[inv] = below.get(inv, 0) + c
-            # the runs in order, each with its first pairs in row-major order
-            for sig, chunks in found.items():
-                square_first[sig] = np.concatenate([square_first.get(sig, chunks[0][:0])]
-                                                   + chunks)
-            for sig, at in square_first.items():
-                first[sig] = _least(quota(sig), first.get(sig, at[:0]), at)
-        return counts, below, first
-
-    counts, below, first = merge(_over_runs(upper, _runs(nl)))
+    counts, below, first = upper()
 
     def settled(sig, start):
         """No pair from flat index ``start`` on is among sig's instances."""

@@ -3,7 +3,6 @@ import itertools
 import json
 import random
 import threading
-import time
 from collections import Counter
 from unittest import mock
 
@@ -608,20 +607,17 @@ def test_golden_census_instances(gr_census):
 @given(alphabet=st.sampled_from(((COLLINEAR, SPECIAL), (EQUAL, COLLINEAR, SPECIAL, OPPOSITE),
                                  tuple(range(len(REL_DISPLAY))))),
        share=st.sampled_from((0.02, 0.3, 1.0)),
-       seed=st.integers(0, 2 ** 32 - 1),
-       workers=st.sampled_from((1, 2, 3)))
-@example(alphabet=tuple(range(len(REL_DISPLAY))), share=1.0, seed=0, workers=3)
-def test_census_matches_scalar_on_random_codes(h2, alphabet, share, seed, workers):
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(alphabet=tuple(range(len(REL_DISPLAY))), share=1.0, seed=0)
+def test_census_matches_scalar_on_random_codes(h2, alphabet, share, seed):
     # H(2) relation data with a share of its pairs given random symmetric
     # codes.  The census packs the u columns that occur in base u: small
     # alphabets keep u**3 within uint16 keys, and all six codes everywhere
     # make u close to 6**3 (at least 36 sorted columns occur, checked
-    # below), so keys need uint32; 3 workers split H(2)'s 4 blocks into
-    # uneven runs
+    # below), so keys need uint32
     codes = random_codes(h2, alphabet, share, seed)
     model = coded_model(h2, codes)
-    with mock.patch.object(positions, "CENSUS_WORKERS", workers):
-        census = position_census(model)
+    census = position_census(model)
     oracle = census_scalar(model, instance_cap=10000)
     assert census.counts == oracle.counts
     assert census.instances == oracle.instances
@@ -634,28 +630,24 @@ def test_census_matches_scalar_on_random_codes(h2, alphabet, share, seed, worker
         assert len(occurring) >= 36
 
 
-def test_census_budget(monkeypatch, h2):
-    # all 63 * 63 pairs are charged before the first block of 16 lines;
-    # on the machine's worker count, then in one run and in three
+def test_census_budget(h2):
+    # all 63 * 63 pairs are charged before the first block of 16 lines
     model = HexagonicModel(h2)
     full = position_census(model)
-    for workers in (positions.CENSUS_WORKERS, 1, 3):
-        monkeypatch.setattr(positions, "CENSUS_WORKERS", workers)
-        for budget in (0, 10, 32 * 63, 63 * 63 - 1):
-            with S.budget(budget), pytest.raises(
-                    BudgetExceeded, match=f"^position census exceeded {budget} pairs$"):
-                position_census(model)
-        with S.budget(63 * 63):
-            assert position_census(model) == full
-        with S.budget(None):
-            assert position_census(model) == full
+    for budget in (0, 10, 32 * 63, 63 * 63 - 1):
+        with S.budget(budget), pytest.raises(
+                BudgetExceeded, match=f"^position census exceeded {budget} pairs$"):
+            position_census(model)
+    with S.budget(63 * 63):
+        assert position_census(model) == full
+    with S.budget(None):
+        assert position_census(model) == full
 
 
 def test_census_reads_relations_on_calling_thread(monkeypatch, h2):
-    # the census splits its blocks over threads, but relation rows and the
-    # pair matrices of miss examples are read on the thread that called it:
-    # H(2)'s 4 blocks in 3 runs, with the miss (mi, li) beyond the first run
-    monkeypatch.setattr(positions, "CENSUS_WORKERS", 3)
+    # relation rows and the pair matrices of miss examples are read on the
+    # thread that called the census, with the miss (mi, li) beyond the
+    # first block of H(2)'s 4
     li = 0
     mi = max(m for m in range(len(h2.lines)) if not h2.line_bits[li] & h2.line_bits[m])
     doc = doctored(HexagonicModel(h2), line_pairs(h2, li, mi), NEAR_OPPOSITE)
@@ -671,25 +663,24 @@ def test_census_reads_relations_on_calling_thread(monkeypatch, h2):
     assert threads and set(threads) == {threading.get_ident()}
 
 
-def test_census_starts_no_thread_for_one_worker(monkeypatch, h2):
+def test_census_starts_no_thread(monkeypatch, h2):
     def start(self):
         raise AssertionError(f"thread {self.name} started")
 
     model = HexagonicModel(h2)
     full = position_census(model)
-    monkeypatch.setattr(positions, "CENSUS_WORKERS", 1)
     monkeypatch.setattr(threading.Thread, "start", start)
     assert position_census(model) == full
 
 
-@pytest.mark.parametrize("workers", (1, 3))
-def test_census_refuses_an_asymmetric_relation_matrix(h2, workers):
+@pytest.mark.parametrize("point", (1, 3))
+def test_census_refuses_an_asymmetric_relation_matrix(h2, point):
     # the census reads the lower triangle as the transpose of the upper
-    # one, so one point pair coded differently both ways round is refused
+    # one, so one point pair (0, point) coded differently both ways round
+    # is refused
     codes = dense_oracle(h2)
-    codes[0, 1] = NEAR_OPPOSITE if codes[1, 0] != NEAR_OPPOSITE else OPPOSITE
-    with mock.patch.object(positions, "CENSUS_WORKERS", workers), pytest.raises(
-            PositionError, match=r"^census is not symmetric under pair reversal$"):
+    codes[0, point] = NEAR_OPPOSITE if codes[point, 0] != NEAR_OPPOSITE else OPPOSITE
+    with pytest.raises(PositionError, match=r"^census is not symmetric under pair reversal$"):
         position_census(coded_model(h2, codes))
 
 
@@ -729,21 +720,6 @@ def test_census_reads_little_of_the_lower_triangle(monkeypatch, gr_w52):
     monkeypatch.setattr(positions, "CENSUS_INSTANCES", 1)
     nl = len(gr_w52.lines)
     assert packed_pairs(HexagonicModel(gr_w52)) <= 0.6 * nl * nl
-
-
-@pytest.mark.parametrize("nl", (63, 14175))
-@pytest.mark.parametrize("workers", (2, 3))
-def test_census_runs_share_the_triangle_evenly(monkeypatch, nl, workers):
-    # the counting pass packs nb * (nl - i0) pairs for the block of nb
-    # lines from i0; its runs differ by at most one block's worth of them
-    monkeypatch.setattr(positions, "CENSUS_WORKERS", workers)
-    runs = positions._runs(nl)
-    assert runs[0][0] == 0 and runs[-1][1] == nl
-    assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
-    pairs = [sum(min(positions.CENSUS_BLOCK, nl - i0) * (nl - i0)
-                 for i0 in range(lo, hi, positions.CENSUS_BLOCK)) for lo, hi in runs]
-    assert len(pairs) == workers
-    assert max(pairs) - min(pairs) <= positions.CENSUS_BLOCK * nl
 
 
 def test_census_budget_in_recipes(monkeypatch, gr_model, gr_census):
@@ -863,44 +839,21 @@ def test_census_fills_the_position_memo(h2):
     assert key.call_count == 0
 
 
-def test_signature_memo_keys_a_matrix_once_across_threads(h2):
-    # a second thread that looks up a matrix while the first is keying it
-    # waits for that key instead of computing its own
-    model = HexagonicModel(h2)
-    mat = bytes(c for row in model.pair_matrix(0, 1) for c in row)
-    entered = threading.Event()
-
-    def slow(rows):
-        entered.set()
-        time.sleep(0.05)
-        return matrix_key(rows)
-
-    with mock.patch.object(positions, "matrix_key", side_effect=slow) as key:
-        first = threading.Thread(target=model.signature_key, args=(mat,))
-        first.start()
-        entered.wait()
-        second = model.signature_key(mat)
-        first.join()
-    assert key.call_count == 1
-    assert second == model.signature_key(mat) == matrix_key(model.pair_matrix(0, 1))
-
-
 @settings(max_examples=10)
 @given(alphabet=st.sampled_from(_ALPHABETS),
        share=st.sampled_from((0.0, 0.02, 0.3, 1.0)),
        seed=st.integers(0, 2 ** 32 - 1),
        quota=st.sampled_from((1, 7, 10000)))
 def test_census_does_not_depend_on_block_size(h2, alphabet, share, seed, quota):
-    # the block size and the worker count only split the work: counts,
+    # the block size only splits the work: counts,
     # instances (the first ``quota`` pairs of each position in row-major
     # order) and misses are those of the pair-by-pair census for each
     model = coded_model(h2, random_codes(h2, alphabet, share, seed))
     oracle = census_scalar(model, instance_cap=quota)
     want = (oracle.counts, oracle.instances, oracle.miss_count,
             [(m.line_a, m.line_b, m.matrix) for m in oracle.misses])
-    for block, workers in itertools.product((1, 5, 16, 64), (1, 3)):
-        with mock.patch.multiple(positions, CENSUS_BLOCK=block, CENSUS_WORKERS=workers,
-                                 CENSUS_INSTANCES=quota):
+    for block in (1, 5, 16, 64):
+        with mock.patch.multiple(positions, CENSUS_BLOCK=block, CENSUS_INSTANCES=quota):
             census = position_census(model)
         assert (census.counts, census.instances, census.miss_count,
                 [(m.line_a, m.line_b, m.matrix) for m in census.misses]) == want
