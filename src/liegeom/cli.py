@@ -36,9 +36,8 @@ from .constructors import (
     pg,
     polar_space,
     split_cayley_hexagon,
-    twisted_triality_hexagon,
 )
-from .geometry import Geometry, line_grassmannian, validate
+from .geometry import Geometry, GeometryError, line_grassmannian, validate
 from .gf import FieldError, field
 from .orders import HexOrder, multiplicity_integrality, st_square_check
 from .positions import (
@@ -67,9 +66,15 @@ def _emit(doc, out: Optional[str]):
         print(text)
 
 
-def _load_geometry(path: str) -> Geometry:
-    with open(path) as fh:
-        return Geometry.from_json(fh.read(), warn=lambda m: print(f"warning: {m}", file=sys.stderr))
+def _load_geometry(args) -> Geometry:
+    """The geometry in the --geometry file; a file that is not one, or not
+    one of the kind it claims, is a usage error (exit 2)."""
+    try:
+        with open(args.geometry) as fh:
+            return Geometry.from_json(fh.read(),
+                                      warn=lambda m: print(f"warning: {m}", file=sys.stderr))
+    except (OSError, GeometryError) as exc:
+        args.error(f"{args.geometry}: {exc}")
 
 
 def _in_range(args, option: str, values, stop: float, start: int = 0) -> None:
@@ -105,7 +110,7 @@ def _on_geometry(args) -> int:
     model args.load makes of it, under the --budget given; a geometry with
     no points or one the command does not support is a usage error, and a
     run cut short by its budget reports PARTIAL and exits 1."""
-    g = _load_geometry(args.geometry)
+    g = _load_geometry(args)
     if not g.n:
         args.error(f"{args.geometry}: the geometry has no points")
     try:
@@ -207,7 +212,7 @@ def _search_geometric_lines(args, g) -> dict:
 
 
 def _cmd_check(args) -> int:
-    g = _load_geometry(args.geometry)
+    g = _load_geometry(args)
     _in_range(args, "--points", args.points, g.n)
     ok = args.test(g, args.points)
     _emit({"schema": 1, "check": args.what, "points": args.points, "result": ok}, args.out)
@@ -310,10 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--family", choices=tuple(POLAR_NAMES), default="sp")
     b.add_argument("--dim", type=_count, default=3)
     b.add_argument("--grassmannian", action="store_true")
-    b = _leaf(targets, "hexagon", fn=_cmd_build,
-              make=lambda a: (split_cayley_hexagon if a.variant == "split"
-                              else twisted_triality_hexagon)(a.q))
-    b.add_argument("--variant", choices=("split", "twisted"), default="split")
+    _leaf(targets, "hexagon", fn=_cmd_build, make=lambda a: split_cayley_hexagon(a.q))
     b = _leaf(targets, "hermitian-gq", fn=_cmd_build,
               make=lambda a: hermitian_subquadrangle(hermitian_quadrangle(a.q))
               if a.subgq else hermitian_quadrangle(a.q))

@@ -35,10 +35,6 @@ class ConstructionError(GeometryError):
     pass
 
 
-class FeatureUnavailable(ConstructionError):
-    pass
-
-
 # -- projective machinery ---------------------------------------------------
 
 
@@ -368,13 +364,6 @@ def split_cayley_hexagon(q: int) -> Geometry:
     if rep.order != (q, q) or not is_generalized_polygon(g, 6):
         raise ConstructionError("split Cayley construction failed hexagon validation")
     return g
-
-
-def twisted_triality_hexagon(q: int) -> Geometry:
-    """Stretch goal, not built: generalised hexagon of order (q^3, q)."""
-    raise FeatureUnavailable(
-        "the twisted triality hexagon is feature-gated and not constructed "
-        "in this release; all other functionality is independent of it")
 
 
 def geometry_by_name(name: str) -> Geometry:

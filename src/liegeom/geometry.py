@@ -38,10 +38,12 @@ class Kind:
 
     @staticmethod
     def from_str(s: str) -> "Kind":
-        if s.startswith("polygon:"):
-            return Kind("polygon", int(s.split(":", 1)[1]))
-        if s.startswith("polar:"):
-            return Kind("polar", int(s.split(":", 1)[1]))
+        for family in ("polygon", "polar"):
+            if s.startswith(family + ":"):
+                try:
+                    return Kind(family, int(s.split(":", 1)[1]))
+                except ValueError:
+                    raise GeometryError(f"kind {s!r} needs an integer parameter") from None
         if s.startswith("grassmannian"):
             rest = s.split(":", 1)[1] if ":" in s else ""
             return Kind("grassmannian", of=rest or None)
@@ -133,8 +135,23 @@ class Geometry:
 
     @staticmethod
     def from_json(text: str, warn=None) -> "Geometry":
-        doc = json.loads(text)
-        lines = doc["lines"]
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GeometryError(f"not JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise GeometryError("a geometry is a JSON object")
+        n, lines, kind, order = (doc.get("points"), doc.get("lines"), doc.get("kind", "other"),
+                                 doc.get("order"))
+        if type(n) is not int or n < 0:
+            raise GeometryError(f"points must be an integer >= 0, not {n!r}")
+        if not (isinstance(lines, list) and all(
+                isinstance(l, list) and all(type(p) is int for p in l) for l in lines)):
+            raise GeometryError("lines must be a list of lists of integer point IDs")
+        if not isinstance(kind, str):
+            raise GeometryError(f"kind must be a string, not {kind!r}")
+        if order is not None and not (isinstance(order, list) and all(type(v) is int for v in order)):
+            raise GeometryError(f"order must be a list of integers or null, not {order!r}")
         for l in lines:
             if sorted(l) != l and warn is not None:
                 warn(f"line {l} not sorted; normalizing")
@@ -145,9 +162,9 @@ class Geometry:
                 raise GeometryError(f"duplicated line {l}")
             seen.add(key)
         g = Geometry(
-            doc["points"], lines, Kind.from_str(doc.get("kind", "other")),
+            n, lines, Kind.from_str(kind),
             name=doc.get("name", ""),
-            order=tuple(doc["order"]) if doc.get("order") else None,
+            order=tuple(order) if order else None,
         )
         rep = validate(g)
         if not rep.partial_linear:

@@ -95,13 +95,6 @@ def polar_line_opposition(p: Geometry, li: int) -> int:
 # -- full matrices ----------------------------------------------------------
 
 
-def _indices(bits: int, n: int) -> list[int]:
-    """The set bits of `bits` (below n), ascending; on wide sets numpy finds
-    them faster than bit_indices."""
-    packed = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(packed, count=n, bitorder="little")).tolist()
-
-
 def _codes(rows: Sequence[dict[int, int]], n: int) -> np.ndarray:
     """len(rows) x n int8 array: row i holds each code at the bits of its
     class in rows[i], 0 elsewhere; one np.unpackbits per code."""
@@ -129,10 +122,15 @@ class RelationMatrix:
         self.n = g.n
         self._rows: dict[int, bytes] = {}
         self._np: Optional[np.ndarray] = None
+        # per point: its neighbours and its kernel, until np() is built
+        self._memo: dict[int, tuple[list[int], dict[int, int]]] = {}
 
     def _neighbours(self, x: int) -> list[int]:
-        """The points collinear with x, x left out, ascending."""
-        return _indices(self.geometry.adj[x] & ~(1 << x), self.n)
+        """The points collinear with x, x left out, ascending; numpy finds
+        the set bits of a wide bitset faster than bit_indices."""
+        bits = self.geometry.adj[x] & ~(1 << x)
+        packed = np.frombuffer(bits.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
+        return np.flatnonzero(np.unpackbits(packed, count=self.n, bitorder="little")).tolist()
 
     def _kernel(self, x: int, neighbours: list[int]) -> dict[int, int]:
         """Bitset of the points holding each relation code to x (EQUAL, x
@@ -157,21 +155,13 @@ class RelationMatrix:
         return {COLLINEAR: near, SPECIAL: dist2 & ~ge2, SYMPLECTIC: dist2 & ge2,
                 OPPOSITE: rest & ~ge1}
 
-    def _refuse_unreached(self, x: int, unreached: int) -> None:
-        """RelationError naming the least point of `unreached`, the points
-        at distance > 3 from x, if there is one."""
-        if unreached:
-            raise RelationError(f"point {(unreached & -unreached).bit_length() - 1} "
-                                f"is at distance > 3 from point {x} in the {self.family}")
-
-    def _reach_scan(self, x: int, out: dict[int, int]) -> None:
-        """Check one row of the kernel for diameter <= 3: every far point must
-        have a neighbour at distance 2 from x."""
-        adj = self.geometry.adj
-        reach3 = 0
-        for y in _indices(out[SPECIAL] | out[SYMPLECTIC], self.n):
-            reach3 |= adj[y]
-        self._refuse_unreached(x, out[OPPOSITE] & ~reach3)
+    def _memoized(self, x: int) -> tuple[list[int], dict[int, int]]:
+        """x's neighbours and kernel, each computed once per point."""
+        got = self._memo.get(x)
+        if got is None:
+            neighbours = self._neighbours(x)
+            got = self._memo[x] = (neighbours, self._kernel(x, neighbours))
+        return got
 
     def _split_far(self, x: int, out: dict[int, int]) -> dict[int, int]:
         """Split a Grassmannian row's far points by the building opposition
@@ -183,29 +173,21 @@ class RelationMatrix:
         return out
 
     def classes(self, x: int) -> dict[int, int]:
-        """The classes of row x, checked for diameter <= 3 by this row alone."""
-        out = self._kernel(x, self._neighbours(x))
+        """The classes of row x, checked for diameter <= 3: y is at distance
+        > 3 from x iff y is far from x and from every neighbour of x, one
+        AND per neighbour until nothing is left."""
+        neighbours, kernel = self._memoized(x)
+        out = dict(kernel)
         if self.family in ("hexagon", "grassmannian"):
-            self._reach_scan(x, out)
+            unreached = out[OPPOSITE]
+            for z in neighbours:
+                if not unreached:
+                    break
+                unreached &= self._memoized(z)[1][OPPOSITE]
+            if unreached:
+                raise RelationError(f"point {(unreached & -unreached).bit_length() - 1} "
+                                    f"is at distance > 3 from point {x} in the {self.family}")
         return self._split_far(x, out)
-
-    def all_classes(self) -> list[dict[int, int]]:
-        """The classes of every row, checked for diameter <= 3 once for the
-        geometry: y is at distance > 3 from x iff y is far from x and from
-        every neighbour of x.  The first failing row is reported, as row()
-        would report it."""
-        neighbours = [self._neighbours(x) for x in range(self.n)]
-        rows = [self._kernel(x, neighbours[x]) for x in range(self.n)]
-        if self.family in ("hexagon", "grassmannian"):
-            far = [out[OPPOSITE] for out in rows]
-            for x, out in enumerate(rows):
-                unreached = far[x]
-                for z in neighbours[x]:
-                    if not unreached:
-                        break
-                    unreached &= far[z]
-                self._refuse_unreached(x, unreached)
-        return [self._split_far(x, out) for x, out in enumerate(rows)]
 
     # access
 
@@ -221,11 +203,12 @@ class RelationMatrix:
         return row
 
     def np(self) -> np.ndarray:
-        """The n x n matrix, from all_classes()."""
+        """The n x n matrix, from classes() of every row, first failure first."""
         if self._np is None:
-            self._np = _codes(self.all_classes(), self.n)
+            self._np = _codes([self.classes(x) for x in range(self.n)], self.n)
             # later rows are read from the matrix, so edits to it show in row()
             self._rows.clear()
+            self._memo.clear()
         return self._np
 
     def census(self) -> dict[str, int]:

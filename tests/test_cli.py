@@ -170,8 +170,10 @@ def test_import_rejects_bad_geometry(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x", "kind": "other", "order": None,
                                "points": 4, "lines": [[0, 1, 2], [1, 2, 3]]}))
-    with pytest.raises(Exception):
+    with pytest.raises(SystemExit) as exc:
         run(capsys, "relations", "--geometry", str(bad))
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +193,32 @@ def unsupported_files(tmp_path_factory):
     empty = Geometry(0, [], Kind("grassmannian", of="Q(2,2)"))
     (d / "empty.json").write_text(empty.to_json() + "\n")
     return {"{pg}": str(d / "pg.json"), "{empty}": str(d / "empty.json")}
+
+
+@pytest.fixture(scope="module")
+def refused_files(tmp_path_factory, h2):
+    # geometry files the loader refuses: malformed documents, and ones that
+    # fail the import checks
+    d = tmp_path_factory.mktemp("cli")
+    docs = {
+        "duplicated": {"points": 3, "lines": [[0, 1, 2], [2, 1, 0]]},
+        "not-partial-linear": {"points": 4, "lines": [[0, 1, 2], [1, 2, 3]]},
+        "id-out-of-range": {"points": 3, "lines": [[0, 1, 3]]},
+        "no-hexagon": json.loads(Geometry(h2.n, h2.lines[1:], Kind("polygon", 6)).to_json()),
+        "no-lines": {"points": 3},
+        "negative-points": {"points": -1, "lines": []},
+        "fractional-points": {"points": 2.5, "lines": []},
+        "string-ids": {"points": 3, "lines": [["0", "1", "2"]]},
+        "polar-x": {"kind": "polar:x", "points": 3, "lines": [[0, 1, 2]]},
+        "kind-not-a-string": {"kind": 6, "points": 3, "lines": [[0, 1, 2]]},
+        "order-not-a-list": {"order": 2, "points": 3, "lines": [[0, 1, 2]]},
+        "not-an-object": [3, [[0, 1, 2]]],
+    }
+    texts = {name: json.dumps(doc) for name, doc in docs.items()}
+    texts["not-json"] = "{points: 3"
+    for name, text in texts.items():
+        (d / f"{name}.json").write_text(text + "\n")
+    return {f"{{{name}}}": str(d / f"{name}.json") for name in [*texts, "missing"]}
 
 
 @pytest.mark.parametrize("argv", [
@@ -234,10 +262,24 @@ def unsupported_files(tmp_path_factory):
     ("relations", "--geometry", "{empty}"),
     ("search", "rut", "--geometry", "{empty}"),
     ("search", "blocking", "--geometry", "{empty}"),
+    ("relations", "--geometry", "{duplicated}"),
+    ("positions", "--geometry", "{not-partial-linear}", "--census"),
+    ("search", "blocking", "--geometry", "{id-out-of-range}"),
+    ("check", "ovoid", "--geometry", "{no-hexagon}", "--points", "0"),
+    ("relations", "--geometry", "{not-json}"),
+    ("positions", "--geometry", "{no-lines}", "--census"),
+    ("search", "rut", "--geometry", "{negative-points}"),
+    ("check", "dominating", "--geometry", "{fractional-points}", "--points", "0"),
+    ("relations", "--geometry", "{string-ids}"),
+    ("search", "geometric-lines", "--geometry", "{polar-x}"),
+    ("relations", "--geometry", "{kind-not-a-string}"),
+    ("positions", "--geometry", "{order-not-a-list}", "--census"),
+    ("check", "ovoid", "--geometry", "{not-an-object}", "--points", "0"),
+    ("search", "rut", "--geometry", "{missing}"),
 ], ids=" ".join)
-def test_ignored_or_crashing_options_are_usage_errors(w32_file, unsupported_files, capsys,
-                                                      argv):
-    files = {"{geom}": w32_file, **unsupported_files}
+def test_ignored_or_crashing_options_are_usage_errors(w32_file, unsupported_files, refused_files,
+                                                      capsys, argv):
+    files = {"{geom}": w32_file, **unsupported_files, **refused_files}
     with pytest.raises(SystemExit) as exc:
         main([files.get(a, a) for a in argv])
     assert exc.value.code == 2

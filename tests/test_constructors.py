@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from liegeom.constructors import (
     ConstructionError,
-    FeatureUnavailable,
     PolarFormSpec,
     _anisotropic_coefficient,
     _check_polar_axioms,
@@ -22,7 +21,6 @@ from liegeom.constructors import (
     projective_points,
     span_points,
     split_cayley_hexagon,
-    twisted_triality_hexagon,
 )
 from liegeom.gf import field
 from liegeom.geometry import Geometry, Kind, is_generalized_polygon, validate
@@ -359,11 +357,6 @@ def test_polar_axiom_gate_rejects_non_polar_geometries(h2):
         _check_polar_axioms(bad)
     for g in (polar_space(PolarFormSpec("sp", 3, 2)), polar_space(PolarFormSpec("elliptic", 5, 2))):
         _check_polar_axioms(g)
-
-
-def test_twisted_triality_is_gated():
-    with pytest.raises(FeatureUnavailable):
-        twisted_triality_hexagon(2)
 
 
 def test_hermitian_subquadrangle_requires_coords(h34):

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liegeom.constructors import PolarFormSpec, polar_space
 from liegeom.geometry import Geometry, Kind, bit_indices, bitset, line_grassmannian
@@ -220,8 +221,8 @@ def fresh_copy(g: Geometry) -> Geometry:
 def test_connected_diameter_beyond_3_refused_alike():
     # a connected chain of four 3-point lines claimed as a hexagon: rows
     # 0, 1 and 2 reach every point within distance 3, row 3 does not reach
-    # 7 and 8.  The all-rows check (far from x and from every neighbour of
-    # x) and the per-row reach scan name the same pair
+    # 7 and 8.  A lazy row and the all-rows read run the same check (far
+    # from x and from every neighbour of x) and name the same pair
     g = Geometry(9, [(1, 3, 4), (0, 1, 2), (2, 5, 6), (6, 7, 8)], Kind("polygon", 6))
     want = "point 7 is at distance > 3 from point 3 in the hexagon"
     for x in range(3):
@@ -242,21 +243,6 @@ def test_connected_diameter_beyond_3_refused_alike():
     assert texts == {"point 7 is at distance > 3 from point 0 in the hexagon"}
 
 
-def test_all_rows_reads_skip_the_per_row_reach_scan(h2, h3, gr_q72):
-    # np() and opposition_sets check the diameter once per geometry; the
-    # per-row scan (an OR per distance-2 point) is for lazy rows only
-    def refuse(self, x, out):
-        raise AssertionError(f"per-row reach scan of row {x} in an all-rows read")
-
-    with mock.patch.object(RelationMatrix, "_reach_scan", refuse):
-        for g in (h2, h3, gr_q72):
-            fresh = fresh_copy(g)
-            assert (RelationMatrix(fresh).np() == relation_matrix(g).np()).all()
-            assert opposition_sets(fresh).opp == opposition_sets(g).opp
-        with pytest.raises(AssertionError, match="reach scan of row 0"):
-            RelationMatrix(fresh_copy(h2)).row(0)
-
-
 def test_relations_command_runs_the_kernel_once_per_row(h2):
     # the relations command reads the census and the opposition sets; they
     # share one pass over the rows, in either order
@@ -270,6 +256,48 @@ def test_relations_command_runs_the_kernel_once_per_row(h2):
         assert kernel.call_count == g.n
         assert doc["census"] == {"0": 63, "1": 378, "2": 1512, "3": 2016}
         assert doc["opposite-set-sizes"] == {32: 63}
+
+
+def test_lazy_rows_and_np_share_one_kernel_per_point(h2):
+    # the kernels a lazy row computes for its diameter check are kept for
+    # np(), which computes only the rest
+    g = fresh_copy(h2)
+    m = RelationMatrix(g)
+    with mock.patch.object(RelationMatrix, "_kernel", autospec=True,
+                           side_effect=RelationMatrix._kernel) as kernel:
+        m.row(0)
+        m.row(40)
+        m.np()
+    assert kernel.call_count == g.n == 63
+
+
+@given(perm=st.permutations(range(63)), drop=st.none() | st.integers(0, 62))
+@example(perm=list(range(63)), drop=None)
+@example(perm=list(range(63)), drop=0)
+@settings(max_examples=20)
+def test_lazy_rows_and_np_agree_on_relabelled_or_broken_h2(h2, perm, drop):
+    # H(2) relabelled is a hexagon: its lazy rows, np() and the dense
+    # oracle agree.  With a line dropped, its points are at distance > 3
+    # from each other, and np() raises what the first failing lazy row raises
+    lines = [tuple(perm[p] for p in l) for i, l in enumerate(h2.lines) if i != drop]
+    g = Geometry(h2.n, lines, Kind("polygon", 6))
+    if drop is None:
+        m = RelationMatrix(g)
+        rows = [m.row(x) for x in range(g.n)]
+        full, dense = RelationMatrix(g).np(), dense_oracle(g)
+        assert rows == [r.tobytes() for r in full] == [r.tobytes() for r in dense]
+        return
+    with pytest.raises(RelationError) as exc:
+        RelationMatrix(g).np()
+    m = RelationMatrix(g)
+    for x in range(g.n):
+        try:
+            m.row(x)
+        except RelationError as first:
+            assert str(first) == str(exc.value)
+            break
+    else:
+        pytest.fail("every lazy row passed the diameter check")
 
 
 def _doctored_grassmannian(gr):
