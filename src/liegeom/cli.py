@@ -43,7 +43,6 @@ from .orders import HexOrder, multiplicity_integrality, st_square_check
 from .positions import (
     CatalogueMiss,
     HexagonicModel,
-    PositionError,
     comb_to_opposite,
     position_census,
     to_display,
@@ -52,6 +51,7 @@ from .relations import (
     NEAR_OPPOSITE,
     RelationError,
     geometry_family,
+    grassmannian_base,
     opposition_sets,
     relation_matrix,
 )
@@ -108,15 +108,18 @@ def _cmd_build(args) -> int:
 def _on_geometry(args) -> int:
     """Load --geometry, emit the report args.run makes of it, or of the
     model args.load makes of it, under the --budget given; a geometry with
-    no points or one the command does not support is a usage error, and a
-    run cut short by its budget reports PARTIAL and exits 1."""
+    no points, one the command does not support, or a Grassmannian that is
+    not the line Grassmannian of the base its kind names, is a usage error,
+    and a run cut short by its budget reports PARTIAL and exits 1."""
     g = _load_geometry(args)
     if not g.n:
         args.error(f"{args.geometry}: the geometry has no points")
     try:
-        geometry_family(g)
+        if geometry_family(g) == "grassmannian" and \
+                line_grassmannian(grassmannian_base(g)).lines != g.lines:
+            raise RelationError(f"the lines are not the line Grassmannian of {g.kind.of}")
         subject = args.load(g) if "load" in args else g
-    except (RelationError, PositionError) as exc:
+    except GeometryError as exc:
         args.error(f"{args.geometry}: {exc}")
     try:
         with S.budget(vars(args).get("budget")):

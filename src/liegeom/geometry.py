@@ -90,8 +90,9 @@ class Geometry:
 
     def cached(self, key, build):
         """build(), called once per geometry and key.  Everything derived
-        from a geometry (gamma-space verdict, relation matrix, opposition
-        sets, line tables, residuals, position models) is kept here."""
+        from a geometry (gamma-space verdict, pair table, relation matrix,
+        opposition sets, line tables, residuals, position models) is kept
+        here."""
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
@@ -364,14 +365,42 @@ def subspace_closure(g: Geometry, bits: int) -> int:
     return bits
 
 
-def _lines_inside(g: Geometry, bits: int) -> list[int]:
-    """Ascending IDs of the lines all of whose points lie in bits."""
-    out = []
-    for x in _bit_indices(bits):
-        for li in g.lines_through[x]:
-            if g.lines[li][0] == x and not g.line_bits[li] & ~bits:
-                out.append(li)
-    return sorted(out)
+def _pair_lines(g: Geometry) -> dict[int, int]:
+    """The line on each pair of points, keyed x * n + y for both orders of
+    every two points x, y of a line, and x * n + x for a 1-point line {x};
+    built once per geometry."""
+    def build():
+        n = g.n
+        table = {}
+        for li, l in enumerate(g.lines):
+            for x in l:
+                for y in l:
+                    if x != y or len(l) == 1:
+                        table[x * n + y] = li
+        return table
+    return g.cached("pair-lines", build)
+
+
+def _plane_on(g: Geometry, li: int, p: int) -> tuple[int, list[int]]:
+    """The least subspace on line li and point p, closed over the pair table:
+    each point that joins is paired with every earlier one and with itself,
+    and a line found on a pair adds its missing points.  Returns its point
+    bitset and the ascending IDs of the lines found, which are the lines
+    inside it."""
+    n, pairs = g.n, _pair_lines(g)
+    bits = g.line_bits[li] | 1 << p
+    pts = [*g.lines[li], p]
+    inside = set()
+    for i, y in enumerate(pts):
+        row = y * n
+        for x in pts[:i + 1]:
+            lj = pairs.get(row + x)
+            if lj is not None and lj not in inside:
+                inside.add(lj)
+                if new := g.line_bits[lj] & ~bits:
+                    bits |= new
+                    pts += _bit_indices(new)
+    return bits, sorted(inside)
 
 
 def _planes_on(g: Geometry, line_ids: Iterable[int]) -> Iterator[tuple[int, list[int]]]:
@@ -380,8 +409,9 @@ def _planes_on(g: Geometry, line_ids: Iterable[int]) -> Iterator[tuple[int, list
 
     Requires a gamma space (checked once per geometry), where the span of a
     line L and a point p collinear with all of L is singular: the plane on
-    L and p.  covered[l] holds the points of the planes found so far that
-    contain line l, and the points p they hold are skipped for l.
+    L and p, which _plane_on spans.  covered[l] holds the points of the
+    planes found so far that contain line l, and the points p they hold
+    are skipped for l.
     """
     if not g.cached("gamma-space", lambda: is_gamma_space(g)):
         raise GeometryError("singular planes require a gamma space")
@@ -389,9 +419,8 @@ def _planes_on(g: Geometry, line_ids: Iterable[int]) -> Iterator[tuple[int, list
     for li in line_ids:
         todo = one_or_all(g, li)[2] & ~g.line_bits[li] & ~covered[li]
         while todo:
-            plane = subspace_closure(g, g.line_bits[li] | todo & -todo)
+            plane, inside = _plane_on(g, li, (todo & -todo).bit_length() - 1)
             todo &= ~plane
-            inside = _lines_inside(g, plane)
             for lj in inside:
                 covered[lj] |= plane
             yield plane, inside
@@ -409,10 +438,12 @@ def line_grassmannian(g: Geometry, name: str = "") -> Geometry:
     in_plane_count = [0] * len(g.lines)
     pencils = set()
     for plane, plane_lines in _planes_on(g, range(len(g.lines))):
+        at = {}
         for li in plane_lines:
             in_plane_count[li] += 1
-        for p in _bit_indices(plane):
-            pencils.add(tuple(li for li in plane_lines if g.line_bits[li] >> p & 1))
+            for p in g.lines[li]:
+                at.setdefault(p, []).append(li)
+        pencils.update(map(tuple, at.values()))
     missing = [li for li, c in enumerate(in_plane_count) if c == 0]
     if missing:
         raise GeometryError(f"{len(missing)} lines lie in no plane (first: {missing[0]})")

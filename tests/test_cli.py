@@ -196,10 +196,14 @@ def unsupported_files(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def refused_files(tmp_path_factory, h2):
-    # geometry files the loader refuses: malformed documents, and ones that
-    # fail the import checks
+def refused_files(tmp_path_factory, h2, gr_w52):
+    # geometry files the loader refuses: malformed documents, ones that fail
+    # the import checks, and Grassmannians that are not the line
+    # Grassmannian of the base their kind names
     d = tmp_path_factory.mktemp("cli")
+    relabelled = Geometry(gr_w52.n, [[gr_w52.n - 1 - p for p in l] for l in gr_w52.lines],
+                          gr_w52.kind)
+    assert gr_w52.kind.of == "W(5,2)" and relabelled.lines != gr_w52.lines
     docs = {
         "duplicated": {"points": 3, "lines": [[0, 1, 2], [2, 1, 0]]},
         "not-partial-linear": {"points": 4, "lines": [[0, 1, 2], [1, 2, 3]]},
@@ -213,6 +217,9 @@ def refused_files(tmp_path_factory, h2):
         "kind-not-a-string": {"kind": 6, "points": 3, "lines": [[0, 1, 2]]},
         "order-not-a-list": {"order": 2, "points": 3, "lines": [[0, 1, 2]]},
         "not-an-object": [3, [[0, 1, 2]]],
+        "gr-h2-3-points": {"kind": "grassmannian:H(2)", "points": 3, "lines": [[0, 1, 2]]},
+        "gr-zzz": {"kind": "grassmannian:zzz", "points": 3, "lines": [[0, 1, 2]]},
+        "gr-w52-relabelled": json.loads(relabelled.to_json()),
     }
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
     texts["not-json"] = "{points: 3"
@@ -276,6 +283,15 @@ def refused_files(tmp_path_factory, h2):
     ("positions", "--geometry", "{order-not-a-list}", "--census"),
     ("check", "ovoid", "--geometry", "{not-an-object}", "--points", "0"),
     ("search", "rut", "--geometry", "{missing}"),
+    ("relations", "--geometry", "{gr-h2-3-points}"),
+    ("positions", "--geometry", "{gr-h2-3-points}", "--census"),
+    ("search", "geometric-lines", "--geometry", "{gr-h2-3-points}"),
+    ("relations", "--geometry", "{gr-zzz}"),
+    ("positions", "--geometry", "{gr-zzz}", "--pair", "0", "0"),
+    ("search", "blocking", "--geometry", "{gr-zzz}"),
+    ("relations", "--geometry", "{gr-w52-relabelled}"),
+    ("positions", "--geometry", "{gr-w52-relabelled}", "--census"),
+    ("search", "rut", "--geometry", "{gr-w52-relabelled}"),
 ], ids=" ".join)
 def test_ignored_or_crashing_options_are_usage_errors(w32_file, unsupported_files, refused_files,
                                                       capsys, argv):

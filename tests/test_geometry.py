@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from liegeom import geometry
-from liegeom.constructors import pg, polar_space, PolarFormSpec
+from liegeom.constructors import geometry_by_name, pg, polar_space, PolarFormSpec
 from liegeom.geometry import (
     Geometry,
     GeometryError,
@@ -19,6 +19,7 @@ from liegeom.geometry import (
     is_gamma_space,
     is_generalized_polygon,
     line_grassmannian,
+    one_or_all,
     point_residual,
     singular_planes,
     subspace_closure,
@@ -153,8 +154,51 @@ def singular_planes_pairs(g):
     return sorted(planes)
 
 
+def _lines_inside(g, bits):
+    """Ascending IDs of the lines all of whose points lie in bits."""
+    out = []
+    for x in bit_indices(bits):
+        for li in g.lines_through[x]:
+            if g.lines[li][0] == x and not g.line_bits[li] & ~bits:
+                out.append(li)
+    return sorted(out)
+
+
+def planes_by_closure(g, line_ids):
+    """Each singular plane on some line of line_ids once, as its point
+    bitset and the ascending IDs of the lines inside it.
+
+    Requires a gamma space (checked once per geometry), where the span of a
+    line L and a point p collinear with all of L is singular: the plane on
+    L and p.  covered[l] holds the points of the planes found so far that
+    contain line l, and the points p they hold are skipped for l.
+    """
+    if not g.cached("gamma-space", lambda: is_gamma_space(g)):
+        raise GeometryError("singular planes require a gamma space")
+    covered = [0] * len(g.lines)
+    for li in line_ids:
+        todo = one_or_all(g, li)[2] & ~g.line_bits[li] & ~covered[li]
+        while todo:
+            plane = subspace_closure(g, g.line_bits[li] | todo & -todo)
+            todo &= ~plane
+            inside = _lines_inside(g, plane)
+            for lj in inside:
+                covered[lj] |= plane
+            yield plane, inside
+
+
 def fano():
     return pg(2, 2)
+
+
+def ag23():
+    """The affine plane of order 3: point 3x + y is (x, y) in GF(3)^2, and
+    the lines are the 12 cosets of its four 1-dimensional subspaces."""
+    lines = set()
+    for dx, dy in ((0, 1), (1, 0), (1, 1), (1, 2)):
+        for x, y in itertools.product(range(3), repeat=2):
+            lines.add(tuple(sorted(3 * ((x + t * dx) % 3) + (y + t * dy) % 3 for t in range(3))))
+    return Geometry(9, lines)
 
 
 def test_validate_fano():
@@ -407,11 +451,11 @@ def test_point_residual_matches_pairs(alias, points):
 
 def test_point_residual_spans_each_plane_once(monkeypatch, w52):
     # 15 lines and 15 planes through each point of W(5,2); a plane holds 3
-    # of those lines, and pairwise spanning closed each plane 3 times
+    # of those lines, and pairwise spanning spanned each plane 3 times
     spans = []
-    raw = geometry.subspace_closure
-    monkeypatch.setattr(geometry, "subspace_closure",
-                        lambda g, bits: spans.append(bits) or raw(g, bits))
+    raw = geometry._plane_on
+    monkeypatch.setattr(geometry, "_plane_on",
+                        lambda g, li, p: spans.append((li, p)) or raw(g, li, p))
     for p in range(w52.n):
         res = point_residual(w52, p)
         assert len(res.lines) == 15
@@ -461,6 +505,78 @@ def test_subspace_closure_matches_pairs(w52, gr_w52):
 def test_singular_planes_match_pairs_oracle(w52, q72, gr_w52):
     for g in (pg(3, 2), pg(3, 3), pg(4, 2), w52, q72, gr_w52):
         assert singular_planes(g) == singular_planes_pairs(g)
+
+
+def assert_planes_match_closure(g, points):
+    """The plane kernel, singular_planes and point_residual at each of
+    points agree with the closure-based kernel."""
+    want = list(planes_by_closure(g, range(len(g.lines))))
+    assert list(geometry._planes_on(g, range(len(g.lines)))) == want
+    assert singular_planes(g) == sorted(tuple(bit_indices(plane)) for plane, _ in want)
+    for p in points:
+        through = g.lines_through[p]
+        index = {li: i for i, li in enumerate(through)}
+        res_lines = [tuple(index[li] for li in inside if li in index)
+                     for _, inside in planes_by_closure(g, through)]
+        if res_lines:
+            assert point_residual(g, p).lines == Geometry(len(through), res_lines).lines
+        else:
+            with pytest.raises(GeometryError):
+                point_residual(g, p)
+
+
+@st.composite
+def projective_sections(draw, space=pg(3, 2)):
+    """A drawn set S of at least 3 points of PG(3,2), relabelled in order,
+    with the traces on S of the lines meeting it twice or more, and 1-point
+    lines at a drawn subset of S: a gamma space in which any two points are
+    collinear, so that every line and point off it span a plane."""
+    label = {x: i for i, x in enumerate(sorted(
+        draw(st.sets(st.integers(0, space.n - 1), min_size=3))))}
+    traces = [[label[x] for x in l if x in label] for l in space.lines]
+    singles = draw(st.sets(st.integers(0, len(label) - 1)))
+    return Geometry(len(label), [l for l in traces if len(l) >= 2] + [[x] for x in singles])
+
+
+@given(g=st.one_of(partial_linear_spaces().filter(is_gamma_space), projective_sections()))
+@example(g=ag23())
+@example(g=Geometry(7, [*pg(2, 2).lines, (0,)]))    # a 1-point line inside the plane
+def test_plane_kernel_matches_closure(g):
+    assert_planes_match_closure(g, range(g.n))
+
+
+def test_ag23_plane_is_the_closure_of_the_join():
+    # the join of a line and a point off it has 7 of the 9 points; only the
+    # closure, the whole plane, holds the lines on the other pairs
+    g = ag23()
+    line, p = g.lines[0], next(x for x in range(g.n) if x not in g.lines[0])
+    join = set(line).union(*(g.lines[g.line_through(p, x)] for x in line))
+    assert len(join) == 7
+    assert singular_planes(g) == [tuple(range(9))]
+
+
+@pytest.mark.parametrize("name", ["PG(3,2)", "PG(3,3)", "W(5,2)", "Q+(7,2)", "Q(6,3)",
+                                  "Gr(W(5,2))"])
+def test_plane_kernel_matches_closure_on_models(name):
+    g = (line_grassmannian(geometry_by_name(name[3:-1])) if name.startswith("Gr(")
+         else geometry_by_name(name))
+    assert_planes_match_closure(g, random.Random(3).sample(range(g.n), min(g.n, 40)))
+
+
+@pytest.mark.parametrize("base, fingerprint", [
+    ("W(7,2)", {"points": 5355, "lines": 80325, "hash": "fea7cd3ccc9016a1"}),
+    ("Q(6,3)", {"points": 3640, "lines": 14560, "hash": "ff10ee40340dacf7"}),
+    ("Q+(7,2)", {"points": 1575, "lines": 14175, "hash": "f125aed6fe208efb"}),
+])
+def test_polar_grassmannian_fingerprints(base, fingerprint):
+    assert line_grassmannian(geometry_by_name(base)).fingerprint() == fingerprint
+
+
+@pytest.mark.slow
+def test_elliptic_rank4_grassmannian_fingerprint():
+    # about 8 s and 1.2 GB: run with pytest -m slow
+    g = line_grassmannian(geometry_by_name("Q-(9,2)"))
+    assert g.fingerprint() == {"points": 19635, "lines": 530145, "hash": "12c05d6c6eb2bb3b"}
 
 
 def test_convex_closure_basics(w52):
