@@ -26,7 +26,7 @@ from .geometry import (
     bitset,
     is_generalized_polygon,
     one_or_all,
-    subspace_closure,
+    span,
     validate,
 )
 
@@ -251,7 +251,7 @@ def _polar_rank(g: Geometry) -> int:
         common &= ~bits
         if not common:
             return gens
-        bits = subspace_closure(g, bits | common & -common)
+        bits = span(g, bit_indices(bits | common & -common))[0]
         gens += 1
 
 

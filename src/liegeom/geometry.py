@@ -59,10 +59,12 @@ class Geometry:
 
     def __init__(self, n: int, lines: Iterable[Sequence[int]], kind: Kind = Kind("other"),
                  name: str = "", order: Optional[tuple[int, int]] = None, meta: Optional[dict] = None):
-        lines = sorted(tuple(sorted(set(l))) for l in lines)
+        lines = sorted(tuple(sorted(l)) for l in lines)
         for l in lines:
             if l and (l[0] < 0 or l[-1] >= n):
                 raise GeometryError(f"line {l} has point IDs outside [0, {n})")
+            if len(set(l)) < len(l):
+                raise GeometryError(f"line {l} lists a point twice")
         self.n = n
         self.lines = tuple(lines)
         self.kind = kind
@@ -85,7 +87,6 @@ class Geometry:
         self.line_bits = tuple(line_bits)
         self.lines_through = tuple(tuple(v) for v in lines_through)
         self.full_mask = (1 << n) - 1
-        self._line_index = {l: i for i, l in enumerate(self.lines)}
         self._derived: dict = {}
 
     def cached(self, key, build):
@@ -100,7 +101,15 @@ class Geometry:
     # -- basic queries --------------------------------------------------
 
     def line_id(self, pts: Sequence[int]) -> Optional[int]:
-        return self._line_index.get(tuple(sorted(pts)))
+        """Line ID of the line whose points are pts, scanning the lines
+        through the least of them."""
+        key = tuple(sorted(pts))
+        if not key or not 0 <= key[0] < self.n:
+            return None
+        for li in self.lines_through[key[0]]:
+            if self.lines[li] == key:
+                return li
+        return None
 
     def collinear(self, x: int, y: int) -> bool:
         return bool(self.adj[x] >> y & 1)
@@ -156,12 +165,6 @@ class Geometry:
         for l in lines:
             if sorted(l) != l and warn is not None:
                 warn(f"line {l} not sorted; normalizing")
-        seen = set()
-        for l in lines:
-            key = tuple(sorted(l))
-            if key in seen:
-                raise GeometryError(f"duplicated line {l}")
-            seen.add(key)
         g = Geometry(
             n, lines, Kind.from_str(kind),
             name=doc.get("name", ""),
@@ -211,8 +214,6 @@ def bitset(points: Iterable[int]) -> int:
 class ValidationReport:
     partial_linear: bool
     connected: bool
-    point_degrees: tuple[int, int]   # (min, max) lines per point
-    line_sizes: tuple[int, int]      # (min, max) points per line
     order: Optional[tuple[int, int]]
     thick: bool
     violations: list = dfield(default_factory=list)
@@ -223,8 +224,11 @@ class ValidationReport:
 
 
 def validate(g: Geometry) -> ValidationReport:
-    """Check partial linearity, degree uniformity and connectivity."""
-    violations = []
+    """Check partial linearity (no line twice, no two points on two
+    lines), degree uniformity and connectivity."""
+    # the lines are sorted, so the copies of a line are adjacent
+    violations = [("duplicated-line", l, li, li + 1)
+                  for li, l in enumerate(g.lines[:-1]) if l == g.lines[li + 1]]
     pair_seen = {}
     for li, l in enumerate(g.lines):
         for i in range(len(l)):
@@ -241,9 +245,7 @@ def validate(g: Geometry) -> ValidationReport:
     if sizes and min(sizes) == max(sizes) and deg and min(deg) == max(deg):
         order = (min(sizes) - 1, min(deg) - 1)
     thick = bool(sizes) and min(sizes) >= 3 and min(deg or [0]) >= 3
-    connected = _connected(g)
-    return ValidationReport(partial_linear, connected, (min(deg or [0]), max(deg or [0])),
-                            (min(sizes), max(sizes)), order, thick, violations)
+    return ValidationReport(partial_linear, _connected(g), order, thick, violations)
 
 
 def _connected(g: Geometry) -> bool:
@@ -345,26 +347,6 @@ def is_gamma_space(g: Geometry) -> bool:
                    (one_or_all(g, li) for li in range(len(g.lines))))
 
 
-def subspace_closure(g: Geometry, bits: int) -> int:
-    """The least superset of bits containing every line that meets it in
-    two or more points.
-
-    Each point is visited once after it joins: a line meeting the result
-    twice is added when the later of its two points is visited.
-    """
-    todo = bits
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        for li in g.lines_through[low.bit_length() - 1]:
-            lb = g.line_bits[li]
-            new = lb & ~bits
-            if new and lb & bits & ~low:
-                bits |= new
-                todo |= new
-    return bits
-
-
 def _pair_lines(g: Geometry) -> dict[int, int]:
     """The line on each pair of points, keyed x * n + y for both orders of
     every two points x, y of a line, and x * n + x for a 1-point line {x};
@@ -381,15 +363,15 @@ def _pair_lines(g: Geometry) -> dict[int, int]:
     return g.cached("pair-lines", build)
 
 
-def _plane_on(g: Geometry, li: int, p: int) -> tuple[int, list[int]]:
-    """The least subspace on line li and point p, closed over the pair table:
+def span(g: Geometry, pts: Iterable[int]) -> tuple[int, list[int]]:
+    """The least subspace on the points pts, closed over the pair table:
     each point that joins is paired with every earlier one and with itself,
     and a line found on a pair adds its missing points.  Returns its point
     bitset and the ascending IDs of the lines found, which are the lines
     inside it."""
     n, pairs = g.n, _pair_lines(g)
-    bits = g.line_bits[li] | 1 << p
-    pts = [*g.lines[li], p]
+    pts = list(pts)
+    bits = bitset(pts)
     inside = set()
     for i, y in enumerate(pts):
         row = y * n
@@ -409,9 +391,9 @@ def _planes_on(g: Geometry, line_ids: Iterable[int]) -> Iterator[tuple[int, list
 
     Requires a gamma space (checked once per geometry), where the span of a
     line L and a point p collinear with all of L is singular: the plane on
-    L and p, which _plane_on spans.  covered[l] holds the points of the
-    planes found so far that contain line l, and the points p they hold
-    are skipped for l.
+    L and p, their span.  covered[l] holds the points of the planes found
+    so far that contain line l, and the points p they hold are skipped
+    for l.
     """
     if not g.cached("gamma-space", lambda: is_gamma_space(g)):
         raise GeometryError("singular planes require a gamma space")
@@ -419,7 +401,7 @@ def _planes_on(g: Geometry, line_ids: Iterable[int]) -> Iterator[tuple[int, list
     for li in line_ids:
         todo = one_or_all(g, li)[2] & ~g.line_bits[li] & ~covered[li]
         while todo:
-            plane, inside = _plane_on(g, li, (todo & -todo).bit_length() - 1)
+            plane, inside = span(g, [*g.lines[li], (todo & -todo).bit_length() - 1])
             todo &= ~plane
             for lj in inside:
                 covered[lj] |= plane

@@ -204,8 +204,13 @@ def refused_files(tmp_path_factory, h2, gr_w52):
     relabelled = Geometry(gr_w52.n, [[gr_w52.n - 1 - p for p in l] for l in gr_w52.lines],
                           gr_w52.kind)
     assert gr_w52.kind.of == "W(5,2)" and relabelled.lines != gr_w52.lines
+    # H(2) with one line listing its first point twice: the only fault
+    h2_point_twice = json.loads(h2.to_json())
+    h2_point_twice["lines"][0].insert(0, h2.lines[0][0])
     docs = {
         "duplicated": {"points": 3, "lines": [[0, 1, 2], [2, 1, 0]]},
+        "point-twice": {"points": 3, "lines": [[0, 0, 1], [1, 2]]},
+        "h2-point-twice": h2_point_twice,
         "not-partial-linear": {"points": 4, "lines": [[0, 1, 2], [1, 2, 3]]},
         "id-out-of-range": {"points": 3, "lines": [[0, 1, 3]]},
         "no-hexagon": json.loads(Geometry(h2.n, h2.lines[1:], Kind("polygon", 6)).to_json()),
@@ -270,6 +275,11 @@ def refused_files(tmp_path_factory, h2, gr_w52):
     ("search", "rut", "--geometry", "{empty}"),
     ("search", "blocking", "--geometry", "{empty}"),
     ("relations", "--geometry", "{duplicated}"),
+    ("check", "ovoid", "--geometry", "{point-twice}", "--points", "0"),
+    ("relations", "--geometry", "{h2-point-twice}"),
+    ("positions", "--geometry", "{h2-point-twice}", "--pair", "0", "1"),
+    ("search", "rut", "--geometry", "{h2-point-twice}"),
+    ("check", "ovoid", "--geometry", "{h2-point-twice}", "--points", "0"),
     ("positions", "--geometry", "{not-partial-linear}", "--census"),
     ("search", "blocking", "--geometry", "{id-out-of-range}"),
     ("check", "ovoid", "--geometry", "{no-hexagon}", "--points", "0"),

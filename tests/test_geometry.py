@@ -5,7 +5,7 @@ from collections import Counter, deque
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from liegeom import geometry
 from liegeom.constructors import geometry_by_name, pg, polar_space, PolarFormSpec
@@ -22,7 +22,7 @@ from liegeom.geometry import (
     one_or_all,
     point_residual,
     singular_planes,
-    subspace_closure,
+    span,
     validate,
 )
 from liegeom.recipes import model_geometry
@@ -119,6 +119,26 @@ def is_gamma_space_counts(g):
                for l in g.lines)
 
 
+def subspace_closure(g: Geometry, bits: int) -> int:
+    """The least superset of bits containing every line that meets it in
+    two or more points.
+
+    Each point is visited once after it joins: a line meeting the result
+    twice is added when the later of its two points is visited.
+    """
+    todo = bits
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        for li in g.lines_through[low.bit_length() - 1]:
+            lb = g.line_bits[li]
+            new = lb & ~bits
+            if new and lb & bits & ~low:
+                bits |= new
+                todo |= new
+    return bits
+
+
 def subspace_closure_pairs(g, pts):
     """The closure under lines through pairs, one pair at a time."""
     span = set(pts)
@@ -212,6 +232,17 @@ def test_validate_flags_repeated_line():
     rep = validate(g)
     assert not rep.partial_linear
     assert rep.violations and rep.violations[0][0] == "pair-on-two-lines"
+    # two copies of {0} share no pair of points, but are one line twice
+    rep = validate(Geometry(3, [(0,), (0,), (0, 1, 2)]))
+    assert not rep.partial_linear
+    assert rep.violations == [("duplicated-line", (0,), 0, 1)]
+
+
+def test_line_listing_a_point_twice_is_refused():
+    with pytest.raises(GeometryError, match="lists a point twice"):
+        Geometry(3, [(0, 0, 1), (1, 2)])
+    with pytest.raises(GeometryError, match="lists a point twice"):
+        Geometry.from_json('{"points":3,"lines":[[0,0,1],[1,2]]}')
 
 
 def test_girth_diameter():
@@ -453,9 +484,8 @@ def test_point_residual_spans_each_plane_once(monkeypatch, w52):
     # 15 lines and 15 planes through each point of W(5,2); a plane holds 3
     # of those lines, and pairwise spanning spanned each plane 3 times
     spans = []
-    raw = geometry._plane_on
-    monkeypatch.setattr(geometry, "_plane_on",
-                        lambda g, li, p: spans.append((li, p)) or raw(g, li, p))
+    raw = geometry.span
+    monkeypatch.setattr(geometry, "span", lambda g, pts: spans.append(pts) or raw(g, pts))
     for p in range(w52.n):
         res = point_residual(w52, p)
         assert len(res.lines) == 15
@@ -497,9 +527,13 @@ def test_subspace_closure_matches_pairs(w52, gr_w52):
         for size in (1, 2, 3, 4):
             for _ in range(10):
                 pts = rng.sample(range(g.n), size)
-                assert subspace_closure(g, bitset(pts)) == subspace_closure_pairs(g, pts)
+                want = subspace_closure_pairs(g, pts)
+                assert subspace_closure(g, bitset(pts)) == want
+                bits, inside = span(g, pts)
+                assert bits == want and inside == _lines_inside(g, bits)
         for li in range(5):
             assert subspace_closure(g, bitset(g.lines[li][:2])) == g.line_bits[li]
+            assert span(g, g.lines[li][:2])[0] == g.line_bits[li]
 
 
 def test_singular_planes_match_pairs_oracle(w52, q72, gr_w52):
@@ -561,6 +595,64 @@ def test_plane_kernel_matches_closure_on_models(name):
     g = (line_grassmannian(geometry_by_name(name[3:-1])) if name.startswith("Gr(")
          else geometry_by_name(name))
     assert_planes_match_closure(g, random.Random(3).sample(range(g.n), min(g.n, 40)))
+
+
+@given(g=st.one_of(partial_linear_spaces(), projective_sections()), data=st.data())
+@example(g=Geometry(3, [(0,), (0, 1, 2)]), data=None)    # a 1-point line twice
+def test_a_copied_line_is_refused(g, data):
+    assume(g.lines)
+    li = 0 if data is None else data.draw(st.integers(0, len(g.lines) - 1))
+    assert validate(g).partial_linear and Geometry.from_json(g.to_json()) == g
+    twice = Geometry(g.n, [*g.lines, g.lines[li]])
+    assert not validate(twice).partial_linear
+    with pytest.raises(GeometryError):
+        Geometry.from_json(twice.to_json())
+
+
+@given(g=st.one_of(partial_linear_spaces(), projective_sections()), data=st.data())
+def test_line_id_matches_a_scan_of_the_lines(g, data):
+    draws = [st.sets(st.integers(0, g.n - 1), max_size=1), st.sets(st.integers(0, g.n - 1))]
+    if g.lines:
+        line = data.draw(st.sampled_from(g.lines))
+        draws += [st.just(set(line)), st.sets(st.sampled_from(line), min_size=1)]
+    pts = data.draw(st.one_of(draws))
+    want = next((li for li, l in enumerate(g.lines) if l == tuple(sorted(pts))), None)
+    assert g.line_id(pts) == want
+
+
+def polar_rank_by_closure(g):
+    """1 + dimension of a maximal singular subspace, by greedy extension
+    from point 0 with subspace_closure."""
+    bits, gens = 1, 1
+    while True:
+        common = g.full_mask
+        for x in bit_indices(bits):
+            common &= g.adj[x]
+        common &= ~bits
+        if not common:
+            return gens
+        bits = subspace_closure(g, bits | common & -common)
+        gens += 1
+
+
+#: (family, projective dimension, q, rank) of the polar spaces the tests build
+POLAR_RANKS = [
+    ("sp", 1, 3, 1), ("sp", 3, 2, 2), ("sp", 3, 3, 2), ("sp", 3, 4, 2), ("sp", 5, 2, 3),
+    ("sp", 7, 2, 4), ("parabolic", 2, 4, 1), ("parabolic", 4, 2, 2), ("parabolic", 4, 3, 2),
+    ("parabolic", 4, 4, 2), ("parabolic", 6, 2, 3), ("parabolic", 6, 3, 3),
+    ("hyperbolic", 1, 3, 1), ("hyperbolic", 3, 2, 2), ("hyperbolic", 3, 3, 2),
+    ("hyperbolic", 3, 4, 2), ("hyperbolic", 5, 2, 3), ("hyperbolic", 5, 3, 3),
+    ("hyperbolic", 7, 2, 4), ("elliptic", 3, 2, 1), ("elliptic", 3, 3, 1),
+    ("elliptic", 3, 4, 1), ("elliptic", 5, 2, 2), ("elliptic", 5, 3, 2),
+    ("hermitian", 2, 4, 1), ("hermitian", 3, 4, 2), ("hermitian", 4, 4, 2),
+]
+
+
+@pytest.mark.parametrize("family, dim, q, rank", POLAR_RANKS)
+def test_polar_rank_matches_closure(family, dim, q, rank):
+    from liegeom.constructors import _polar_rank
+    g = polar_space(PolarFormSpec(family, dim, q))
+    assert _polar_rank(g) == polar_rank_by_closure(g) == g.kind.param == rank
 
 
 @pytest.mark.parametrize("base, fingerprint", [
