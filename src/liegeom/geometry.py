@@ -61,7 +61,9 @@ class Geometry:
                  name: str = "", order: Optional[tuple[int, int]] = None, meta: Optional[dict] = None):
         lines = sorted(tuple(sorted(l)) for l in lines)
         for l in lines:
-            if l and (l[0] < 0 or l[-1] >= n):
+            if not l:
+                raise GeometryError("a line has no points")
+            if l[0] < 0 or l[-1] >= n:
                 raise GeometryError(f"line {l} has point IDs outside [0, {n})")
             if len(set(l)) < len(l):
                 raise GeometryError(f"line {l} lists a point twice")

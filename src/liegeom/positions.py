@@ -411,18 +411,9 @@ def _pair_keys(digits: list, lines: np.ndarray) -> np.ndarray:
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of x, ascending.  With no counts asked for,
-    np.unique (and np.union1d) would import numpy.ma, about a megabyte, for
-    its masked-array check."""
+    """The distinct values of x, ascending.  Without return_counts, np.unique
+    would import numpy.ma, about a megabyte, for its masked-array check."""
     return np.unique(x, return_counts=True)[0]
-
-
-def _least(n: int, *arrays) -> np.ndarray:
-    """The n least values of the arrays, ascending, as an array of their own
-    (a slice would keep the whole sorted array alive)."""
-    out = np.concatenate(arrays)
-    out.sort()
-    return out[:n].copy()
 
 
 def _counts(ordered: np.ndarray, known: np.ndarray) -> Optional[np.ndarray]:
@@ -436,34 +427,23 @@ def position_census(model: HexagonicModel) -> PositionCensus:
     """Exhaustive census of all ordered line pairs, vectorized for every line
     size whose pair keys fit in int64 (3- and 4-point lines).
 
-    A pair (L, M) is keyed by its pair matrix, packed.  The column of a
-    point q with respect to L, q's relation codes to L's points, is packed
-    in base 6; a first pass renumbers the u columns that occur onto
-    range(u).  Each distinct pair matrix gets its signature key from the
-    model's memo (HexagonicModel.signature_key), which position_of reads
-    too.  Instances are the first CENSUS_INSTANCES pairs of each position
-    in row-major order, and the first pair of each miss.  All the pairs
-    are charged to the budget before any work.
+    A pair (L, M) is keyed by its pair matrix, packed in base u, the number of
+    columns (a point's relation codes to L's points) that occur.  Each
+    distinct matrix gets its signature key from the model's memo, which
+    position_of reads too.  All the pairs are charged to the budget first.
 
-    The relation matrix must be symmetric (PositionError if it is not).
-    Then the pair matrix of (M, L) is the transpose of that of (L, M), and
-    the census packs at most nl**2 pair keys, in two passes:
+    The relation matrix must be symmetric (PositionError if it is not), so
+    each block of lines L is packed against the lines M from its first line
+    on.  The part beyond the block's square is sorted and counted, and its
+    transposes count the lower triangle: their keys must be the half swaps
+    (the inverse law, exhaustively).  The squares are counted after the loop.
 
-    - counting: each block of lines L is packed against the lines M from
-      the block's first line on, and the block's own square is counted
-      apart from the part beyond it.  The lower triangle's counts are those
-      of the parts beyond under the transpose: each distinct matrix there
-      has its transpose keyed through the memo too, and that key must be
-      the half swap of its own (the inverse law, exhaustively).  This pass
-      also keeps the first instances of each position in the upper
-      triangle;
-    - instances: in row order, a block's pairs with the earlier lines are
-      packed only while some position that occurs below the diagonal is
-      still open: its instances so far fall short of its quota or reach
-      into the block's rows.
-
-    The census is identical for every block size, and runs on the calling
-    thread only.
+    Instances are the first CENSUS_INSTANCES pairs of each position in
+    row-major order, and the first pair of each miss.  One collector merges
+    them from each part beyond while a value there is short of its quota,
+    then from the squares, then from the lower blocks in row order while
+    some signature may still gain one there.  At most nl**2 keys are packed,
+    and the census is identical for every block size.
     """
     g = model.geometry
     nl, m = len(g.lines), model.m
@@ -477,18 +457,16 @@ def position_census(model: HexagonicModel) -> PositionCensus:
     if not np.array_equal(R, R.T):
         raise PositionError("census is not symmetric under pair reversal")
     lines_arr = np.array(g.lines, dtype=np.intp)
-    col_type = np.min_scalar_type(nrel ** m - 1)
+    B = CENSUS_BLOCK
 
     def columns(i0):
         """[b, q]: q's relation codes to line i0 + b's points, in base nrel."""
-        rows = np.take(R, lines_arr[i0:i0 + CENSUS_BLOCK].T, axis=0)   # [i, b, q]
-        return _pack(rows[1:], nrel, rows[0].astype(col_type))
+        rows = np.take(R, lines_arr[i0:i0 + B].T, axis=0)   # [i, b, q]
+        return _pack(rows[1:], nrel, rows[0].astype(np.min_scalar_type(nrel ** m - 1)))
 
     # the columns that occur
-    seen = np.zeros(nrel ** m, dtype=np.intp)
-    for i0 in range(0, nl, CENSUS_BLOCK):
-        seen += np.bincount(columns(i0).ravel(), minlength=nrel ** m)
-    occurring = np.flatnonzero(seen)
+    occurring = np.flatnonzero(sum(np.bincount(columns(i0).ravel(), minlength=nrel ** m)
+                                   for i0 in range(0, nl, B)))
     u = len(occurring)
     renumber = np.zeros(nrel ** m, dtype=np.min_scalar_type(u - 1))
     renumber[occurring] = np.arange(u)
@@ -498,8 +476,7 @@ def position_census(model: HexagonicModel) -> PositionCensus:
     key_entry = model.catalogue.by_sig
 
     def block_keys(i0, lo, hi):
-        """key[M - lo, b]: the packed matrix of the pair (i0 + b, M), for the
-        lines M in [lo, hi)."""
+        """key[M - lo, b]: the packed matrix of the pair (i0 + b, M), lo <= M < hi."""
         tau = np.take(renumber, np.ascontiguousarray(columns(i0).T))
         return _pair_keys([tau * p for p in place], lines_arr[lo:hi])
 
@@ -508,8 +485,7 @@ def position_census(model: HexagonicModel) -> PositionCensus:
         cols = [occurring[v // u ** (m - 1 - j) % u] for j in range(m)]
         return [[x // nrel ** (m - 1 - i) % nrel for x in cols] for i in range(m)]
 
-    # packed pair matrix -> signature key
-    signature: dict[int, bytes] = {}
+    signature: dict[int, bytes] = {}        # packed pair matrix -> signature key
 
     def sig_of(v):
         sig = signature.get(v)
@@ -520,139 +496,93 @@ def position_census(model: HexagonicModel) -> PositionCensus:
     def quota(sig):
         return CENSUS_INSTANCES if sig in key_entry else 1
 
-    def groups(vals, wanted):
-        """For the ascending values vals: their distinct signatures, the
-        index of each value's signature among them, and whether
-        wanted(signature) holds for each value."""
-        sigs = [sig_of(v) for v in vals.tolist()]
-        names = list(dict.fromkeys(sigs))
-        index = {sig: i for i, sig in enumerate(names)}
-        group = np.array([index[sig] for sig in sigs], dtype=np.intp)
-        return names, group, np.array([wanted(sig) for sig in names], dtype=bool)[group]
-
     def member(key, vals):
-        """Whether each key is one of the values vals, read from a table over
-        all keys when they have at most 16 bits (np.isin takes about ten
-        bytes per key)."""
+        """Whether each key is one of the values vals, read from a table over all
+        keys when they have at most 16 bits (np.isin takes ~10 bytes per key)."""
         if key_type.itemsize > 2:
             return np.isin(key, vals)
         table = np.zeros(u ** m, dtype=bool)
         table[vals] = True
         return table[key]
 
-    def first_hits(at, vals, known, names, group, take):
-        """{sig: the first take(sig) of the ascending flat indices ``at``
-        whose value in vals has signature sig}, where every value is in
-        known (ascending) and names, group come from groups(known, ...)."""
-        hit = group[np.searchsorted(known, vals)]
-        return {names[w]: at[np.flatnonzero(hit == w)[:take(names[w])]]
-                for w in _distinct(hit).tolist()}
+    first: dict[bytes, np.ndarray] = {}     # sig -> its least flat pair indices so far
 
-    def scan(part, row0, col0, known, names, group, wanted, take):
-        """Yield (sig, its next instances) for the pairs in ``part`` whose
-        value is wanted, where part[M, b] holds the pair (row0 + b, col0 +
-        M), its values are in known and wanted() masks known.  Where the
-        wanted pairs are many, the rows go a few at a time, about 2**13
-        pairs each, to keep temporaries small, and wanted() is read again
-        for each batch of rows."""
-        r, width = 0, part.shape[1]
-        while r < width and (want := wanted()).any():
-            hits = member(part[:, r:], known[want])
-            count = np.count_nonzero(hits)
-            if not count:
-                return
-            rows = max(1, min(width - r, (1 << 13) * (width - r) // count))
-            mi, b = np.divmod(np.flatnonzero(hits[:, :rows]), rows)
-            at = (row0 + r + b) * nl + col0 + mi
-            order = np.argsort(at)
-            yield from first_hits(at[order], part[mi, r + b][order], known, names, group,
-                                  take).items()
-            r += rows
+    def short(vs):
+        """Whether the signature of each value is short of its quota."""
+        return np.array([len(first.get(s, ())) < quota(s) for s in map(sig_of, vs.tolist())], bool)
 
-    def upper():
-        """The counting pass: the counts of every signature, its pairs below
-        the diagonal, and its first pairs in the upper triangle."""
-        counts, below = Counter(), Counter()
-        found: dict[bytes, list] = {}       # sig -> chunks of its first pairs
-        in_squares, have = Counter(), Counter()   # their sizes, in and beyond the squares
-        squares = []
+    def collect(keys, at_of, vals):
+        """Merge into first[sig] the flat pair indices at_of(i) of the keys[i],
+        in ascending pair order, whose value (one of the ascending vals) has sig."""
+        idx = np.flatnonzero(member(keys, vals))
+        sigs = [sig_of(v) for v in vals.tolist()]
+        names = list(dict.fromkeys(sigs))
+        hit = np.array([names.index(s) for s in sigs], dtype=np.intp)[
+            np.searchsorted(vals, keys[idx])]
+        for w, sig in enumerate(names):
+            # seeded with an empty int64 array: an empty tuple would not stay int64
+            at = np.concatenate((first.get(sig, np.empty(0, dtype=np.int64)),
+                                 at_of(idx[hit == w][:quota(sig)])))
+            at.sort()
+            first[sig] = at[:quota(sig)].copy()
 
-        def keep(sig, at, tally):
-            found.setdefault(sig, []).append(at)
-            tally[sig] += len(at)
-
-        def open_here(sig):
-            return have[sig] < quota(sig)
-
-        def take_squares():
-            """Count and search the squares kept so far, as one array."""
-            keys = np.concatenate([s.T.ravel() for _, s in squares])
-            at = np.concatenate([np.add.outer((i0 + np.arange(len(s))) * nl,
-                                              i0 + np.arange(len(s))).ravel()
-                                 for i0, s in squares])
-            vals, cnts = np.unique(keys, return_counts=True)
-            for v, c in zip(vals.tolist(), cnts.tolist()):
-                counts[sig_of(v)] += c
-            names, group, _ = groups(vals, bool)
-            for sig, hits in first_hits(at, keys, vals, names, group,
-                                        lambda sig: quota(sig) - in_squares[sig]).items():
-                keep(sig, hits, in_squares)
-            squares.clear()
-
-        known = np.empty(0, dtype=key_type)     # the values met beyond the squares,
-        total = np.empty(0, dtype=np.int64)     # how often each occurs there
-        names, group, want = groups(known, open_here)
-        for i0 in range(0, nl, CENSUS_BLOCK):
-            nb = min(CENSUS_BLOCK, nl - i0)
-            key = block_keys(i0, i0, nl)
-            # the squares are small: they are searched 64 blocks at a time
-            squares.append((i0, key[:nb].copy()))
-            if len(squares) == 64 or i0 + CENSUS_BLOCK >= nl:
-                take_squares()
-            ordered = np.sort(key[nb:], axis=None)
+    counts = Counter()
+    squares = []                            # each block's square, row-major
+    known = np.empty(0, dtype=key_type)     # the values met beyond the squares,
+    total = np.empty(0, dtype=np.int64)     # how often each occurs there,
+    open_ = np.empty(0, dtype=bool)         # and whether its signature is short
+    for i0 in range(0, nl, B):
+        nb = min(B, nl - i0)
+        key = block_keys(i0, i0, nl)
+        squares.append(key[:nb].T.ravel())
+        part = key[nb:]
+        ordered = np.sort(part, axis=None)
+        cnts = _counts(ordered, known)
+        if cnts is None:
+            vals = _distinct(np.concatenate((known, ordered)))
+            grown = np.zeros(len(vals), dtype=np.int64)
+            grown[np.searchsorted(vals, known)] = total
+            known, total, open_ = vals, grown, short(vals)
             cnts = _counts(ordered, known)
-            if cnts is None:
-                vals = _distinct(np.concatenate((known, ordered)))
-                grown = np.zeros(len(vals), dtype=np.int64)
-                grown[np.searchsorted(vals, known)] = total
-                known, total = vals, grown
-                names, group, want = groups(known, open_here)
-                cnts = _counts(ordered, known)
-            total += cnts
-            for sig, at in scan(key[nb:], i0, i0 + nb, known, names, group,
-                                lambda: want & (cnts > 0),
-                                lambda sig: quota(sig) - have[sig]):
-                keep(sig, at, have)
-                if not open_here(sig):
-                    want[group == names.index(sig)] = False
-        # the lower triangle: each value beyond the squares, transposed
-        for v, c in zip(known.tolist(), total.tolist()):
-            sig = sig_of(v)
-            inv = model.signature_key(bytes(d for col in zip(*codes(v)) for d in col))
-            if inv != _swap_key(sig, m):
-                raise PositionError("key of a transposed pair matrix is not the half swap")
-            counts[sig] += c
-            counts[inv] += c
-            below[inv] += c
-        return counts, below, {sig: _least(quota(sig), *chunks) for sig, chunks in found.items()}
+        total += cnts
+        here = (cnts > 0) & open_
+        if here.any():
+            collect(part.T.ravel(), lambda j, w=len(part): (i0 + j // w) * nl + i0 + nb + j % w,
+                    known[here])
+            open_ = short(known)
+    squares = np.concatenate(squares)
+    vals, cnts = np.unique(squares, return_counts=True)
+    for v, c in zip(vals.tolist(), cnts.tolist()):
+        counts[sig_of(v)] += c
 
-    counts, below, first = upper()
+    def at_square(j):
+        """The flat pair index of squares[j]: B * B keys a block, nb * nb the last."""
+        i0 = j // (B * B) * B
+        b, c = np.divmod(j % (B * B), np.minimum(B, nl - i0))
+        return (i0 + b) * nl + i0 + c
 
-    def settled(sig, start):
-        """No pair from flat index ``start`` on is among sig's instances."""
-        got = len(first.get(sig, ()))
-        return got == counts[sig] or got == quota(sig) and first[sig][-1] < start
+    collect(squares, at_square, vals)
+    del squares
+    # the lower triangle: each value beyond the squares, transposed
+    for v, c in zip(known.tolist(), total.tolist()):
+        sig = sig_of(v)
+        inv = model.signature_key(bytes(d for col in zip(*codes(v)) for d in col))
+        if inv != _swap_key(sig, m):
+            raise PositionError("key of a transposed pair matrix is not the half swap")
+        counts[sig] += c
+        counts[inv] += c
 
-    pending = set(below)
-    for i0 in range(CENSUS_BLOCK, nl, CENSUS_BLOCK):
-        pending = {sig for sig in pending if not settled(sig, i0 * nl)}
+    pending = {_swap_key(sig_of(v), m) for v in known.tolist()}   # the sigs below the diagonal
+    for i0 in range(B, nl, B):
+        # keep those whose instances may still gain a pair from row i0 on
+        pending = {s for s in pending if (got := len(first.get(s, ()))) < counts[s]
+                   and (got < quota(s) or first[s][-1] >= i0 * nl)}
         if not pending:
             break
         key = block_keys(i0, 0, i0)
-        known = _distinct(key)
-        names, group, want = groups(known, pending.__contains__)
-        for sig, at in scan(key, i0, 0, known, names, group, lambda: want, quota):
-            first[sig] = _least(quota(sig), first.get(sig, at[:0]), at)
+        vals = _distinct(key)
+        collect(key.T.ravel(), lambda j: (i0 + j // i0) * nl + j % i0,
+                vals[np.array([sig_of(v) in pending for v in vals.tolist()], dtype=bool)])
     inst = {sig: list(zip((at // nl).tolist(), (at % nl).tolist())) for sig, at in first.items()}
     misses = sorted(pairs[0] for v, pairs in inst.items() if v not in key_entry)
     miss_examples = [CatalogueMiss(li, mi, model.pair_matrix(li, mi))

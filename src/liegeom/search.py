@@ -301,10 +301,14 @@ def _centre_caps(g: Geometry, c: int, qs: int) -> dict[tuple[int, int], int]:
 
 def _special_trace_cap(g: Geometry, c: int, a: int, b: int) -> tuple[int, int]:
     """For a special pair a, b with centre c: the points q opposite c and
-    special to both, and their cap (the perp of c without c if none)."""
+    special to both, and their cap, the AND of their traces (the perp of c
+    without c if there are none)."""
     o = opposition_sets(g)
     qs = o.opp[c] & o.notopp[a] & o.notopp[b]
-    return qs, _centre_caps(g, c, qs).get((min(a, b), max(a, b)), g.adj[c] & ~(1 << c))
+    cap = g.adj[c] & ~(1 << c)
+    for q in bit_indices(qs):
+        cap &= o.notopp[q]
+    return qs, cap
 
 
 def hyperbolic_line(g: Geometry, a: int, b: int) -> tuple[int, ...]:
@@ -316,9 +320,8 @@ def hyperbolic_line(g: Geometry, a: int, b: int) -> tuple[int, ...]:
     """
     if geometry_family(g) != "hexagon":
         raise GeometryError("hyperbolic lines are defined here for hexagons")
-    c = special_center(g, a, b)
-    h = _centre_caps(g, c, opposition_sets(g).opp[c]).get((min(a, b), max(a, b)))
-    if h is None:
+    qs, h = _special_trace_cap(g, special_center(g, a, b), a, b)
+    if not qs:
         raise GeometryError("no point opposite the centre is special to both")
     return tuple(bit_indices(h))
 

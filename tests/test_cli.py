@@ -210,6 +210,7 @@ def refused_files(tmp_path_factory, h2, gr_w52):
     docs = {
         "duplicated": {"points": 3, "lines": [[0, 1, 2], [2, 1, 0]]},
         "point-twice": {"points": 3, "lines": [[0, 0, 1], [1, 2]]},
+        "empty-line": {"points": 3, "lines": [[], [0, 1, 2]]},
         "h2-point-twice": h2_point_twice,
         "not-partial-linear": {"points": 4, "lines": [[0, 1, 2], [1, 2, 3]]},
         "id-out-of-range": {"points": 3, "lines": [[0, 1, 3]]},
@@ -276,6 +277,7 @@ def refused_files(tmp_path_factory, h2, gr_w52):
     ("search", "blocking", "--geometry", "{empty}"),
     ("relations", "--geometry", "{duplicated}"),
     ("check", "ovoid", "--geometry", "{point-twice}", "--points", "0"),
+    ("check", "ovoid", "--geometry", "{empty-line}", "--points", "0"),
     ("relations", "--geometry", "{h2-point-twice}"),
     ("positions", "--geometry", "{h2-point-twice}", "--pair", "0", "1"),
     ("search", "rut", "--geometry", "{h2-point-twice}"),

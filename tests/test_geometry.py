@@ -245,6 +245,13 @@ def test_line_listing_a_point_twice_is_refused():
         Geometry.from_json('{"points":3,"lines":[[0,0,1],[1,2]]}')
 
 
+def test_line_with_no_points_is_refused():
+    with pytest.raises(GeometryError, match="^a line has no points$"):
+        Geometry(3, [(), (0, 1, 2)])
+    with pytest.raises(GeometryError, match="a line has no points"):
+        Geometry.from_json('{"points":3,"lines":[[],[0,1,2]]}')
+
+
 def test_girth_diameter():
     assert incidence_girth_diameter(fano()) == (6, 3)
     w32 = polar_space(PolarFormSpec("sp", 3, 2))

@@ -583,6 +583,23 @@ def test_census_on_four_point_lines(h3):
     assert census.instances == oracle.instances
 
 
+@pytest.mark.parametrize("share", (0.0, 0.02))
+def test_four_point_census_does_not_depend_on_block_size(h3, share):
+    # H(3) with a quota of 7: instances merge across the squares and the
+    # parts beyond them at m = 4; with 2% of its codes redrawn, misses that
+    # occur only below the diagonal also run the lower pass
+    model = coded_model(h3, random_codes(h3, _ALPHABETS[1], share, 0))
+    oracle = census_scalar(model, instance_cap=7)
+    assert (oracle.miss_count > 0) == (share > 0)
+    for block in (5, 16):
+        with mock.patch.multiple(positions, CENSUS_BLOCK=block, CENSUS_INSTANCES=7):
+            census = position_census(model)
+        assert (census.counts, census.instances, census.miss_count) == (
+            oracle.counts, oracle.instances, oracle.miss_count)
+        assert ([(m.line_a, m.line_b, m.matrix) for m in census.misses]
+                == [(m.line_a, m.line_b, m.matrix) for m in oracle.misses])
+
+
 def test_census_rejects_keys_beyond_int64(h34):
     # H(3,4) has 5-point lines, whose keys reach 252**10 > 2**63: the census
     # refuses rather than wrap, while the scalar path stays exact

@@ -573,6 +573,20 @@ def test_hyperbolic_cap_equals_scan(h3, h2_dual, data):
         assert S._special_trace_cap(g, S.special_center(g, a, b), a, b)[1] == bitset(line)
 
 
+def test_special_trace_cap_equals_centre_caps(h2):
+    # one fold over the points opposite the centre and special to both
+    # equals the bulk caps at that centre, on every special pair of H(2)
+    opp = opposition_sets(h2).opp
+    pairs = _special_pairs(h2)
+    assert len(pairs) == 756
+    for a, b in pairs:
+        c = S.special_center(h2, a, b)
+        qs, cap = S._special_trace_cap(h2, c, a, b)
+        assert qs and cap == S._centre_caps(h2, c, opp[c])[a, b]
+        assert S._special_trace_cap(h2, c, b, a) == (qs, cap)
+        assert S.hyperbolic_line(h2, b, a) == tuple(bit_indices(cap))
+
+
 def test_centre_without_opposite_points_is_refused():
     # centre 0 with its opposition row emptied has no point trace, so the
     # special pairs it is the centre of get no cap: the build must refuse
