@@ -181,6 +181,7 @@ def _positions(args, model: HexagonicModel) -> dict:
         "total-ordered-pairs": census.total,
         "catalogue-misses": census.miss_count,
         "miss-examples": [m.display for m in census.misses],
+        "line-orbits": census.orbits,
     }
 
 

@@ -13,7 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -167,13 +167,10 @@ class PolarFormSpec:
             raise ConstructionError(f"unknown polar family {self.family!r}")
 
 
-def _polar_form(F: GF, spec: PolarFormSpec) -> tuple[Callable, Callable]:
-    """(point_ok, pair_ok) of a polar family, on coordinate columns.
-
-    Two isotropic points span a totally isotropic line iff the form
-    vanishes on the pair: the alternating or Hermitian form itself, and
-    for a quadric Q its polar form, which is Q(x + y) as Q(x) = Q(y) = 0.
-    """
+def polar_forms(F: GF, spec: PolarFormSpec) -> tuple[Optional[Callable], Callable]:
+    """(quadric, form) of a polar family, on coordinate columns: the
+    quadric Q (None for the symplectic and Hermitian families) and the
+    form B, for a quadric its polar form Q(x + y) - Q(x) - Q(y)."""
     A = F.arrays()
     add, mul, neg = A
     d = spec.dim
@@ -184,7 +181,8 @@ def _polar_form(F: GF, spec: PolarFormSpec) -> tuple[Callable, Callable]:
         def form(x, y):
             return _dot(A, [t for i in range(0, d, 2)
                             for t in ((x[i], y[i + 1]), (neg[x[i + 1]], y[i]))])
-    elif spec.family == "hermitian":
+        return None, form
+    if spec.family == "hermitian":
         if F.k % 2:
             raise ConstructionError("hermitian forms need a square field order")
         # anti-diagonal form sum_i x_i * conj(y_{d-i}), conj = Frobenius^(k/2)
@@ -192,28 +190,41 @@ def _polar_form(F: GF, spec: PolarFormSpec) -> tuple[Callable, Callable]:
 
         def form(x, y):
             return _dot(A, [(x[i], conj[y[d - i]]) for i in range(d + 1)])
-    else:
-        # x0 x1 + x2 x3 + ... over the hyperbolic pairs, plus x_d^2
-        # (parabolic) or u^2 + uv + dd v^2 on the last two (elliptic)
-        hyp_pairs = {"hyperbolic": (d + 1) // 2, "parabolic": d // 2,
-                     "elliptic": (d - 1) // 2}[spec.family]
-        dd = _anisotropic_coefficient(F) if spec.family == "elliptic" else 0
+        return None, form
+    # x0 x1 + x2 x3 + ... over the hyperbolic pairs, plus x_d^2
+    # (parabolic) or u^2 + uv + dd v^2 on the last two (elliptic)
+    hyp_pairs = {"hyperbolic": (d + 1) // 2, "parabolic": d // 2,
+                 "elliptic": (d - 1) // 2}[spec.family]
+    dd = _anisotropic_coefficient(F) if spec.family == "elliptic" else 0
 
-        def quadric(x):
-            terms = [(x[2 * i], x[2 * i + 1]) for i in range(hyp_pairs)]
-            if spec.family == "parabolic":
-                terms.append((x[d], x[d]))
-            elif spec.family == "elliptic":
-                u, v = x[d - 1], x[d]
-                terms += [(u, u), (u, v), (dd, mul[v, v])]
-            return _dot(A, terms)
+    def quadric(x):
+        terms = [(x[2 * i], x[2 * i + 1]) for i in range(hyp_pairs)]
+        if spec.family == "parabolic":
+            terms.append((x[d], x[d]))
+        elif spec.family == "elliptic":
+            u, v = x[d - 1], x[d]
+            terms += [(u, u), (u, v), (dd, mul[v, v])]
+        return _dot(A, terms)
 
-        return (lambda x: quadric(x) == 0,
-                lambda x, y: quadric([add[a, b] for a, b in zip(x, y)]) == 0)
+    def polar(x, y):
+        return add[add[quadric([add[a, b] for a, b in zip(x, y)]), neg[quadric(x)]],
+                   neg[quadric(y)]]
+    return quadric, polar
 
-    def pair_ok(x, y):
-        return form(x, y) == 0
-    return (lambda x: pair_ok(x, x)), pair_ok
+
+def _polar_form(F: GF, spec: PolarFormSpec) -> tuple[Callable, Callable]:
+    """(point_ok, pair_ok) of a polar family, on coordinate columns.
+
+    Two isotropic points span a totally isotropic line iff the form
+    vanishes on the pair: the alternating or Hermitian form itself, and
+    for a quadric Q its polar form, which is Q(x + y) as Q(x) = Q(y) = 0.
+    """
+    quadric, form = polar_forms(F, spec)
+    if quadric is None:
+        return (lambda x: form(x, x) == 0), (lambda x, y: form(x, y) == 0)
+    add = F.arrays()[0]
+    return (lambda x: quadric(x) == 0,
+            lambda x, y: quadric([add[a, b] for a, b in zip(x, y)]) == 0)
 
 
 def _anisotropic_coefficient(F: GF) -> int:

@@ -12,13 +12,14 @@ successor position, with the terminal position being the opposite pair.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .geometry import Geometry, GeometryError
+from .groups import line_orbits
 from .relations import (
     COLLINEAR,
     EQUAL,
@@ -369,7 +370,7 @@ class HexagonicModel:
     def locally_opposite_at(self, x: int, ki: int, li: int) -> bool:
         """Whether lines ki and li, both through x, are locally opposite at x."""
         g = self.geometry
-        if not (g.line_bits[ki] >> x & 1) or not (g.line_bits[li] >> x & 1):
+        if x not in g.lines[ki] or x not in g.lines[li]:
             raise PositionError(f"lines {ki},{li} do not both pass through {x}")
         return li in self.local_opposites(x)[ki]
 
@@ -387,6 +388,7 @@ class PositionCensus:
     miss_count: int
     instances: dict                   # display string -> list of (li, mi)
     total: int
+    orbits: int                       # line orbits, one row counted for each
 
     def realized(self) -> list[str]:
         return sorted(self.counts)
@@ -394,56 +396,57 @@ class PositionCensus:
 
 #: instances kept per position by position_census
 CENSUS_INSTANCES = 10000
-#: lines per block of position_census
+#: rows per block of position_census
 CENSUS_BLOCK = 16
 
 
-def _pair_keys(digits: list, lines: np.ndarray) -> np.ndarray:
-    """key[M, b]: the sum over j of digits[j][q, b] at the j-th point q of
-    line M (row M of ``lines``).  With digits[j] the columns of the points
-    with respect to the lines b, renumbered onto range(u) and scaled by
-    u**(m - 1 - j), that is the pair matrix of (b, M) packed in base u: one
-    key per line pair."""
-    key = np.take(digits[0], lines[:, 0], axis=0)
-    for j in range(1, len(digits)):
-        key += np.take(digits[j], lines[:, j], axis=0)
-    return key
+def _row_keys(R: np.ndarray, lines: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
+    """key[b, M]: the pair matrix of (rows[b], M), for every line M, packed:
+    each point's column (its codes to the points of line rows[b]) in base
+    6, and M's columns in base 6**m."""
+    nrel, m = len(REL_DISPLAY), lines.shape[1]
+    cols = _pack(R[lines[rows]].transpose(1, 0, 2), nrel,
+                 np.zeros((len(rows), len(R)), dtype=dtype))
+    return _pack((np.take(cols, lines[:, j], axis=1) for j in range(m)), nrel ** m,
+                 np.zeros((len(rows), len(lines)), dtype=dtype))
 
 
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of x, ascending.  Without return_counts, np.unique
-    would import numpy.ma, about a megabyte, for its masked-array check."""
-    return np.unique(x, return_counts=True)[0]
-
-
-def _counts(ordered: np.ndarray, known: np.ndarray) -> Optional[np.ndarray]:
-    """How often each of the ascending values ``known`` occurs in the
-    ascending array ``ordered``, or None if ordered holds another value."""
-    counts = np.searchsorted(ordered, known, "right") - np.searchsorted(ordered, known)
-    return counts if counts.sum() == ordered.size else None
+def _listed_keys(R: np.ndarray, lines: np.ndarray, li: np.ndarray, mi: np.ndarray,
+                 dtype) -> np.ndarray:
+    """key[k]: the pair matrix of (li[k], mi[k]), packed as by _row_keys."""
+    nrel, m = len(REL_DISPLAY), lines.shape[1]
+    mat = R[lines[li][:, :, None], lines[mi][:, None, :]]
+    return _pack((mat[:, i, j] for j in range(m) for i in range(m)), nrel,
+                 np.zeros(len(li), dtype=dtype))
 
 
 def position_census(model: HexagonicModel) -> PositionCensus:
-    """Exhaustive census of all ordered line pairs, vectorized for every line
-    size whose pair keys fit in int64 (3- and 4-point lines).
+    """Census of all ordered line pairs from one row per line orbit, for
+    every line size whose pair keys fit in int64 (3- and 4-point lines).
 
-    A pair (L, M) is keyed by its pair matrix, packed in base u, the number of
-    columns (a point's relation codes to L's points) that occur.  Each
+    A pair (L, M) is keyed by its packed pair matrix (_row_keys).  Each
     distinct matrix gets its signature key from the model's memo, which
-    position_of reads too.  All the pairs are charged to the budget first.
+    position_of reads too, and the key of its transpose must be the half
+    swap of its own.  All the pairs are charged to the budget first, and
+    the relation matrix must be symmetric (PositionError if it is not).
 
-    The relation matrix must be symmetric (PositionError if it is not), so
-    each block of lines L is packed against the lines M from its first line
-    on.  The part beyond the block's square is sorted and counted, and its
-    transposes count the lower triangle: their keys must be the half swaps
-    (the inverse law, exhaustively).  The squares are counted after the loop.
+    Counts: groups.line_orbits certifies generators from the base's form
+    on the geometry and on this relation matrix.  A certified generator
+    maps the pairs (L, M) of a row onto the pairs of its image row with the
+    same signatures, so a count is the sum over the orbits of the orbit
+    size times the count in the row of the orbit's least line.
 
     Instances are the first CENSUS_INSTANCES pairs of each position in
-    row-major order, and the first pair of each miss.  One collector merges
-    them from each part beyond while a value there is short of its quota,
-    then from the squares, then from the lower blocks in row order while
-    some signature may still gain one there.  At most nl**2 keys are packed,
-    and the census is identical for every block size.
+    row-major order, and the first pair of each miss.  A signature takes
+    them from the first of these sources that applies, each read in
+    row-major order until its signatures are full:
+    - the diagonal pairs (L, L), when all its pairs are diagonal;
+    - the pairs of lines that meet, row by row, when its matrix holds
+      EQUAL and EQUAL is on the relation matrix's diagonal only (a matrix
+      holding EQUAL then belongs to two lines through a common point);
+    - a scan of all pairs, row by row.
+    With no certified generator every line is its own orbit, and one scan
+    of every row, in blocks of CENSUS_BLOCK rows, counts and collects.
     """
     g = model.geometry
     nl, m = len(g.lines), model.m
@@ -456,147 +459,116 @@ def position_census(model: HexagonicModel) -> PositionCensus:
     R = model.rel.np().view(np.uint8)
     if not np.array_equal(R, R.T):
         raise PositionError("census is not symmetric under pair reversal")
-    lines_arr = np.array(g.lines, dtype=np.intp)
+    lines = np.array(g.lines, dtype=np.intp)
+    dtype = np.int32 if nrel ** (m * m) <= 1 << 31 else np.int64
     B = CENSUS_BLOCK
-
-    def columns(i0):
-        """[b, q]: q's relation codes to line i0 + b's points, in base nrel."""
-        rows = np.take(R, lines_arr[i0:i0 + B].T, axis=0)   # [i, b, q]
-        return _pack(rows[1:], nrel, rows[0].astype(np.min_scalar_type(nrel ** m - 1)))
-
-    # the columns that occur
-    occurring = np.flatnonzero(sum(np.bincount(columns(i0).ravel(), minlength=nrel ** m)
-                                   for i0 in range(0, nl, B)))
-    u = len(occurring)
-    renumber = np.zeros(nrel ** m, dtype=np.min_scalar_type(u - 1))
-    renumber[occurring] = np.arange(u)
-    key_type = np.min_scalar_type(u ** m - 1)
-    place = [key_type.type(u ** (m - 1 - j)) for j in range(m)]
-    occurring = occurring.tolist()
     key_entry = model.catalogue.by_sig
-
-    def block_keys(i0, lo, hi):
-        """key[M - lo, b]: the packed matrix of the pair (i0 + b, M), lo <= M < hi."""
-        tau = np.take(renumber, np.ascontiguousarray(columns(i0).T))
-        return _pair_keys([tau * p for p in place], lines_arr[lo:hi])
-
-    def codes(v):
-        """The pair matrix packed as v: codes(v)[i][j] from L's i-th point to M's j-th."""
-        cols = [occurring[v // u ** (m - 1 - j) % u] for j in range(m)]
-        return [[x // nrel ** (m - 1 - i) % nrel for x in cols] for i in range(m)]
-
     signature: dict[int, bytes] = {}        # packed pair matrix -> signature key
 
     def sig_of(v):
         sig = signature.get(v)
         if sig is None:
-            sig = signature[v] = model.signature_key(bytes(d for row in codes(v) for d in row))
+            # the digits of v, most significant first, are the matrix column by column
+            d = [v // nrel ** k % nrel for k in reversed(range(m * m))]
+            sig = model.signature_key(bytes(d[j * m + i] for i in range(m) for j in range(m)))
+            if model.signature_key(bytes(d)) != _swap_key(sig, m):
+                raise PositionError("key of a transposed pair matrix is not the half swap")
+            signature[v] = sig
         return sig
 
-    def quota(sig):
-        return CENSUS_INSTANCES if sig in key_entry else 1
-
-    def member(key, vals):
-        """Whether each key is one of the values vals, read from a table over all
-        keys when they have at most 16 bits (np.isin takes ~10 bytes per key)."""
-        if key_type.itemsize > 2:
-            return np.isin(key, vals)
-        table = np.zeros(u ** m, dtype=bool)
-        table[vals] = True
-        return table[key]
-
-    first: dict[bytes, np.ndarray] = {}     # sig -> its least flat pair indices so far
-
-    def short(vs):
-        """Whether the signature of each value is short of its quota."""
-        return np.array([len(first.get(s, ())) < quota(s) for s in map(sig_of, vs.tolist())], bool)
-
-    def collect(keys, at_of, vals):
-        """Merge into first[sig] the flat pair indices at_of(i) of the keys[i],
-        in ascending pair order, whose value (one of the ascending vals) has sig."""
-        idx = np.flatnonzero(member(keys, vals))
-        sigs = [sig_of(v) for v in vals.tolist()]
-        names = list(dict.fromkeys(sigs))
-        hit = np.array([names.index(s) for s in sigs], dtype=np.intp)[
-            np.searchsorted(vals, keys[idx])]
-        for w, sig in enumerate(names):
-            # seeded with an empty int64 array: an empty tuple would not stay int64
-            at = np.concatenate((first.get(sig, np.empty(0, dtype=np.int64)),
-                                 at_of(idx[hit == w][:quota(sig)])))
-            at.sort()
-            first[sig] = at[:quota(sig)].copy()
+    def tally(key, weight) -> Counter:
+        """The signatures of the keys in the rows of key, row b counted weight[b] times."""
+        key = np.sort(key, axis=1)
+        at = np.flatnonzero(np.diff(key, axis=1, prepend=-1))
+        runs = np.diff(at, append=key.size) * weight[at // key.shape[1]]
+        out = Counter()
+        for v, c in zip(key.ravel()[at].tolist(), runs.tolist()):
+            out[sig_of(v)] += c
+        return out
 
     counts = Counter()
-    squares = []                            # each block's square, row-major
-    known = np.empty(0, dtype=key_type)     # the values met beyond the squares,
-    total = np.empty(0, dtype=np.int64)     # how often each occurs there,
-    open_ = np.empty(0, dtype=bool)         # and whether its signature is short
-    for i0 in range(0, nl, B):
-        nb = min(B, nl - i0)
-        key = block_keys(i0, i0, nl)
-        squares.append(key[:nb].T.ravel())
-        part = key[nb:]
-        ordered = np.sort(part, axis=None)
-        cnts = _counts(ordered, known)
-        if cnts is None:
-            vals = _distinct(np.concatenate((known, ordered)))
-            grown = np.zeros(len(vals), dtype=np.int64)
-            grown[np.searchsorted(vals, known)] = total
-            known, total, open_ = vals, grown, short(vals)
-            cnts = _counts(ordered, known)
-        total += cnts
-        here = (cnts > 0) & open_
-        if here.any():
-            collect(part.T.ravel(), lambda j, w=len(part): (i0 + j // w) * nl + i0 + nb + j % w,
-                    known[here])
-            open_ = short(known)
-    squares = np.concatenate(squares)
-    vals, cnts = np.unique(squares, return_counts=True)
-    for v, c in zip(vals.tolist(), cnts.tolist()):
-        counts[sig_of(v)] += c
+    first: dict[bytes, list] = defaultdict(list)    # sig -> its instances so far
 
-    def at_square(j):
-        """The flat pair index of squares[j]: B * B keys a block, nb * nb the last."""
-        i0 = j // (B * B) * B
-        b, c = np.divmod(j % (B * B), np.minimum(B, nl - i0))
-        return (i0 + b) * nl + i0 + c
+    def short(s) -> int:
+        """How many more instances the signature s takes."""
+        return min(counts[s], CENSUS_INSTANCES if s in key_entry else 1) - len(first[s])
 
-    collect(squares, at_square, vals)
-    del squares
-    # the lower triangle: each value beyond the squares, transposed
-    for v, c in zip(known.tolist(), total.tolist()):
-        sig = sig_of(v)
-        inv = model.signature_key(bytes(d for col in zip(*codes(v)) for d in col))
-        if inv != _swap_key(sig, m):
-            raise PositionError("key of a transposed pair matrix is not the half swap")
-        counts[sig] += c
-        counts[inv] += c
+    def full(sigs) -> bool:
+        return all(short(s) <= 0 for s in sigs)
 
-    pending = {_swap_key(sig_of(v), m) for v in known.tolist()}   # the sigs below the diagonal
-    for i0 in range(B, nl, B):
-        # keep those whose instances may still gain a pair from row i0 on
-        pending = {s for s in pending if (got := len(first.get(s, ()))) < counts[s]
-                   and (got < quota(s) or first[s][-1] >= i0 * nl)}
-        if not pending:
-            break
-        key = block_keys(i0, 0, i0)
-        vals = _distinct(key)
-        collect(key.T.ravel(), lambda j: (i0 + j // i0) * nl + j % i0,
-                vals[np.array([sig_of(v) in pending for v in vals.tolist()], dtype=bool)])
-    inst = {sig: list(zip((at // nl).tolist(), (at % nl).tolist())) for sig, at in first.items()}
-    misses = sorted(pairs[0] for v, pairs in inst.items() if v not in key_entry)
+    def collect(key, pairs, sigs):
+        """Append to first[s], for each s of sigs still short, the pairs(k)
+        of the first keys key[k] with signature s; key runs in row-major
+        pair order."""
+        vals = np.sort(key)
+        vals = vals[np.diff(vals, prepend=-1) != 0].tolist()
+        keep, group, names = [], [], {}
+        for v in vals:
+            if (s := sig_of(v)) in sigs and short(s) > 0:
+                keep.append(v)
+                group.append(names.setdefault(s, len(names)))
+        if keep:
+            keep = np.array(keep, dtype=key.dtype)
+            at = np.minimum(np.searchsorted(keep, key), len(keep) - 1)
+            idx = np.flatnonzero(keep[at] == key)
+            group = np.array(group)[at[idx]]
+            for s, w in names.items():
+                first[s] += pairs(idx[group == w][:short(s)])
+
+    def scan(sigs):
+        """Collect the row blocks from row 0 on while a signature of sigs is
+        short; with sigs None, count every row as well."""
+        for i0 in range(0, nl, B):
+            if sigs is not None and full(sigs):
+                return
+            key = _row_keys(R, lines, np.arange(i0, min(i0 + B, nl)), dtype)
+            if sigs is None:
+                counts.update(tally(key, np.ones(len(key), dtype=np.int64)))
+            collect(key.ravel(), lambda k: list(zip((i0 + k // nl).tolist(), (k % nl).tolist())),
+                    counts if sigs is None else sigs)
+
+    orbit = line_orbits(g, lines, R)
+    reps = np.flatnonzero(orbit == np.arange(nl))
+    if len(reps) == nl:
+        scan(None)
+    else:
+        size = np.bincount(orbit)[reps]
+        for s in range(0, len(reps), B):
+            counts.update(tally(_row_keys(R, lines, reps[s:s + B], dtype), size[s:s + B]))
+        diag = _listed_keys(R, lines, np.arange(nl), np.arange(nl), dtype)
+        on_diag = tally(diag[None], np.ones(1, dtype=np.int64))
+        diagonal = {s for s in counts if on_diag[s] == counts[s]}
+        collect(diag, lambda k: list(zip(k.tolist(), k.tolist())), diagonal)
+        meeting = set()
+        if np.count_nonzero(R == EQUAL) == g.n and (R.diagonal() == EQUAL).all():
+            meeting = {s for s in counts if EQUAL in s} - diagonal
+            through = np.full((g.n, max(map(len, g.lines_through))), nl)
+            for p, ls in enumerate(g.lines_through):
+                through[p, :len(ls)] = ls
+            for i0 in range(0, nl, B):
+                if full(meeting):
+                    break
+                # the lines through each row's points, ascending, each once
+                met = np.sort(through[lines[i0:i0 + B]].reshape(min(B, nl - i0), -1), axis=1)
+                b, j = np.nonzero((met < nl) & (np.diff(met, axis=1, prepend=-1) != 0))
+                li, mi = i0 + b, met[b, j]
+                collect(_listed_keys(R, lines, li, mi, dtype),
+                        lambda k: list(zip(li[k].tolist(), mi[k].tolist())), meeting)
+        scan(set(counts) - diagonal - meeting)
+
+    misses = sorted(pairs[0] for s, pairs in first.items() if s not in key_entry)
     miss_examples = [CatalogueMiss(li, mi, model.pair_matrix(li, mi))
                      for li, mi in misses[:100]]
-    miss_count = sum(c for v, c in counts.items() if v not in key_entry)
+    miss_count = sum(c for s, c in counts.items() if s not in key_entry)
     # inverse law for the catalogue positions, at the signature-key level
-    for v in counts:
-        w = _swap_key(v, m)
-        if v in key_entry and (w not in key_entry
-                               or key_entry[w].tuple4 != key_entry[v].inverse_tuple()):
-            raise PositionError(f"inverse law fails for {key_entry[v].display}")
-    realized = [(v, e.display) for v, e in key_entry.items() if v in counts]
-    return PositionCensus({d: counts[v] for v, d in realized}, miss_examples, miss_count,
-                          {d: inst[v] for v, d in realized}, nl * nl)
+    for s in counts:
+        w = _swap_key(s, m)
+        if s in key_entry and (w not in key_entry
+                               or key_entry[w].tuple4 != key_entry[s].inverse_tuple()):
+            raise PositionError(f"inverse law fails for {key_entry[s].display}")
+    realized = [(s, e.display) for s, e in key_entry.items() if s in counts]
+    return PositionCensus({d: counts[s] for s, d in realized}, miss_examples, miss_count,
+                          {d: first[s] for s, d in realized}, nl * nl, len(reps))
 
 
 def seeded_instances(census: PositionCensus, display: str, k: int, seed: int) -> list:

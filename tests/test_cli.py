@@ -166,6 +166,22 @@ def test_positions_census_budget(tmp_path, capsys):
         assert doc["census"] == {"0110": 63, "0112": 378, "1223": 1512, "2332": 2016}
 
 
+def test_positions_census_reports_line_orbits(tmp_path, capsys):
+    # a hexagon has no generators, so each of its 63 lines is an orbit; an
+    # imported Gr(W(5,2)) gets its generators from the base rebuilt from
+    # its name, and they make it line-transitive
+    for argv, orbits, total in ((("hexagon", "--q", "2"), 63, 63 * 63),
+                                (("polar", "--family", "sp", "--dim", "5", "--q", "2",
+                                  "--grassmannian"), 1, 945 * 945)):
+        geom = tmp_path / "geometry.json"
+        run(capsys, "build", *argv, "--out", str(geom))
+        code, out = run(capsys, "positions", "--geometry", str(geom), "--census")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["line-orbits"], doc["total-ordered-pairs"]) == (orbits, total)
+        assert sum(doc["census"].values()) == total and doc["catalogue-misses"] == 0
+
+
 def test_import_rejects_bad_geometry(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x", "kind": "other", "order": None,

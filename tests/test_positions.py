@@ -4,13 +4,14 @@ import json
 import random
 import threading
 from collections import Counter
+from typing import Optional
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liegeom import positions, search as S
+from liegeom import groups, positions, search as S
 from liegeom.geometry import Geometry, GeometryError
 from liegeom.positions import (
     AlgorithmViolation,
@@ -22,6 +23,7 @@ from liegeom.positions import (
     PositionCensus,
     PositionError,
     TERMINAL,
+    _pack,
     _swap_key,
     comb_to_opposite,
     combing_algorithm_1,
@@ -85,7 +87,215 @@ def census_scalar(model: HexagonicModel, instance_cap: int) -> PositionCensus:
         if counts.get(to_display(e.inverse_tuple()), 0) != c:
             raise PositionError(f"inverse law fails for {d}")
     miss_examples = sorted(first_miss.values(), key=lambda m: (m.line_a, m.line_b))[:100]
-    return PositionCensus(counts, miss_examples, miss_count, inst, nl * nl)
+    return PositionCensus(counts, miss_examples, miss_count, inst, nl * nl, nl)
+
+
+def census_fields(census: PositionCensus) -> tuple:
+    """What a census finds: its counts, instances, miss count and miss examples."""
+    return (census.counts, census.instances, census.miss_count,
+            [(m.line_a, m.line_b, m.matrix) for m in census.misses])
+
+
+def _pair_keys(digits: list, lines: np.ndarray) -> np.ndarray:
+    """key[M, b]: the sum over j of digits[j][q, b] at the j-th point q of
+    line M (row M of ``lines``).  With digits[j] the columns of the points
+    with respect to the lines b, renumbered onto range(u) and scaled by
+    u**(m - 1 - j), that is the pair matrix of (b, M) packed in base u: one
+    key per line pair."""
+    key = np.take(digits[0], lines[:, 0], axis=0)
+    for j in range(1, len(digits)):
+        key += np.take(digits[j], lines[:, j], axis=0)
+    return key
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, ascending.  Without return_counts, np.unique
+    would import numpy.ma, about a megabyte, for its masked-array check."""
+    return np.unique(x, return_counts=True)[0]
+
+
+def _counts(ordered: np.ndarray, known: np.ndarray) -> Optional[np.ndarray]:
+    """How often each of the ascending values ``known`` occurs in the
+    ascending array ``ordered``, or None if ordered holds another value."""
+    counts = np.searchsorted(ordered, known, "right") - np.searchsorted(ordered, known)
+    return counts if counts.sum() == ordered.size else None
+
+
+def census_exhaustive(model: HexagonicModel) -> PositionCensus:
+    """The census of every pair, the oracle of position_census: each
+    unordered pair packed once, vectorized for every line size whose pair
+    keys fit in int64 (3- and 4-point lines).
+
+    A pair (L, M) is keyed by its pair matrix, packed in base u, the number of
+    columns (a point's relation codes to L's points) that occur.  Each
+    distinct matrix gets its signature key from the model's memo, which
+    position_of reads too.  All the pairs are charged to the budget first.
+
+    The relation matrix must be symmetric (PositionError if it is not), so
+    each block of lines L is packed against the lines M from its first line
+    on.  The part beyond the block's square is sorted and counted, and its
+    transposes count the lower triangle: their keys must be the half swaps
+    (the inverse law, exhaustively).  The squares are counted after the loop.
+
+    Instances are the first CENSUS_INSTANCES pairs of each position in
+    row-major order, and the first pair of each miss.  One collector merges
+    them from each part beyond while a value there is short of its quota,
+    then from the squares, then from the lower blocks in row order while
+    some signature may still gain one there.  At most nl**2 keys are packed,
+    and the census is identical for every block size.
+    """
+    g = model.geometry
+    nl, m = len(g.lines), model.m
+    S.Meter("position census", "pairs").tick(nl * nl)
+    nrel = len(REL_DISPLAY)
+    if nrel ** (m * m) > 1 << 63:
+        raise PositionError(f"pair keys of {m}-point lines reach {nrel}**{m * m}, "
+                            "beyond the int64 bound 2**63")
+    # codes are 0..5, so their unsigned view adds without casting
+    R = model.rel.np().view(np.uint8)
+    if not np.array_equal(R, R.T):
+        raise PositionError("census is not symmetric under pair reversal")
+    lines_arr = np.array(g.lines, dtype=np.intp)
+    B = positions.CENSUS_BLOCK
+
+    def columns(i0):
+        """[b, q]: q's relation codes to line i0 + b's points, in base nrel."""
+        rows = np.take(R, lines_arr[i0:i0 + B].T, axis=0)   # [i, b, q]
+        return _pack(rows[1:], nrel, rows[0].astype(np.min_scalar_type(nrel ** m - 1)))
+
+    # the columns that occur
+    occurring = np.flatnonzero(sum(np.bincount(columns(i0).ravel(), minlength=nrel ** m)
+                                   for i0 in range(0, nl, B)))
+    u = len(occurring)
+    renumber = np.zeros(nrel ** m, dtype=np.min_scalar_type(u - 1))
+    renumber[occurring] = np.arange(u)
+    key_type = np.min_scalar_type(u ** m - 1)
+    place = [key_type.type(u ** (m - 1 - j)) for j in range(m)]
+    occurring = occurring.tolist()
+    key_entry = model.catalogue.by_sig
+
+    def block_keys(i0, lo, hi):
+        """key[M - lo, b]: the packed matrix of the pair (i0 + b, M), lo <= M < hi."""
+        tau = np.take(renumber, np.ascontiguousarray(columns(i0).T))
+        return _pair_keys([tau * p for p in place], lines_arr[lo:hi])
+
+    def codes(v):
+        """The pair matrix packed as v: codes(v)[i][j] from L's i-th point to M's j-th."""
+        cols = [occurring[v // u ** (m - 1 - j) % u] for j in range(m)]
+        return [[x // nrel ** (m - 1 - i) % nrel for x in cols] for i in range(m)]
+
+    signature: dict[int, bytes] = {}        # packed pair matrix -> signature key
+
+    def sig_of(v):
+        sig = signature.get(v)
+        if sig is None:
+            sig = signature[v] = model.signature_key(bytes(d for row in codes(v) for d in row))
+        return sig
+
+    def quota(sig):
+        return positions.CENSUS_INSTANCES if sig in key_entry else 1
+
+    def member(key, vals):
+        """Whether each key is one of the values vals, read from a table over all
+        keys when they have at most 16 bits (np.isin takes ~10 bytes per key)."""
+        if key_type.itemsize > 2:
+            return np.isin(key, vals)
+        table = np.zeros(u ** m, dtype=bool)
+        table[vals] = True
+        return table[key]
+
+    first: dict[bytes, np.ndarray] = {}     # sig -> its least flat pair indices so far
+
+    def short(vs):
+        """Whether the signature of each value is short of its quota."""
+        return np.array([len(first.get(s, ())) < quota(s) for s in map(sig_of, vs.tolist())], bool)
+
+    def collect(keys, at_of, vals):
+        """Merge into first[sig] the flat pair indices at_of(i) of the keys[i],
+        in ascending pair order, whose value (one of the ascending vals) has sig."""
+        idx = np.flatnonzero(member(keys, vals))
+        sigs = [sig_of(v) for v in vals.tolist()]
+        names = list(dict.fromkeys(sigs))
+        hit = np.array([names.index(s) for s in sigs], dtype=np.intp)[
+            np.searchsorted(vals, keys[idx])]
+        for w, sig in enumerate(names):
+            # seeded with an empty int64 array: an empty tuple would not stay int64
+            at = np.concatenate((first.get(sig, np.empty(0, dtype=np.int64)),
+                                 at_of(idx[hit == w][:quota(sig)])))
+            at.sort()
+            first[sig] = at[:quota(sig)].copy()
+
+    counts = Counter()
+    squares = []                            # each block's square, row-major
+    known = np.empty(0, dtype=key_type)     # the values met beyond the squares,
+    total = np.empty(0, dtype=np.int64)     # how often each occurs there,
+    open_ = np.empty(0, dtype=bool)         # and whether its signature is short
+    for i0 in range(0, nl, B):
+        nb = min(B, nl - i0)
+        key = block_keys(i0, i0, nl)
+        squares.append(key[:nb].T.ravel())
+        part = key[nb:]
+        ordered = np.sort(part, axis=None)
+        cnts = _counts(ordered, known)
+        if cnts is None:
+            vals = _distinct(np.concatenate((known, ordered)))
+            grown = np.zeros(len(vals), dtype=np.int64)
+            grown[np.searchsorted(vals, known)] = total
+            known, total, open_ = vals, grown, short(vals)
+            cnts = _counts(ordered, known)
+        total += cnts
+        here = (cnts > 0) & open_
+        if here.any():
+            collect(part.T.ravel(), lambda j, w=len(part): (i0 + j // w) * nl + i0 + nb + j % w,
+                    known[here])
+            open_ = short(known)
+    squares = np.concatenate(squares)
+    vals, cnts = np.unique(squares, return_counts=True)
+    for v, c in zip(vals.tolist(), cnts.tolist()):
+        counts[sig_of(v)] += c
+
+    def at_square(j):
+        """The flat pair index of squares[j]: B * B keys a block, nb * nb the last."""
+        i0 = j // (B * B) * B
+        b, c = np.divmod(j % (B * B), np.minimum(B, nl - i0))
+        return (i0 + b) * nl + i0 + c
+
+    collect(squares, at_square, vals)
+    del squares
+    # the lower triangle: each value beyond the squares, transposed
+    for v, c in zip(known.tolist(), total.tolist()):
+        sig = sig_of(v)
+        inv = model.signature_key(bytes(d for col in zip(*codes(v)) for d in col))
+        if inv != _swap_key(sig, m):
+            raise PositionError("key of a transposed pair matrix is not the half swap")
+        counts[sig] += c
+        counts[inv] += c
+
+    pending = {_swap_key(sig_of(v), m) for v in known.tolist()}   # the sigs below the diagonal
+    for i0 in range(B, nl, B):
+        # keep those whose instances may still gain a pair from row i0 on
+        pending = {s for s in pending if (got := len(first.get(s, ()))) < counts[s]
+                   and (got < quota(s) or first[s][-1] >= i0 * nl)}
+        if not pending:
+            break
+        key = block_keys(i0, 0, i0)
+        vals = _distinct(key)
+        collect(key.T.ravel(), lambda j: (i0 + j // i0) * nl + j % i0,
+                vals[np.array([sig_of(v) in pending for v in vals.tolist()], dtype=bool)])
+    inst = {sig: list(zip((at // nl).tolist(), (at % nl).tolist())) for sig, at in first.items()}
+    misses = sorted(pairs[0] for v, pairs in inst.items() if v not in key_entry)
+    miss_examples = [CatalogueMiss(li, mi, model.pair_matrix(li, mi))
+                     for li, mi in misses[:100]]
+    miss_count = sum(c for v, c in counts.items() if v not in key_entry)
+    # inverse law for the catalogue positions, at the signature-key level
+    for v in counts:
+        w = _swap_key(v, m)
+        if v in key_entry and (w not in key_entry
+                               or key_entry[w].tuple4 != key_entry[v].inverse_tuple()):
+            raise PositionError(f"inverse law fails for {key_entry[v].display}")
+    realized = [(v, e.display) for v, e in key_entry.items() if v in counts]
+    return PositionCensus({d: counts[v] for v, d in realized}, miss_examples, miss_count,
+                          {d: inst[v] for v, d in realized}, nl * nl, nl)
 
 
 def local_opposites_oracle(model: HexagonicModel, x: int) -> dict:
@@ -585,19 +795,18 @@ def test_census_on_four_point_lines(h3):
 
 @pytest.mark.parametrize("share", (0.0, 0.02))
 def test_four_point_census_does_not_depend_on_block_size(h3, share):
-    # H(3) with a quota of 7: instances merge across the squares and the
-    # parts beyond them at m = 4; with 2% of its codes redrawn, misses that
-    # occur only below the diagonal also run the lower pass
+    # H(3) with a quota of 7, at m = 4: the scan of every row and the
+    # exhaustive census (instances merged across its squares and the parts
+    # beyond them; with 2% of the codes redrawn, misses that occur only
+    # below the diagonal also run its lower pass) equal the pair-by-pair
+    # census for each block size
     model = coded_model(h3, random_codes(h3, _ALPHABETS[1], share, 0))
     oracle = census_scalar(model, instance_cap=7)
     assert (oracle.miss_count > 0) == (share > 0)
     for block in (5, 16):
         with mock.patch.multiple(positions, CENSUS_BLOCK=block, CENSUS_INSTANCES=7):
-            census = position_census(model)
-        assert (census.counts, census.instances, census.miss_count) == (
-            oracle.counts, oracle.instances, oracle.miss_count)
-        assert ([(m.line_a, m.line_b, m.matrix) for m in census.misses]
-                == [(m.line_a, m.line_b, m.matrix) for m in oracle.misses])
+            for census in (position_census(model), census_exhaustive(model)):
+                assert census_fields(census) == census_fields(oracle)
 
 
 def test_census_rejects_keys_beyond_int64(h34):
@@ -702,7 +911,7 @@ def test_census_refuses_an_asymmetric_relation_matrix(h2, point):
 
 
 def packed_pairs(model: HexagonicModel) -> int:
-    """The pair keys the census of model packs."""
+    """The pair keys the exhaustive census of model packs."""
     sizes = []
 
     def counted(*args):
@@ -710,10 +919,25 @@ def packed_pairs(model: HexagonicModel) -> int:
         sizes.append(key.size)
         return key
 
-    pair_keys = positions._pair_keys
-    with mock.patch.object(positions, "_pair_keys", counted):
-        position_census(model)
+    pair_keys = _pair_keys
+    with mock.patch.dict(globals(), _pair_keys=counted):
+        census_exhaustive(model)
     return sum(sizes)
+
+
+def packed_rows(model: HexagonicModel) -> tuple[PositionCensus, list]:
+    """The census of model, and the lines of the rows it packs whole, one
+    list per block, in the order it packs them."""
+    blocks = []
+
+    def counted(R, lines, rows, dtype):
+        blocks.append(rows.tolist())
+        return row_keys(R, lines, rows, dtype)
+
+    row_keys = positions._row_keys
+    with mock.patch.object(positions, "_row_keys", counted):
+        census = position_census(model)
+    return census, blocks
 
 
 @settings(max_examples=10)
@@ -724,16 +948,42 @@ def packed_pairs(model: HexagonicModel) -> int:
        quota=st.sampled_from((1, 7, 10000)))
 @example(alphabet=tuple(range(len(REL_DISPLAY))), share=1.0, seed=0, block=5, quota=10000)
 def test_census_packs_no_pair_twice(h2, alphabet, share, seed, block, quota):
-    # the upper triangle is packed once, and the lower triangle at most
-    # once, even when every position is rarer than its quota
+    # a hexagon has no generators, so the census scans every row once, in
+    # blocks, to count and collect; the exhaustive census packs the upper
+    # triangle once, and the lower triangle at most once, even when every
+    # position is rarer than its quota
     model = coded_model(h2, random_codes(h2, alphabet, share, seed))
+    nl = len(h2.lines)
     with mock.patch.multiple(positions, CENSUS_BLOCK=block, CENSUS_INSTANCES=quota):
-        assert packed_pairs(model) <= len(h2.lines) ** 2
+        census, blocks = packed_rows(model)
+        assert packed_pairs(model) <= nl ** 2
+    assert census.orbits == nl
+    assert blocks == [list(range(i, min(i + block, nl))) for i in range(0, nl, block)]
+
+
+@pytest.mark.parametrize("block, quota", ((16, 10000), (5, 7), (64, 1)))
+def test_orbit_census_scans_each_row_once(gr_w52, block, quota):
+    # Gr(W(5,2)) is line-transitive: the census counts row 0, then scans
+    # rows 0, 1, ... once each, and stops after the block that completes the
+    # last position it collects there (one with no EQUAL entry: those take
+    # the diagonal or the pairs of lines that meet)
+    nl = len(gr_w52.lines)
+    with mock.patch.multiple(positions, CENSUS_BLOCK=block, CENSUS_INSTANCES=quota):
+        census, blocks = packed_rows(HexagonicModel(gr_w52))
+        oracle = census_exhaustive(HexagonicModel(gr_w52))
+    assert census.orbits == 1 and blocks[0] == [0]
+    rows = sum(blocks[1:], [])
+    assert rows == list(range(len(rows))) and blocks[1:] == [
+        rows[i:i + block] for i in range(0, len(rows), block)]
+    last = max(li for d, pairs in census.instances.items() if "0" not in d for li, _ in pairs)
+    assert blocks[-1][0] <= last <= blocks[-1][-1]
+    assert census_fields(census) == census_fields(oracle)
 
 
 def test_census_reads_little_of_the_lower_triangle(monkeypatch, gr_w52):
     # with one instance per position every position is settled by the
-    # first rows, so little beyond the upper triangle is packed
+    # first rows, so the exhaustive census packs little beyond the upper
+    # triangle
     monkeypatch.setattr(positions, "CENSUS_INSTANCES", 1)
     nl = len(gr_w52.lines)
     assert packed_pairs(HexagonicModel(gr_w52)) <= 0.6 * nl * nl
@@ -771,6 +1021,87 @@ def test_lazy_model_reads_few_rows(h2):
             assert lazy.position_of(li, mi) == dense.position_of(li, mi)
             assert lazy.free_points(li, mi) == dense.free_points(li, mi)
     assert lazy.rel._np is None
+
+
+# -- the orbit census and its certificate ----------------------------------------
+
+
+@pytest.mark.parametrize("name, orbits", (("h2", 63), ("h3", 364), ("gr_w52", 1), ("gr_q72", 1)))
+def test_orbit_census_equals_the_exhaustive_census(name, orbits, request):
+    # hexagons have no generators, so every line is its own orbit; the
+    # generators from the form make both Grassmannians line-transitive
+    # (the census of Gr(Q+(7,2)) is the one the recipes keep)
+    g = request.getfixturevalue(name)
+    census = (request.getfixturevalue("gr_census") if name == "gr_q72"
+              else position_census(HexagonicModel(g)))
+    assert census.orbits == orbits
+    assert census_fields(census) == census_fields(census_exhaustive(HexagonicModel(g)))
+
+
+@pytest.fixture(scope="module")
+def gr_w52_census(gr_w52):
+    return census_fields(census_exhaustive(HexagonicModel(gr_w52)))
+
+
+def line_array(g: Geometry) -> np.ndarray:
+    return np.array(g.lines, dtype=np.intp)
+
+
+@settings(max_examples=10)
+@given(data=st.data())
+def test_a_generator_with_two_point_images_swapped_is_refused(gr_w52, gr_w52_census, data):
+    # swapping the images of two base points sends a line through one of
+    # them and not the other off the base lines; tried first, the doctored
+    # generator is refused and the census is unchanged
+    base = gr_w52.meta["base"]
+    R = HexagonicModel(gr_w52).rel.np().view(np.uint8)
+    certify = groups.certifier(base, line_array(gr_w52), R)
+    images = list(groups.point_images(base))
+    k = data.draw(st.integers(0, len(images) - 1))
+    p, q = data.draw(st.lists(st.integers(0, base.n - 1), min_size=2, max_size=2, unique=True))
+    swapped = images[k].copy()
+    swapped[[p, q]] = swapped[[q, p]]
+    assert certify(images[k]) is not None
+    assert certify(swapped) is None
+    with mock.patch.object(groups, "point_images", lambda b: iter([swapped] + images)):
+        census = position_census(HexagonicModel(gr_w52))
+    assert census.orbits == 1
+    assert census_fields(census) == gr_w52_census
+
+
+def test_a_recoded_pair_fails_every_generator(gr_w52):
+    # one symmetric pair of Gr(W(5,2)) coded SPECIAL instead of SYMPLECTIC:
+    # every candidate moves that pair, so none keeps the relation data, and
+    # the census counts every row
+    model = HexagonicModel(gr_w52)
+    assert model.rel.rel(0, 1) == SYMPLECTIC
+    doc = doctored(model, [(0, 1)], SPECIAL)
+    base = gr_w52.meta["base"]
+    certify = groups.certifier(base, line_array(gr_w52), doc.rel.np().view(np.uint8))
+    assert not any(certify(images) is not None for images in groups.point_images(base))
+    census = position_census(doc)
+    assert census.orbits == len(gr_w52.lines)
+    assert census_fields(census) == census_fields(census_exhaustive(doc))
+
+
+def test_an_off_diagonal_equal_turns_off_the_meeting_rule(gr_w52):
+    # the pair (0, 5) of Gr(W(5,2)) coded EQUAL: one candidate still keeps
+    # the relation data, so the census counts orbit rows, but a matrix
+    # holding EQUAL no longer implies lines that meet, so only the diagonal
+    # is read as listed pairs and the rest comes from the row scan
+    doc = doctored(HexagonicModel(gr_w52), [(0, 5)], EQUAL)
+    listed = []
+
+    def counted(R, lines, li, mi, dtype):
+        listed.append(len(li))
+        return listed_keys(R, lines, li, mi, dtype)
+
+    listed_keys = positions._listed_keys
+    with mock.patch.object(positions, "_listed_keys", counted):
+        census = position_census(doc)
+    assert 1 < census.orbits < len(gr_w52.lines)
+    assert listed == [len(gr_w52.lines)]
+    assert census_fields(census) == census_fields(census_exhaustive(doc))
 
 
 # -- properties of the signature key -------------------------------------------
@@ -862,15 +1193,13 @@ def test_census_fills_the_position_memo(h2):
        seed=st.integers(0, 2 ** 32 - 1),
        quota=st.sampled_from((1, 7, 10000)))
 def test_census_does_not_depend_on_block_size(h2, alphabet, share, seed, quota):
-    # the block size only splits the work: counts,
-    # instances (the first ``quota`` pairs of each position in row-major
-    # order) and misses are those of the pair-by-pair census for each
+    # the block size only splits the work: counts, instances (the first
+    # ``quota`` pairs of each position in row-major order) and misses of the
+    # census and of the exhaustive census are those of the pair-by-pair
+    # census for each
     model = coded_model(h2, random_codes(h2, alphabet, share, seed))
-    oracle = census_scalar(model, instance_cap=quota)
-    want = (oracle.counts, oracle.instances, oracle.miss_count,
-            [(m.line_a, m.line_b, m.matrix) for m in oracle.misses])
+    want = census_fields(census_scalar(model, instance_cap=quota))
     for block in (1, 5, 16, 64):
         with mock.patch.multiple(positions, CENSUS_BLOCK=block, CENSUS_INSTANCES=quota):
-            census = position_census(model)
-        assert (census.counts, census.instances, census.miss_count,
-                [(m.line_a, m.line_b, m.matrix) for m in census.misses]) == want
+            for census in (position_census(model), census_exhaustive(model)):
+                assert census_fields(census) == want
