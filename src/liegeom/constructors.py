@@ -276,7 +276,7 @@ def _check_polar_axioms(g: Geometry) -> None:
         bad = g.full_mask & ~ge1 | ge2 & ~common
         if bad:
             x = (bad & -bad).bit_length() - 1
-            c = (g.adj[x] & g.line_bits[li]).bit_count()
+            c = sum(g.adj[x] >> p & 1 for p in g.lines[li])
             raise ConstructionError(
                 f"one-or-all violated at point {x}, line {li} (|perp cap line| = {c})")
     for x in range(g.n):

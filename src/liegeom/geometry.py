@@ -75,18 +75,15 @@ class Geometry:
         self.meta = meta or {}
 
         adj = [1 << i for i in range(n)]
-        line_bits = []
         lines_through: list[list[int]] = [[] for _ in range(n)]
         for li, l in enumerate(self.lines):
             bits = 0
             for p in l:
                 bits |= 1 << p
                 lines_through[p].append(li)
-            line_bits.append(bits)
             for p in l:
                 adj[p] |= bits
         self.adj = tuple(adj)
-        self.line_bits = tuple(line_bits)
         self.lines_through = tuple(tuple(v) for v in lines_through)
         self.full_mask = (1 << n) - 1
         self._derived: dict = {}
@@ -99,6 +96,12 @@ class Geometry:
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
+
+    @property
+    def line_bits(self) -> tuple[int, ...]:
+        """The point bitset of each line, built on first read: one n-bit int
+        per line is more than a large geometry needs to keep."""
+        return self.cached("line-bits", lambda: tuple(map(bitset, self.lines)))
 
     # -- basic queries --------------------------------------------------
 
@@ -119,7 +122,7 @@ class Geometry:
     def line_through(self, x: int, y: int) -> Optional[int]:
         """Line ID of the unique line on two distinct collinear points."""
         for li in self.lines_through[x]:
-            if self.line_bits[li] >> y & 1:
+            if y in self.lines[li]:
                 return li
         return None
 
@@ -231,13 +234,14 @@ def validate(g: Geometry) -> ValidationReport:
     # the lines are sorted, so the copies of a line are adjacent
     violations = [("duplicated-line", l, li, li + 1)
                   for li, l in enumerate(g.lines[:-1]) if l == g.lines[li + 1]]
-    pair_seen = {}
+    n = g.n
+    pair_seen = {}      # keyed x * n + y, as in _pair_lines
     for li, l in enumerate(g.lines):
-        for i in range(len(l)):
-            for j in range(i + 1, len(l)):
-                key = (l[i], l[j])
+        for i, x in enumerate(l):
+            for y in l[i + 1:]:
+                key = x * n + y
                 if key in pair_seen:
-                    violations.append(("pair-on-two-lines", key, pair_seen[key], li))
+                    violations.append(("pair-on-two-lines", (x, y), pair_seen[key], li))
                 else:
                     pair_seen[key] = li
     partial_linear = not violations

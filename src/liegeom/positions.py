@@ -386,12 +386,20 @@ class PositionCensus:
     counts: dict                      # display string -> ordered-pair count
     misses: list                      # CatalogueMiss examples (capped)
     miss_count: int
-    instances: dict                   # display string -> list of (li, mi)
+    instances: dict                   # display string -> (k, 2) int32 array of (li, mi)
     total: int
     orbits: int                       # line orbits, one row counted for each
 
     def realized(self) -> list[str]:
         return sorted(self.counts)
+
+    def __eq__(self, other):
+        """Field by field, each instance array by value."""
+        return (isinstance(other, PositionCensus)
+                and (self.counts, self.misses, self.miss_count, self.total, self.orbits)
+                == (other.counts, other.misses, other.miss_count, other.total, other.orbits)
+                and self.instances.keys() == other.instances.keys()
+                and all(np.array_equal(a, other.instances[d]) for d, a in self.instances.items()))
 
 
 #: instances kept per position by position_census
@@ -437,7 +445,8 @@ def position_census(model: HexagonicModel) -> PositionCensus:
     size times the count in the row of the orbit's least line.
 
     Instances are the first CENSUS_INSTANCES pairs of each position in
-    row-major order, and the first pair of each miss.  A signature takes
+    row-major order, and the first pair of each miss, as one (k, 2) int32
+    array of (li, mi) rows per signature.  A signature takes
     them from the first of these sources that applies, each read in
     row-major order until its signatures are full:
     - the diagonal pairs (L, L), when all its pairs are diagonal;
@@ -487,7 +496,8 @@ def position_census(model: HexagonicModel) -> PositionCensus:
         return out
 
     counts = Counter()
-    first: dict[bytes, list] = defaultdict(list)    # sig -> its instances so far
+    # sig -> its instances so far, one (li, mi) row each
+    first: dict[bytes, np.ndarray] = defaultdict(lambda: np.empty((0, 2), dtype=np.int32))
 
     def short(s) -> int:
         """How many more instances the signature s takes."""
@@ -497,9 +507,9 @@ def position_census(model: HexagonicModel) -> PositionCensus:
         return all(short(s) <= 0 for s in sigs)
 
     def collect(key, pairs, sigs):
-        """Append to first[s], for each s of sigs still short, the pairs(k)
-        of the first keys key[k] with signature s; key runs in row-major
-        pair order."""
+        """Append to first[s], for each s of sigs still short, the pairs
+        (li, mi) = pairs(k) of the first keys key[k] with signature s; key
+        runs in row-major pair order."""
         vals = np.sort(key)
         vals = vals[np.diff(vals, prepend=-1) != 0].tolist()
         keep, group, names = [], [], {}
@@ -513,7 +523,8 @@ def position_census(model: HexagonicModel) -> PositionCensus:
             idx = np.flatnonzero(keep[at] == key)
             group = np.array(group)[at[idx]]
             for s, w in names.items():
-                first[s] += pairs(idx[group == w][:short(s)])
+                found = np.stack(pairs(idx[group == w][:short(s)]), axis=1)
+                first[s] = np.concatenate((first[s], found), dtype=np.int32)
 
     def scan(sigs):
         """Collect the row blocks from row 0 on while a signature of sigs is
@@ -524,7 +535,7 @@ def position_census(model: HexagonicModel) -> PositionCensus:
             key = _row_keys(R, lines, np.arange(i0, min(i0 + B, nl)), dtype)
             if sigs is None:
                 counts.update(tally(key, np.ones(len(key), dtype=np.int64)))
-            collect(key.ravel(), lambda k: list(zip((i0 + k // nl).tolist(), (k % nl).tolist())),
+            collect(key.ravel(), lambda k: (i0 + k // nl, k % nl),
                     counts if sigs is None else sigs)
 
     orbit = line_orbits(g, lines, R)
@@ -538,7 +549,7 @@ def position_census(model: HexagonicModel) -> PositionCensus:
         diag = _listed_keys(R, lines, np.arange(nl), np.arange(nl), dtype)
         on_diag = tally(diag[None], np.ones(1, dtype=np.int64))
         diagonal = {s for s in counts if on_diag[s] == counts[s]}
-        collect(diag, lambda k: list(zip(k.tolist(), k.tolist())), diagonal)
+        collect(diag, lambda k: (k, k), diagonal)
         meeting = set()
         if np.count_nonzero(R == EQUAL) == g.n and (R.diagonal() == EQUAL).all():
             meeting = {s for s in counts if EQUAL in s} - diagonal
@@ -552,11 +563,10 @@ def position_census(model: HexagonicModel) -> PositionCensus:
                 met = np.sort(through[lines[i0:i0 + B]].reshape(min(B, nl - i0), -1), axis=1)
                 b, j = np.nonzero((met < nl) & (np.diff(met, axis=1, prepend=-1) != 0))
                 li, mi = i0 + b, met[b, j]
-                collect(_listed_keys(R, lines, li, mi, dtype),
-                        lambda k: list(zip(li[k].tolist(), mi[k].tolist())), meeting)
+                collect(_listed_keys(R, lines, li, mi, dtype), lambda k: (li[k], mi[k]), meeting)
         scan(set(counts) - diagonal - meeting)
 
-    misses = sorted(pairs[0] for s, pairs in first.items() if s not in key_entry)
+    misses = sorted(tuple(pairs[0].tolist()) for s, pairs in first.items() if s not in key_entry)
     miss_examples = [CatalogueMiss(li, mi, model.pair_matrix(li, mi))
                      for li, mi in misses[:100]]
     miss_count = sum(c for s, c in counts.items() if s not in key_entry)
@@ -572,12 +582,14 @@ def position_census(model: HexagonicModel) -> PositionCensus:
 
 
 def seeded_instances(census: PositionCensus, display: str, k: int, seed: int) -> list:
-    """Deterministic seeded selection of k instances of a position."""
+    """Deterministic seeded selection of k instances of a position, as
+    (li, mi) tuples of ints: the rows at the indices that sampling a list
+    of all of them would pick."""
     import random as _random
-    pool = census.instances.get(display, [])
-    if len(pool) <= k:
-        return list(pool)
-    return _random.Random(seed).sample(pool, k)
+    pool = census.instances.get(display, np.empty((0, 2), dtype=np.int32))
+    if len(pool) > k:
+        pool = pool[_random.Random(seed).sample(range(len(pool)), k)]
+    return list(map(tuple, pool.tolist()))
 
 
 # -- combing ---------------------------------------------------------------------

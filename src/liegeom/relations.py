@@ -110,6 +110,11 @@ def _codes(rows: Sequence[dict[int, int]], n: int) -> np.ndarray:
     return out.view(np.int8)
 
 
+#: rows per block of RelationMatrix.np(), so the class bitsets and unpacked
+#: bits held at once take O(ROW_BLOCK * n) bytes next to the matrix
+ROW_BLOCK = 256
+
+
 class RelationMatrix:
     """n x n table of relation codes, built row by row on demand, or for
     all rows at once by np()."""
@@ -203,9 +208,14 @@ class RelationMatrix:
         return row
 
     def np(self) -> np.ndarray:
-        """The n x n matrix, from classes() of every row, first failure first."""
+        """The n x n matrix, from classes() of every row, first failure first,
+        written ROW_BLOCK rows at a time."""
         if self._np is None:
-            self._np = _codes([self.classes(x) for x in range(self.n)], self.n)
+            out = np.empty((self.n, self.n), dtype=np.int8)
+            for lo in range(0, self.n, ROW_BLOCK):
+                hi = min(lo + ROW_BLOCK, self.n)
+                out[lo:hi] = _codes([self.classes(x) for x in range(lo, hi)], self.n)
+            self._np = out
             # later rows are read from the matrix, so edits to it show in row()
             self._rows.clear()
             self._memo.clear()

@@ -359,6 +359,16 @@ def test_polar_axiom_gate_rejects_non_polar_geometries(h2):
         _check_polar_axioms(g)
 
 
+def test_polar_axiom_gate_builds_no_line_bitsets(h2):
+    # |perp cap line| is counted from the line's points, so refusing a
+    # geometry builds no line bitsets for the message
+    for g in (Geometry(h2.n, h2.lines, Kind("polar", 2)),
+              Geometry(4, [(0, 1, 2), (2, 3), (1, 3)], Kind("polar", 2))):
+        with pytest.raises(ConstructionError, match="one-or-all violated"):
+            _check_polar_axioms(g)
+        assert "line-bits" not in g._derived
+
+
 def test_hermitian_subquadrangle_requires_coords(h34):
     from liegeom.geometry import Geometry
     bare = Geometry.from_json(h34.to_json())

@@ -1,11 +1,15 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter, deque
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from liegeom import geometry
 from liegeom.constructors import geometry_by_name, pg, polar_space, PolarFormSpec
@@ -627,6 +631,48 @@ def test_line_id_matches_a_scan_of_the_lines(g, data):
     assert g.line_id(pts) == want
 
 
+@settings(max_examples=40)
+@given(alias=st.sampled_from(["hexagon-2", "w32", "q72", "gr-w52", "gr-q72"]), data=st.data())
+def test_lazy_line_bits_and_line_through(alias, data):
+    # a geometry keeps no line bitsets until they are read, then builds
+    # bitset(l) for each line once; line_through tests membership in the
+    # line and finds what the bit test on those bitsets found
+    g = model_geometry(alias)
+    fresh = Geometry(g.n, g.lines, g.kind)
+    assert "line-bits" not in fresh._derived
+    assert fresh.line_bits == tuple(bitset(l) for l in g.lines)
+    assert fresh.line_bits is fresh._derived["line-bits"]
+    with pytest.raises(AttributeError):
+        fresh.line_bits = ()
+    x = data.draw(st.integers(0, g.n - 1))
+    near = [p for li in g.lines_through[x] for p in g.lines[li]]
+    y = data.draw(st.one_of(st.integers(0, g.n - 1), st.sampled_from(near or [x])))
+    want = next((li for li in g.lines_through[x] if fresh.line_bits[li] >> y & 1), None)
+    assert g.line_through(x, y) == want
+
+
+def validate_violations_oracle(g):
+    """validate's violations, with each pair keyed by its tuple."""
+    out = [("duplicated-line", l, li, li + 1)
+           for li, l in enumerate(g.lines[:-1]) if l == g.lines[li + 1]]
+    seen = {}
+    for li, l in enumerate(g.lines):
+        for pair in itertools.combinations(l, 2):
+            if pair in seen:
+                out.append(("pair-on-two-lines", pair, seen[pair], li))
+            else:
+                seen[pair] = li
+    return out
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.sets(st.integers(0, n - 1), min_size=1), max_size=10))))
+def test_validate_violations_match_tuple_keys(drawn):
+    n, lines = drawn
+    g = Geometry(n, lines)
+    assert validate(g).violations == validate_violations_oracle(g)
+
+
 def polar_rank_by_closure(g):
     """1 + dimension of a maximal singular subspace, by greedy extension
     from point 0 with subspace_closure."""
@@ -673,9 +719,40 @@ def test_polar_grassmannian_fingerprints(base, fingerprint):
 
 @pytest.mark.slow
 def test_elliptic_rank4_grassmannian_fingerprint():
-    # about 8 s and 1.2 GB: run with pytest -m slow
+    # about 4 s and a 250 MiB peak on 2 vCPUs: run with pytest -m slow
     g = line_grassmannian(geometry_by_name("Q-(9,2)"))
     assert g.fingerprint() == {"points": 19635, "lines": 530145, "hash": "12c05d6c6eb2bb3b"}
+
+
+#: address space of the child that builds Gr(Q+(9,2)), in bytes (ulimit -v 4000000)
+HYPERBOLIC_RANK5_CAP = 4_000_000 * 1024
+#: bound on that child's peak resident set, in KiB
+HYPERBOLIC_RANK5_PEAK_KIB = 1 << 20
+
+
+@pytest.mark.slow
+def test_hyperbolic_rank5_grassmannian_fingerprint_in_4gb():
+    # 830,025 lines; about 7 s and a 360 MiB peak on 2 vCPUs.  Built in a
+    # child whose own RLIMIT_AS is the cap; a build that keeps one bitset
+    # per line peaks near 2 GiB, over the bound on the child's peak
+    code = (
+        "import json, resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({HYPERBOLIC_RANK5_CAP}, {HYPERBOLIC_RANK5_CAP}))\n"
+        "from liegeom.constructors import geometry_by_name\n"
+        "from liegeom.geometry import line_grassmannian\n"
+        "g = line_grassmannian(geometry_by_name('Q+(9,2)'))\n"
+        "print(json.dumps(g.fingerprint()))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(Path(geometry.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=600)
+    assert out.returncode == 0, out.stderr[-2000:]
+    fingerprint, peak_kib = out.stdout.splitlines()
+    assert json.loads(fingerprint) == {"points": 23715, "lines": 830025,
+                                       "hash": "d03dc47e3ec20283"}
+    assert int(peak_kib) < HYPERBOLIC_RANK5_PEAK_KIB
 
 
 def test_convex_closure_basics(w52):

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import threading
+import tracemalloc
 from collections import Counter
 from typing import Optional
 from unittest import mock
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liegeom import groups, positions, search as S
+from liegeom import groups, positions, recipes, search as S
 from liegeom.geometry import Geometry, GeometryError
 from liegeom.positions import (
     AlgorithmViolation,
@@ -87,12 +88,18 @@ def census_scalar(model: HexagonicModel, instance_cap: int) -> PositionCensus:
         if counts.get(to_display(e.inverse_tuple()), 0) != c:
             raise PositionError(f"inverse law fails for {d}")
     miss_examples = sorted(first_miss.values(), key=lambda m: (m.line_a, m.line_b))[:100]
+    inst = {d: np.array(pairs, dtype=np.int32).reshape(-1, 2) for d, pairs in inst.items()}
     return PositionCensus(counts, miss_examples, miss_count, inst, nl * nl, nl)
+
+
+def instance_lists(census: PositionCensus) -> dict:
+    """Each position's instances as its array's dtype and its [li, mi] rows."""
+    return {d: (pairs.dtype, pairs.tolist()) for d, pairs in census.instances.items()}
 
 
 def census_fields(census: PositionCensus) -> tuple:
     """What a census finds: its counts, instances, miss count and miss examples."""
-    return (census.counts, census.instances, census.miss_count,
+    return (census.counts, instance_lists(census), census.miss_count,
             [(m.line_a, m.line_b, m.matrix) for m in census.misses])
 
 
@@ -282,8 +289,8 @@ def census_exhaustive(model: HexagonicModel) -> PositionCensus:
         vals = _distinct(key)
         collect(key.T.ravel(), lambda j: (i0 + j // i0) * nl + j % i0,
                 vals[np.array([sig_of(v) in pending for v in vals.tolist()], dtype=bool)])
-    inst = {sig: list(zip((at // nl).tolist(), (at % nl).tolist())) for sig, at in first.items()}
-    misses = sorted(pairs[0] for v, pairs in inst.items() if v not in key_entry)
+    inst = {sig: np.stack(divmod(at, nl), axis=1).astype(np.int32) for sig, at in first.items()}
+    misses = sorted(tuple(pairs[0].tolist()) for v, pairs in inst.items() if v not in key_entry)
     miss_examples = [CatalogueMiss(li, mi, model.pair_matrix(li, mi))
                      for li, mi in misses[:100]]
     miss_count = sum(c for v, c in counts.items() if v not in key_entry)
@@ -631,7 +638,7 @@ def test_census_counts_misses(h2):
     oracle = census_scalar(doc, instance_cap=10000)
     assert census.miss_count == oracle.miss_count > 0
     assert census.counts == oracle.counts
-    assert census.instances == oracle.instances
+    assert instance_lists(census) == instance_lists(oracle)
     assert sum(census.counts.values()) + census.miss_count == census.total
     assert census.misses
     for m in census.misses:
@@ -790,7 +797,7 @@ def test_census_on_four_point_lines(h3):
     assert census.counts == oracle.counts == {"0110": 364, "0112": 4368, "1223": 39312,
                                               "2332": 88452}
     assert census.miss_count == oracle.miss_count == 0
-    assert census.instances == oracle.instances
+    assert instance_lists(census) == instance_lists(oracle)
 
 
 @pytest.mark.parametrize("share", (0.0, 0.02))
@@ -825,8 +832,45 @@ GR_Q72_INSTANCES_SHA256 = "b4372747fe8f6b99032b2eac214091f95cf24a549dd1a570f427b
 
 
 def test_golden_census_instances(gr_census):
-    doc = json.dumps(gr_census.instances, sort_keys=True).encode()
+    doc = json.dumps({d: pairs.tolist() for d, pairs in gr_census.instances.items()},
+                     sort_keys=True).encode()
     assert hashlib.sha256(doc).hexdigest() == GR_Q72_INSTANCES_SHA256
+
+
+def test_census_memory_and_recipes_build_no_line_bits(monkeypatch):
+    # a Gr(Q+(7,2)) of its own, so that no other test has read its line
+    # bitsets: after np(), its census keeps less than 4 MiB (its 170,000
+    # instances took 15.6 MiB as (li, mi) tuples), and the two recipes that
+    # read the census build no line bitsets on it
+    monkeypatch.setattr(recipes, "_GEOMETRIES", {})
+    model = recipes.grassmannian_model()
+    model.rel.np()
+    tracemalloc.start()
+    try:
+        census = recipes.grassmannian_census()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 4 << 20
+    assert sum(map(len, census.instances.values())) == 170000
+    for name, params in (("positions-catalogue", {}), ("table1", {"instances": 10})):
+        assert run_recipe(name, **params).status == "PASS"
+    assert "line-bits" not in model.geometry._derived
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(0, 10001))
+@example(seed=0, k=10000)
+@example(seed=0, k=10001)
+def test_seeded_instances_sample_the_tuple_lists(gr_census, seed, k):
+    # on every realized position, and on one with no instances, the rows
+    # drawn are what sampling the list of (li, mi) tuples of ints drew
+    for d in [*gr_census.realized(), "3/23/23/23/2"]:
+        pool = [tuple(p) for p in gr_census.instances.get(d, np.empty((0, 2))).tolist()]
+        want = pool if len(pool) <= k else random.Random(seed).sample(pool, k)
+        got = seeded_instances(gr_census, d, k, seed)
+        assert got == want
+        assert all(type(v) is int for pair in got for v in pair)
 
 
 @settings(max_examples=12)
@@ -846,7 +890,7 @@ def test_census_matches_scalar_on_random_codes(h2, alphabet, share, seed):
     census = position_census(model)
     oracle = census_scalar(model, instance_cap=10000)
     assert census.counts == oracle.counts
-    assert census.instances == oracle.instances
+    assert instance_lists(census) == instance_lists(oracle)
     assert census.miss_count == oracle.miss_count
     assert ([(m.line_a, m.line_b, m.matrix) for m in census.misses]
             == [(m.line_a, m.line_b, m.matrix) for m in oracle.misses])

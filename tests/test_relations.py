@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from liegeom.constructors import PolarFormSpec, polar_space
 from liegeom.geometry import Geometry, Kind, bit_indices, bitset, line_grassmannian
+from liegeom import relations
 from liegeom.relations import (
     COLLINEAR,
     EQUAL,
@@ -298,6 +299,27 @@ def test_lazy_rows_and_np_agree_on_relabelled_or_broken_h2(h2, perm, drop):
             break
     else:
         pytest.fail("every lazy row passed the diameter check")
+
+
+@pytest.mark.parametrize("block", [1, 5, 256])
+def test_np_in_row_blocks_equals_the_lazy_rows(monkeypatch, h2, block):
+    # np() fills its matrix ROW_BLOCK rows at a time: for every block size
+    # it holds the lazy rows, and with a line dropped it raises what the
+    # first failing lazy row raises, in whichever block that row lies
+    monkeypatch.setattr(relations, "ROW_BLOCK", block)
+    lazy = RelationMatrix(h2)
+    assert [r.tobytes() for r in RelationMatrix(h2).np()] == [lazy.row(x) for x in range(h2.n)]
+    g = Geometry(h2.n, h2.lines[1:], Kind("polygon", 6))
+    with pytest.raises(RelationError) as exc:
+        RelationMatrix(g).np()
+    lazy = RelationMatrix(g)
+    failing = []
+    for x in range(g.n):
+        try:
+            lazy.row(x)
+        except RelationError as err:
+            failing.append(str(err))
+    assert len(failing) > 1 and str(exc.value) == failing[0]
 
 
 def _doctored_grassmannian(gr):
